@@ -4,13 +4,14 @@ Subcommands: generate, mix, conductance, fr-bound, subtrees, constants,
 scaling, quiet-arc.  Options may come from a ``key = value`` config file
 (--config), with command-line flags taking precedence.  Exit codes:
 0 success, 2 validation error, 3 budget exhaustion or censoring produced
-partial results.
+partial results.  A closed output pipe (``| head``) ends a run quietly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .graphs import (
     GraphSpec,
     GraphValidationError,
     build_ring,
-    graph_lines,
+    graph_text,
     read_graph,
     sample_small_world,
     write_graph,
@@ -53,7 +54,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (stem for multi-file outputs)")
     p.add_argument("--budget", type=int, help="enumeration work budget")
     p.add_argument("--cap", type=int, help="walk step cap")
-    p.add_argument("--mode", help="mode (subcommand specific)")
 
 
 def _config_from(args) -> ExperimentConfig:
@@ -61,7 +61,8 @@ def _config_from(args) -> ExperimentConfig:
            else ExperimentConfig())
     return cfg.overridden(
         n=args.n, k=args.k, c=args.c, seed=args.seed, reps=args.reps,
-        out=args.out, budget=args.budget, cap=args.cap, mode=args.mode,
+        out=args.out, budget=args.budget, cap=args.cap,
+        mode=getattr(args, "mode", None),
     )
 
 
@@ -88,8 +89,7 @@ def _cmd_generate(args) -> int:
     if cfg.out:
         write_graph(g, cfg.out)
     else:
-        for line in graph_lines(g):
-            print(line)
+        sys.stdout.write(graph_text(g))
     return EXIT_OK
 
 
@@ -217,6 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         if name in ("mix", "fr-bound"):
             p.add_argument("--in", dest="infile", help="read graph edge list")
+        if name in ("mix", "fr-bound", "conductance", "scaling"):
+            p.add_argument("--mode", help="mode (subcommand specific)")
         if name in ("conductance",):
             p.add_argument("--variant", choices=["standard", "expected-volume"],
                            default="standard")
@@ -231,6 +233,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``): stop quietly, and send the
+        # interpreter's final flush of stdout to devnull so it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except EnumerationBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARTIAL

@@ -24,6 +24,10 @@ class RegimeError(ValueError):
     """Raised when constants for the wrong c-regime are requested."""
 
 
+class VerificationError(AssertionError):
+    """An exact cross-check that must hold failed."""
+
+
 def chernoff_phi(x: float) -> float:
     """phi(x) = (1+x) log(1+x) - x, the binomial large-deviation rate."""
     if x <= -1:
@@ -268,7 +272,7 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
         if t > t0 + 4:
             raise RuntimeError("no admissible delta near the analytic index")
     if t > 0 and delta_conditions_hold(GridValue(base, t - 1), epsilon, c, k, R):
-        raise AssertionError("delta not the largest admissible grid value")
+        raise VerificationError("delta not the largest admissible grid value")
     delta = GridValue(base, t)
 
     gamma = None
@@ -285,11 +289,17 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
     alpha = min(candidates, key=_log_of)
 
     # substitute everything back before returning
-    assert R >= k and R >= 2 * x1 / float(c) - 1e-12
-    assert epsilon == c / (12 * R * (2 * R * c + 1))
-    assert beta_conditions_hold(beta, float(c), k)
-    assert delta_conditions_hold(delta, epsilon, c, k, R)
-    assert gamma_conditions_hold(gamma, beta, c, R)
+    rechecks = [
+        ("R", R >= k and R >= 2 * x1 / float(c) - 1e-12),
+        ("epsilon", epsilon == c / (12 * R * (2 * R * c + 1))),
+        ("beta", beta_conditions_hold(beta, float(c), k)),
+        ("delta", delta_conditions_hold(delta, epsilon, c, k, R)),
+        ("gamma", gamma_conditions_hold(gamma, beta, c, R)),
+    ]
+    failed = [name for name, ok in rechecks if not ok]
+    if failed:
+        raise VerificationError(
+            f"small-c constants fail their re-check: {', '.join(failed)}")
     return ConstantSet(
         c=c, k=k, regime="small-c", x_k=xk, M=big_m(c, k), R=R, beta=beta,
         epsilon=epsilon, delta=delta, gamma=gamma, alpha=alpha,

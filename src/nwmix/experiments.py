@@ -20,17 +20,13 @@ import numpy as np
 
 from . import subtrees as st
 from .conductance import DEFAULT_ENUM_BUDGET, fr_bound
-from .constants import constants_for
+from .constants import VerificationError, constants_for
 from .graphs import GraphSpec, UndirectedGraph, build_ring, sample_small_world
 from .rng import derive_seed
 from .walks import DEFAULT_STEP_CAP, escape_time, mixing_time, sample_starts
 
 VERSION = "nwmix-0.1.0"
 SAMPLED_START_COUNT = 64
-
-
-class VerificationError(AssertionError):
-    """An exact cross-check that must hold failed."""
 
 
 @dataclass(frozen=True)
@@ -55,6 +51,10 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.c < 0:
             raise ValueError("c must be >= 0")
+        if self.step_cap < 1:
+            raise ValueError(f"step cap must be >= 1, got {self.step_cap}")
+        if self.enum_budget < 1:
+            raise ValueError(f"enumeration budget must be >= 1, got {self.enum_budget}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

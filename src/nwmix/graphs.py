@@ -97,23 +97,17 @@ class UndirectedGraph:
                 raise GraphValidationError("edge endpoint out of range")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise GraphValidationError("self-loop not allowed")
-        lo = np.minimum(edges[:, 0], edges[:, 1])
-        hi = np.maximum(edges[:, 0], edges[:, 1])
-        order = np.lexsort((hi, lo))
-        lo, hi = lo[order], hi[order]
-        if lo.size > 1:
-            dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-            if np.any(dup):
-                i = int(np.flatnonzero(dup)[0])
-                raise GraphValidationError(f"duplicate edge ({lo[i]}, {hi[i]})")
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # CSR entries keyed row * n + col, both orientations of every edge; a
+        # repeated key is a duplicate edge, first seen in its u < v orientation
+        u, v = edges[:, 0], edges[:, 1]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        dup = np.flatnonzero(keys[1:] == keys[:-1])
+        if dup.size:
+            a, b = divmod(int(keys[dup[0]]), n)
+            raise GraphValidationError(f"duplicate edge ({a}, {b})")
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        g = cls(n, indptr, dst.astype(np.int64), ring_k=ring_k)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        g = cls(n, indptr, keys % n, ring_k=ring_k)
         if ring_k:
             g._check_ring_containment()
         return g
@@ -122,11 +116,9 @@ class UndirectedGraph:
         k = self.ring_k
         if self.n <= 2 * k:
             raise GraphValidationError("ring tag requires n > 2k")
-        for d in range(1, k + 1):
-            u = np.arange(self.n, dtype=np.int64)
-            v = (u + d) % self.n
-            if not np.all(self.has_edges(u, v)):
-                raise GraphValidationError("tagged graph is missing a ring edge")
+        ring = _ring_edges(self.n, k)
+        if not np.all(self.has_edges(ring[:, 0], ring[:, 1])):
+            raise GraphValidationError("tagged graph is missing a ring edge")
 
     # -- queries ------------------------------------------------------------
 
@@ -146,15 +138,26 @@ class UndirectedGraph:
         return bool(i < row.shape[0] and row[i] == v)
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Edge membership for parallel arrays u, v (per-row binary search)."""
-        out = np.empty(u.shape[0], dtype=bool)
-        for i in range(u.shape[0]):
-            out[i] = self.has_edge(int(u[i]), int(v[i]))
-        return out
+        """Edge membership for parallel vertex arrays u, v: one binary search
+        over the CSR entries keyed ``row * n + col``, which are ascending."""
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= self.n):
+            raise GraphValidationError("vertex out of range")
+        keys = self._rows() * self.n + self.indices
+        query = u * self.n + v
+        i = np.searchsorted(keys, query)
+        found = i < keys.size
+        found[found] = keys[i[found]] == query[found]
+        return found
+
+    def _rows(self) -> np.ndarray:
+        """The row (source vertex) of every CSR entry."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     def edge_array(self) -> np.ndarray:
         """All edges as (u, v) with u < v, lexicographically sorted."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        src = self._rows()
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
 
@@ -169,20 +172,16 @@ class UndirectedGraph:
         seen = np.zeros(self.n, dtype=bool)
         seen[0] = True
         frontier = np.array([0], dtype=np.int64)
-        count = 1
         while frontier.size:
-            # gather neighbors of the whole frontier at once
+            # gather the neighbor lists of the whole frontier in one index array
             starts = self.indptr[frontier]
-            stops = self.indptr[frontier + 1]
-            total = int((stops - starts).sum())
-            if total == 0:
-                break
-            idx = np.concatenate([self.indices[a:b] for a, b in zip(starts, stops)])
-            new = np.unique(idx[~seen[idx]])
-            seen[new] = True
-            count += new.size
-            frontier = new
-        return count == self.n
+            counts = self.indptr[frontier + 1] - starts
+            ends = np.cumsum(counts)
+            idx = self.indices[np.repeat(starts - ends + counts, counts)
+                               + np.arange(ends[-1])]
+            frontier = np.unique(idx[~seen[idx]])
+            seen[frontier] = True
+        return bool(seen.all())
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,10 +210,14 @@ def build_ring(n: int, k: int) -> UndirectedGraph:
         raise GraphValidationError(
             f"need n > 2k for a 2k-regular ring, got n={n}, k={k}"
         )
+    return UndirectedGraph.from_edges(n, _ring_edges(n, k), ring_k=k)
+
+
+def _ring_edges(n: int, k: int) -> np.ndarray:
+    """The n*k ring pairs (u, u + d mod n) for d = 1..k."""
     u = np.repeat(np.arange(n, dtype=np.int64), k)
     d = np.tile(np.arange(1, k + 1, dtype=np.int64), n)
-    v = (u + d) % n
-    return UndirectedGraph.from_edges(n, np.column_stack([u, v]), ring_k=k)
+    return np.column_stack([u, (u + d) % n])
 
 
 def complete_graph(n: int) -> UndirectedGraph:
@@ -238,9 +241,8 @@ def sample_small_world(spec: GraphSpec) -> UndirectedGraph:
     """
     n, k = spec.n, spec.k
     p = spec.p
-    ring = build_ring(n, k)
     if p == 0:
-        return ring
+        return build_ring(n, k)
     counts = _nonring_row_counts(n, k)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     total = int(offsets[-1])
@@ -248,12 +250,9 @@ def sample_small_world(spec: GraphSpec) -> UndirectedGraph:
         flat = np.arange(total, dtype=np.int64)
     else:
         flat = _bernoulli_hits(total, float(p), spec.seed)
-    if flat.size == 0:
-        return ring
     u = np.searchsorted(offsets, flat, side="right") - 1
     v = u + k + 1 + (flat - offsets[u])
-    extra = np.column_stack([u, v])
-    edges = np.vstack([ring.edge_array(), extra])
+    edges = np.vstack([_ring_edges(n, k), np.column_stack([u, v])])
     return UndirectedGraph.from_edges(n, edges, ring_k=k)
 
 
@@ -341,19 +340,18 @@ def blow_up_shortcut_probability(R: int, p: Fraction) -> Fraction:
 # -- file I/O -----------------------------------------------------------------
 
 
-def graph_lines(g: UndirectedGraph):
-    """Edge-list lines: ``n k`` first, then one ``u v`` per edge with u < v,
-    sorted lexicographically."""
-    yield f"{g.n} {g.ring_k}"
-    for u, v in g.edge_array():
-        yield f"{u} {v}"
+def graph_text(g: UndirectedGraph) -> str:
+    """The edge-list text: ``n k`` first, then one ``u v`` line per edge with
+    u < v, sorted lexicographically; every line ends in LF."""
+    edges = g.edge_array()
+    body = ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
+    return f"{g.n} {g.ring_k}\n" + body
 
 
 def write_graph(g: UndirectedGraph, path) -> None:
     """Write the edge-list format (UTF-8, LF line endings)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in graph_lines(g):
-            fh.write(line + "\n")
+        fh.write(graph_text(g))
 
 
 def read_graph(path) -> UndirectedGraph:

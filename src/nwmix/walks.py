@@ -5,6 +5,8 @@ neighbor, so the transition kernel is P = (I + D^-1 A) / 2.  For a connected
 graph the stationary distribution is pi(x) = deg(x) / (2m) and the total
 variation distance to pi is non-increasing along the chain, which lets the
 mixing-time search stop each start at its first step under the 1/4 threshold.
+The search evolves all its starts at once, as the columns of one n-by-s block
+multiplied by the sparse transposed kernel.
 """
 
 from __future__ import annotations
@@ -60,7 +62,11 @@ def stationary_exact(g: UndirectedGraph) -> list[Fraction]:
 
 
 class LazyKernel:
-    """Sparse lazy transition kernel of a graph, applied to row vectors."""
+    """Sparse lazy transition kernel of a graph.
+
+    It is stored transposed, as csr(P^T), so that a distribution, or an
+    n-by-s block of them held as columns, evolves by ``P^T @ mu``.
+    """
 
     def __init__(self, graph: UndirectedGraph):
         self.graph = graph
@@ -73,24 +79,21 @@ class LazyKernel:
             inv[nz] = 1.0 / deg[nz]
         else:
             inv = 1.0 / deg
-        data = np.repeat(0.5 * inv, deg)
-        adj = sparse.csr_matrix(
-            (data, graph.indices, graph.indptr), shape=(n, n)
+        # P^T[x, y] = P[y, x] = 1/(2 deg y) for each neighbor y of x
+        adj_t = sparse.csr_matrix(
+            ((0.5 * inv)[graph.indices], graph.indices, graph.indptr), shape=(n, n)
         )
-        self._P = (sparse.identity(n, format="csr") * 0.5 + adj).tocsr()
+        self._PT = (sparse.identity(n, format="csr") * 0.5 + adj_t).tocsr()
 
     @property
-    def matrix(self) -> sparse.csr_matrix:
-        return self._P
+    def matrix(self) -> sparse.csc_matrix:
+        """The kernel P itself (a transposed view of the stored P^T)."""
+        return self._PT.T
 
     def step(self, mu: np.ndarray) -> np.ndarray:
         """One application of the kernel: mu P."""
         mu = validate_distribution(mu)
-        return mu @ self._P
-
-    def step_many(self, rows: np.ndarray) -> np.ndarray:
-        """Apply the kernel to a stack of row distributions at once."""
-        return rows @ self._P
+        return self._PT @ mu
 
 
 def step(kernel: LazyKernel, mu: np.ndarray) -> np.ndarray:
@@ -173,9 +176,11 @@ def mixing_time(
     """Per-start first step with TV(mu_k, pi) <= threshold; tau is the max.
 
     ``starts`` is "all", an explicit list of vertices, or ("sample", size,
-    seed).  All starts evolve as a stack of row vectors against the sparse
-    kernel; TV monotonicity is asserted along the way.  ``exact=True`` runs
-    rational arithmetic (intended for n <= 64 oracle comparisons).
+    seed).  All starts evolve together as the columns of one n-by-s block,
+    stepped by the sparse transposed kernel; a start's column is dropped from
+    the block at the step it mixes.  TV monotonicity is checked at every
+    step.  ``exact=True`` runs rational arithmetic (intended for n <= 64
+    oracle comparisons).
     """
     if cap < 1:
         raise WalkError("cap must be >= 1")
@@ -207,31 +212,40 @@ def mixing_time(
 
 
 def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
-    kernel = LazyKernel(g)
-    pi = stationary(g)
-    rows = np.zeros((len(start_list), g.n))
-    rows[np.arange(len(start_list)), start_list] = 1.0
-    per: list[int | None] = [None] * len(start_list)
+    pt = LazyKernel(g)._PT
+    pi = stationary(g)[:, None]
+    # column j of the n-by-s block X is the law of the walk from active[j]
     active = np.arange(len(start_list))
-    prev_tv = 0.5 * np.abs(rows - pi).sum(axis=1)
-    done0 = prev_tv <= threshold
-    for i in np.flatnonzero(done0):
-        per[int(active[i])] = 0
-    keep = ~done0
-    rows, active, prev_tv = rows[keep], active[keep], prev_tv[keep]
+    X = np.zeros((g.n, active.size))
+    X[start_list, active] = 1.0
+    buf = np.empty_like(X)
+    per: list[int | None] = [None] * active.size
+    tv = _tv_columns(X, pi, buf)
     k = 0
-    while active.size and k < cap:
+    while True:
+        mixed = tv <= threshold
+        if mixed.any():
+            for j in np.flatnonzero(mixed):
+                per[int(active[j])] = k
+            keep = ~mixed
+            X = X.compress(keep, axis=1)
+            buf = np.empty_like(X)
+            active, tv = active[keep], tv[keep]
+        if not active.size or k == cap:
+            return per
         k += 1
-        rows = kernel.step_many(rows)
-        tv = 0.5 * np.abs(rows - pi).sum(axis=1)
+        X = pt @ X
+        prev_tv = tv
+        tv = _tv_columns(X, pi, buf)
         if np.any(tv > prev_tv + 1e-12):
             raise WalkError("TV distance increased along the chain")
-        mixed = tv <= threshold
-        for i in np.flatnonzero(mixed):
-            per[int(active[i])] = k
-        keep = ~mixed
-        rows, active, prev_tv = rows[keep], active[keep], tv[keep]
-    return per
+
+
+def _tv_columns(X, pi, buf) -> np.ndarray:
+    """TV distance of each column of X to pi, using buf as scratch."""
+    np.subtract(X, pi, out=buf)
+    np.abs(buf, out=buf)
+    return 0.5 * buf.sum(axis=0)
 
 
 def _mixing_one_exact(g, x, cap, threshold) -> int | None:

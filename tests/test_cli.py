@@ -163,3 +163,32 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "10 1"
+
+
+def test_invalid_budget_and_cap_exit_validation(capsys):
+    assert main(["fr-bound", "--n", "8", "--c", "0", "--budget", "-1"]) == EXIT_VALIDATION
+    assert "budget" in capsys.readouterr().err
+    assert main(["mix", "--n", "8", "--c", "0", "--cap", "0"]) == EXIT_VALIDATION
+    assert "step cap" in capsys.readouterr().err
+
+
+def test_generate_rejects_mode():
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--n", "8", "--c", "0", "--mode", "bogus"])
+    assert exc.value.code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_generate_into_closed_pipe_exits_quietly(lines_read):
+    # far more edge list than a pipe buffer holds; the reader closes the pipe
+    # before the first write or after reading one line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nwmix.cli", "generate", "--n", "20000", "--c", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    if lines_read:
+        assert proc.stdout.readline() == b"20000 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert err == b""

@@ -9,6 +9,7 @@ from scipy import stats
 from nwmix import (
     GridValue,
     RegimeError,
+    VerificationError,
     build_ring,
     chernoff_phi,
     constants_for,
@@ -20,6 +21,7 @@ from nwmix import (
     solve_small_c_constants,
     solve_xk,
 )
+from nwmix import constants
 from nwmix.constants import (
     XK_RESIDUAL_TOL,
     _xk_equation,
@@ -222,3 +224,20 @@ def test_expected_connected_sets_bound():
     assert expected_connected_sets_bound(10, 1, 1, 2) == 10 * 12**2
     with pytest.raises(ValueError):
         expected_connected_sets_bound(10, 1, 1, 0)
+
+
+def test_small_c_recheck_failure_raises(monkeypatch):
+    # let the gamma search succeed, then fail the substitution re-check; the
+    # re-check must raise, not assert, so that it also runs under python -O
+    real = constants.gamma_conditions_hold
+    passes = []
+
+    def fails_on_recheck(*args):
+        ok = real(*args)
+        if ok:
+            passes.append(args)
+        return ok and len(passes) < 2
+
+    monkeypatch.setattr(constants, "gamma_conditions_hold", fails_on_recheck)
+    with pytest.raises(VerificationError, match="gamma"):
+        solve_small_c_constants(5, 1)

@@ -207,7 +207,47 @@ def test_connected_flag_against_oracle():
         (6, [(0, 1), (1, 2), (3, 4)]),
         (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
         (4, []),
+        (1, []),
+        (5, [(0, 1), (1, 2), (2, 3)]),  # vertex 4 is isolated
+        (5, [(0, 4), (4, 1), (1, 3), (3, 2)]),  # one BFS level per vertex
     ]:
         g = UndirectedGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
         full = (1 << n) - 1
         assert g.is_connected() == oracles.mask_connected(full, oracles.neighbor_masks(g))
+
+
+def test_has_edges_matches_has_edge():
+    rng = np.random.default_rng(2)
+    graphs = [sample_small_world(GraphSpec(n=n, k=k, c=c, seed=s))
+              for n, k, c, s in [(30, 1, 3, 0), (41, 2, 5, 1), (64, 1, 1, 2)]]
+    graphs.append(UndirectedGraph.from_edges(7, np.empty((0, 2), dtype=np.int64)))
+    for g in graphs:
+        ea = g.edge_array()
+        u = np.concatenate([ea[:, 0], ea[:, 1], rng.integers(0, g.n, 200)])
+        v = np.concatenate([ea[:, 1], ea[:, 0], rng.integers(0, g.n, 200)])
+        got = g.has_edges(u, v)
+        want = [g.has_edge(int(a), int(b)) for a, b in zip(u, v)]
+        assert got.tolist() == want
+        assert got[: 2 * g.m].all()  # both orientations of every edge
+        assert not all(want[2 * g.m:])  # some random pairs are absent
+    empty = graphs[-1]
+    assert empty.has_edges(np.array([0, 6]), np.array([1, 5])).tolist() == [False, False]
+    assert empty.has_edges(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
+    with pytest.raises(GraphValidationError, match="out of range"):
+        graphs[0].has_edges(np.array([0]), np.array([30]))
+
+
+def test_tagged_graph_missing_one_ring_edge_raises():
+    for k in (1, 2):
+        ring = build_ring(12, k).edge_array()
+        for drop in (0, len(ring) - 1):
+            with pytest.raises(GraphValidationError, match="ring edge"):
+                UndirectedGraph.from_edges(12, np.delete(ring, drop, axis=0), ring_k=k)
+
+
+def test_write_graph_bytes(tmp_path):
+    g = UndirectedGraph.from_edges(6, [(5, 0), (0, 1), (3, 1), (1, 2), (2, 3),
+                                       (3, 4), (4, 5), (0, 3)], ring_k=1)
+    path = tmp_path / "g.txt"
+    write_graph(g, path)
+    assert path.read_bytes() == b"6 1\n0 1\n0 3\n0 5\n1 2\n1 3\n2 3\n3 4\n4 5\n"

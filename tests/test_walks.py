@@ -209,3 +209,14 @@ def test_mixing_result_is_dataclass():
         per_start=[0, 0], cap=10, censored=False,
     )
     assert json.loads(res.to_json())["mode"] == "exact-all-starts"
+
+
+def test_sampled_starts_match_single_start_runs():
+    # the starts mix at different steps, so the batched run drops columns from
+    # its block at several steps, and in an order unlike the start order
+    g = sample_small_world(GraphSpec(n=300, k=1, c=Fraction(1, 2), seed=3))
+    res = mixing_time(g, starts=("sample", 12, 5))
+    single = [mixing_time(g, starts=[x]).per_start[0] for x in res.starts]
+    assert res.per_start == single
+    assert len(set(single)) >= 4
+    assert single != sorted(single) and single != sorted(single, reverse=True)
