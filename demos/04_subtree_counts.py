@@ -15,7 +15,6 @@ from nwmix import (
     catalan,
     count_root_embeddings,
     count_root_subtrees,
-    count_subtrees_containing,
     deterministic_law,
     deterministic_subtree_count,
     factorial_moments,
@@ -27,7 +26,7 @@ from nwmix import (
     subset_moments,
     write_mu_table,
 )
-from nwmix import GraphSpec, build_ring
+from nwmix import GraphSpec, build_ring, count_connected_sets
 
 J = 12
 
@@ -82,10 +81,10 @@ print(f"\nMC at j=4: {est.mean:.3f} +/- {est.stderr:.3f}"
 
 ring = build_ring(20, 1)
 print(f"\nC20, subtrees through vertex 0: "
-      f"{[count_subtrees_containing(ring, 0, j) for j in range(1, 6)]}")
+      f"{[count_connected_sets(ring, j, containing=0) for j in range(1, 6)]}")
 g = sample_small_world(GraphSpec(n=20, k=1, c=Fraction(3), seed=2))
 print(f"H(20,1,c=3), same counts:       "
-      f"{[count_subtrees_containing(g, 0, j) for j in range(1, 6)]}")
+      f"{[count_connected_sets(g, j, containing=0) for j in range(1, 6)]}")
 
 write_mu_table("/tmp/demo_mu.csv", poisson_law(Fraction(2)), 8, bound_C=Fraction(2))
 with open("/tmp/demo_mu.csv", encoding="utf-8") as fh:

@@ -72,7 +72,6 @@ from .subtrees import (
     catalan,
     count_root_embeddings,
     count_root_subtrees,
-    count_subtrees_containing,
     deterministic_law,
     deterministic_subtree_count,
     explicit_law,

@@ -20,6 +20,7 @@ from .experiments import (
     ExperimentConfig,
     VerificationError,
     quiet_arc,
+    resolve_mode,
     run_conductance,
     run_constants,
     run_quiet_arc,
@@ -96,9 +97,7 @@ def _cmd_generate(args) -> int:
 def _cmd_mix(args) -> int:
     cfg = _config_from(args)
     g = _single_graph(cfg, args)
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "all" if g.n <= 1024 else "sampled"
+    mode = resolve_mode(cfg.mode, "mixing", g.n)
     if mode == "all":
         res = mixing_time(g, starts="all", cap=cfg.step_cap)
     elif mode == "sampled":
@@ -132,9 +131,7 @@ def _cmd_conductance(args) -> int:
 def _cmd_fr_bound(args) -> int:
     cfg = _config_from(args)
     g = _single_graph(cfg, args)
-    mode = cfg.mode
-    if mode == "auto":
-        mode = "exact" if g.n <= 20 else "local-search"
+    mode = resolve_mode(cfg.mode, "conductance", g.n)
     bound = fr_bound(g, mode=mode, seed=derive_seed(cfg.master_seed, g.n, 7),
                      budget=cfg.enum_budget)
     payload = bound.to_json()

@@ -7,9 +7,17 @@ in [x*m, 2*x*m]; summing Phi^-2 over scales gives the Fountoulakis-Reed
 style mixing-time bound.  Scales whose volume window contains no connected
 set get Phi = +inf and contribute 0 to the sum.
 
-Exact minimization enumerates every connected set exactly once with a
-canonical-extension recursion; past the enumeration budget, a simulated
-annealing search over connected sets gives certified=False upper bounds.
+One bitmask core serves every set search: a vertex set, and each adjacency
+row, is a Python int with bit v set for member v, so a link count is
+``(adj[w] & S).bit_count()`` and a neighbourhood is an OR of rows (the masks
+take about n^2/8 bytes).  ``_connected_masks`` enumerates each connected set
+once by Wernicke's ESU canonical extension, carrying volume and cut along;
+``connected_sets``, ``count_connected_sets`` and the exact window minima are
+visitors over it.  Windows become integer volume bounds, ratios cut/volume
+are compared by integer cross-multiplication (ties go to the lexicographically
+smallest sorted witness), and only results become Fractions.  Past the
+enumeration budget, simulated annealing over the same masks gives
+certified=False upper bounds.
 """
 
 from __future__ import annotations
@@ -72,82 +80,132 @@ def cut_stats(g: UndirectedGraph, S) -> CutStats:
     return CutStats(S=tuple(S), cut=cut, internal=internal, volume=volume)
 
 
-# -- connected set enumeration ---------------------------------------------------
-#
-# Canonical-extension recursion: each connected set is generated exactly once,
-# rooted at its smallest vertex in the active order.  At every recursion node
-# the current set, its volume, and its cut count are maintained incrementally,
-# so window filtering costs nothing extra.
+# -- bitmask sets ----------------------------------------------------------------
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = int(budget)
-
-    def charge(self):
-        self.left -= 1
-        if self.left < 0:
-            raise EnumerationBudgetError(
-                "connected-set enumeration exceeded its work budget; "
-                "re-run in local-search mode"
-            )
+def _adjacency_masks(g) -> list[int]:
+    """Row v as an int with bit u set for each neighbour u of v."""
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    # rows hold no repeated neighbour, so the sum of their bits is their OR
+    return [sum(1 << u for u in indices[indptr[v]:indptr[v + 1]]) for v in range(g.n)]
 
 
-def _scan_connected_sets(g, visit, max_size, roots, rank, budget, max_volume=None):
-    """Call visit(set_list, volume, cut) once per connected set.
+def _members(S: int) -> tuple:
+    """The vertices of mask S, ascending."""
+    return tuple(v for v in range(S.bit_length()) if S >> v & 1)
 
-    Sets are grown only with vertices ranked above their root, which makes
-    each set appear exactly once.  Recursion stops at max_size vertices and,
-    since volume grows monotonically, at volumes beyond max_volume.
+
+def _kth_member(S: int, k: int) -> int:
+    """The k-th smallest vertex of mask S, counting from 0."""
+    for _ in range(k):
+        S &= S - 1
+    return (S & -S).bit_length() - 1
+
+
+def _neighborhood(adj, S: int) -> int:
+    """OR of the adjacency rows of the vertices of S."""
+    out = 0
+    while S:
+        low = S & -S
+        out |= adj[low.bit_length() - 1]
+        S ^= low
+    return out
+
+
+def _spans(adj, S: int) -> bool:
+    """Whether the nonempty mask S induces a connected subgraph."""
+    reach = frontier = S & -S
+    while frontier:
+        frontier = _neighborhood(adj, frontier) & S & ~reach
+        reach |= frontier
+    return reach == S
+
+
+def _lex_less(a: int, b: int) -> bool:
+    """Whether sorted(a) < sorted(b) as tuples, for distinct masks a and b.
+
+    The sets agree below their lowest differing bit; the one holding it is
+    smaller unless the other has nothing above it, and so is a prefix.
     """
-    indptr, indices = g.indptr, g.indices
-    deg = g.degrees
-    n = g.n
-    in_set = np.zeros(n, dtype=bool)
-    seen = np.zeros(n, dtype=bool)  # in extension now or earlier on this path
+    low = (a ^ b) & -(a ^ b)
+    above = -(low << 1)  # every bit above the first difference
+    return not a & above if b & low else bool(b & above)
 
-    def extend(S, ext, volume, cut):
-        budget.charge()
-        visit(S, volume, cut)
-        if len(S) >= max_size:
-            return
-        local = []
-        while ext:
-            w = ext.pop()
-            nb = indices[indptr[w]:indptr[w + 1]]
-            links = int(in_set[nb].sum())
-            vol2 = volume + int(deg[w])
-            if max_volume is not None and vol2 > max_volume:
-                # still must branch: siblings may fit; just skip this branch
-                local.append(w)
-                continue
-            cut2 = cut + int(deg[w]) - 2 * links
-            in_set[w] = True
-            fresh = [int(u) for u in nb if not seen[u] and rank[u] > rank[root]]
-            for u in fresh:
-                seen[u] = True
-            S.append(w)
-            extend(S, ext | set(fresh), vol2, cut2)
-            S.pop()
-            in_set[w] = False
-            for u in fresh:
-                seen[u] = False
-            local.append(w)
-        ext.update(local)
 
+def _better(a, b) -> bool:
+    """Whether (cut, volume, S) a has the smaller cut/volume, ties going to
+    the lexicographically smaller set."""
+    lhs, rhs = a[0] * b[1], b[0] * a[1]
+    return lhs < rhs or (lhs == rhs and _lex_less(a[2], b[2]))
+
+
+# -- connected set enumeration ---------------------------------------------------
+
+
+_EXHAUSTED = ("connected-set enumeration exceeded its work budget; "
+              "re-run in local-search mode")
+
+
+def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
+    """Yield (S, size, volume, cut) once per connected set, S as a mask.
+
+    Each set is rooted at its smallest vertex, or at ``containing``, which
+    then lies in every set.  A set grows only by vertices outside its
+    exclusion mask: the vertices ranked below the root and every vertex
+    already in, or next to, a set on its path.  Growth stops at max_size
+    vertices and skips vertices that would lift the volume past max_volume;
+    the roots are visited whatever their volume.  Every visited set costs
+    one unit of budget, so the work is the number of such sets.
+    """
+    left = budget
+    roots = range(len(adj)) if containing is None else (containing,)
     for root in roots:
-        in_set[root] = True
-        seen[root] = True
-        nb0 = [int(u) for u in g.neighbors(root) if rank[u] > rank[root]]
-        for u in nb0:
-            seen[u] = True
-        extend([root], set(nb0), int(deg[root]), int(deg[root]))
-        for u in nb0:
-            seen[u] = False
-        in_set[root] = False
-        seen[root] = False
+        bit = 1 << root
+        banned = bit if containing is not None else (bit << 1) - 1
+        d = deg[root]
+        left -= 1
+        if left < 0:
+            raise EnumerationBudgetError(_EXHAUSTED)
+        yield bit, 1, d, d
+        if max_size <= 1:
+            continue
+        # frames (S, extension, exclusion, volume, cut); a frame's set has
+        # len(stack) + 1 vertices while its children are generated
+        stack = [(bit, adj[root] & ~banned, adj[root] | banned, d, d)]
+        while stack:
+            S, ext, excl, vol, cut = stack.pop()
+            size = len(stack) + 2
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                w = low.bit_length() - 1
+                dw = deg[w]
+                vol2 = vol + dw
+                if vol2 > max_volume:
+                    continue
+                left -= 1
+                if left < 0:
+                    raise EnumerationBudgetError(_EXHAUSTED)
+                child = S | low
+                cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
+                yield child, size, vol2, cut2
+                if size < max_size:
+                    fresh = adj[w] & ~excl
+                    stack.append((S, ext, excl, vol, cut))
+                    stack.append((child, ext | fresh, excl | fresh, vol2, cut2))
+                    break
+
+
+def _sets_up_to(g, j, containing, budget):
+    """The core's stream of connected sets of at most j vertices."""
+    if not 1 <= j <= g.n:
+        raise ValueError(f"size j must be in [1, n], got {j}")
+    if containing is not None:
+        containing = int(containing)
+        if not 0 <= containing < g.n:
+            raise ValueError("containing vertex out of range")
+    return _connected_masks(_adjacency_masks(g), g.degrees.tolist(), j, 2 * g.m,
+                            budget, containing)
 
 
 def connected_sets(g: UndirectedGraph, j: int, containing: int | None = None,
@@ -155,55 +213,19 @@ def connected_sets(g: UndirectedGraph, j: int, containing: int | None = None,
     """Yield every connected vertex set of size j exactly once, as a sorted
     tuple, optionally restricted to sets containing a given vertex.
 
-    Raises EnumerationBudgetError (never a silent truncation) past the work
-    budget.
+    Sets stream as the enumeration finds them.  Past the work budget the
+    iteration raises EnumerationBudgetError (never a silent truncation).
     """
-    if not 1 <= j <= g.n:
-        raise ValueError(f"size j must be in [1, n], got {j}")
-    out: list[tuple] = []
-    bud = _Budget(budget)
-    if containing is None:
-        rank = np.arange(g.n)
-        roots = range(g.n)
-    else:
-        v = int(containing)
-        if not 0 <= v < g.n:
-            raise ValueError("containing vertex out of range")
-        rank = np.arange(1, g.n + 1)
-        rank[v] = 0  # v becomes the forced root
-        roots = [v]
-
-    def visit(S, volume, cut):
-        if len(S) == j:
-            out.append(tuple(sorted(S)))
-
-    _scan_connected_sets(g, visit, j, roots, rank, bud)
-    yield from out
+    for S, size, _, _ in _sets_up_to(g, j, containing, budget):
+        if size == j:
+            yield _members(S)
 
 
 def count_connected_sets(g: UndirectedGraph, j: int, containing: int | None = None,
                          budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """|B_j| or |B_{j,v}| without materializing the sets."""
-    if not 1 <= j <= g.n:
-        raise ValueError(f"size j must be in [1, n], got {j}")
-    bud = _Budget(budget)
-    if containing is None:
-        rank = np.arange(g.n)
-        roots = range(g.n)
-    else:
-        v = int(containing)
-        rank = np.arange(1, g.n + 1)
-        rank[v] = 0
-        roots = [v]
-    count = 0
-
-    def visit(S, volume, cut):
-        nonlocal count
-        if len(S) == j:
-            count += 1
-
-    _scan_connected_sets(g, visit, j, roots, rank, bud)
-    return count
+    return sum(1 for _, size, _, _ in _sets_up_to(g, j, containing, budget)
+               if size == j)
 
 
 # -- scale profile ---------------------------------------------------------------
@@ -249,140 +271,115 @@ def num_scales(m: int) -> int:
     return max(1, math.ceil(math.log2(m)))
 
 
-def _window_minimum_exact(g, windows, size_cap=None, budget=DEFAULT_ENUM_BUDGET):
-    """Exact minimum Phi per volume window via one enumeration pass.
+def _exact_minima(adj, deg, windows, size_cap, budget):
+    """Per window, the minimum (cut, volume, S) over connected sets with
+    volume in the window, or None, by one enumeration.
 
-    windows: list of (vol_lo, vol_hi) Fractions.  Returns per-window
-    (phi, witness) with lexicographically-smallest witness on ties.
+    The enumeration keeps, per volume, the least cut and its lexicographically
+    smallest set; each window then takes the least ratio over its volumes.
     """
-    best: list[tuple[Fraction, tuple] | None] = [None] * len(windows)
-    max_vol = max(hi for _, hi in windows)
-    min_deg = int(g.degrees.min())
-    max_size = g.n if min_deg == 0 else min(g.n, int(max_vol // max(1, min_deg)))
+    bounds = [(math.ceil(lo), math.floor(hi)) for lo, hi in windows]
+    top = max(hi for _, hi in bounds)
+    min_deg = min(deg)
+    max_size = len(adj) if min_deg == 0 else min(len(adj), top // min_deg)
     if size_cap is not None:
         max_size = min(max_size, size_cap)
-    bud = _Budget(budget)
-    rank = np.arange(g.n)
-
-    def visit(S, volume, cut):
-        for w, (lo, hi) in enumerate(windows):
-            if lo <= volume <= hi:
-                phi = Fraction(cut, volume)
-                cur = best[w]
-                if cur is None or phi < cur[0]:
-                    best[w] = (phi, tuple(sorted(S)))
-                elif phi == cur[0]:
-                    cand = tuple(sorted(S))
-                    if cand < cur[1]:
-                        best[w] = (phi, cand)
-
-    _scan_connected_sets(g, visit, max_size, range(g.n), rank, bud,
-                         max_volume=max_vol)
+    total = sum(deg)  # no cut or volume exceeds it
+    cuts, sets = [total + 1] * (total + 1), [0] * (total + 1)
+    for S, _, vol, cut in _connected_masks(adj, deg, max_size, top, budget):
+        least = cuts[vol]
+        if cut < least or (cut == least and _lex_less(S, sets[vol])):
+            cuts[vol], sets[vol] = cut, S
+    best = []
+    for lo, hi in bounds:
+        cur = None
+        for vol in range(max(lo, 0), min(hi, total) + 1):
+            if cuts[vol] <= total:
+                cand = (cuts[vol], vol, sets[vol])
+                if cur is None or _better(cand, cur):
+                    cur = cand
+        best.append(cur)
     return best
 
 
-def _grown_seed(g, start, rng, vol_lo):
-    """Grow a connected set from a start vertex until the window floor."""
-    S = {int(start)}
-    volume = int(g.degrees[list(S)].sum())
-    while volume < vol_lo and len(S) < g.n:
-        boundary = set()
-        for v in S:
-            boundary.update(int(u) for u in g.neighbors(v) if u not in S)
-        if not boundary:
-            break
-        w = sorted(boundary)[int(rng.integers(len(boundary)))]
-        S.add(w)
-        volume += int(g.degrees[w])
-    return S
+def _anneal_once(adj, deg, start, window, size_cap, rng, iterations):
+    """One annealing run; returns (cut, volume, S) for the best valid set seen.
 
+    Moves add a uniform boundary vertex or drop a uniform vertex of S (kept
+    only if S stays connected), both drawn from the ascending vertex order.
+    """
+    lo, hi = window
+    vlo, vhi = math.ceil(lo), math.floor(hi)
+    lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    random, integers = rng.random, rng.integers
 
-def _is_connected_subset(g, S) -> bool:
-    S = set(S)
-    if not S:
-        return False
-    start = next(iter(S))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in g.neighbors(v):
-            u = int(u)
-            if u in S and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(S)
+    def fits(vol, size):
+        return vlo <= vol <= vhi and (size_cap is None or size <= size_cap)
 
-
-def _anneal_once(g, start, vol_lo, vol_hi, size_cap, rng, iterations):
-    """One annealing run; returns (phi, witness) for the best valid set seen."""
-    deg = g.degrees
-    S = _grown_seed(g, start, rng, vol_lo)
-    stats = cut_stats(g, S)
-    volume, cut = stats.volume, stats.cut
-    best = None
-
-    def consider(S_, cut_, vol_):
-        nonlocal best
-        if vol_lo <= vol_ <= vol_hi and (size_cap is None or len(S_) <= size_cap):
-            phi = Fraction(cut_, vol_)
-            if best is None or phi < best[0]:
-                best = (phi, tuple(sorted(S_)))
-
-    consider(S, cut, volume)
-
-    def window_penalty(vol, size):
+    def objective(cut, vol, size):
+        # window penalties are (lo - vol)/lo and (vol - hi)/hi, in int true
+        # division, which rounds exactly as float() of the Fraction does
         pen = 0.0
-        if vol < vol_lo:
-            pen += float((vol_lo - vol) / vol_lo)
-        elif vol > vol_hi:
-            pen += float((vol - vol_hi) / vol_hi)
+        if vol < vlo:
+            pen += (lo_p - vol * lo_q) / lo_p
+        elif vol > vhi:
+            pen += (vol * hi_q - hi_p) / hi_p
         if size_cap is not None and size > size_cap:
             pen += (size - size_cap) / size_cap
-        return 2.0 * pen
+        return cut / vol + 2.0 * pen
 
-    def objective(cut_, vol_, size_):
-        return cut_ / vol_ + window_penalty(vol_, size_)
+    # seed: grow from the start vertex until the window floor
+    S, nbr, size = 1 << start, adj[start], 1
+    volume = cut = deg[start]
+    while volume < vlo and size < len(adj):
+        boundary = nbr & ~S
+        if not boundary:
+            break
+        w = _kth_member(boundary, int(integers(boundary.bit_count())))
+        cut += deg[w] - 2 * (adj[w] & S).bit_count()
+        S |= 1 << w
+        nbr |= adj[w]
+        volume += deg[w]
+        size += 1
+    best = (cut, volume, S) if fits(volume, size) else None
 
-    cur_obj = objective(cut, volume, len(S))
+    cur_obj = objective(cut, volume, size)
     temp = 0.25
     cooling = 0.99 if iterations < 500 else math.exp(math.log(0.004) / iterations)
     for _ in range(iterations):
         # bias move choice toward re-entering the volume window
-        grow_p = 0.5 if vol_lo <= volume <= vol_hi else (
-            0.8 if volume < vol_lo else 0.2)
-        grow = rng.random() < grow_p or len(S) <= 1
+        grow_p = 0.5 if vlo <= volume <= vhi else (0.8 if volume < vlo else 0.2)
+        grow = random() < grow_p or size <= 1
         if grow:
-            boundary = sorted(
-                {int(u) for v in S for u in g.neighbors(v) if int(u) not in S}
-            )
+            if nbr is None:
+                nbr = _neighborhood(adj, S)
+            boundary = nbr & ~S
             if not boundary:
                 grow = False
             else:
-                w = boundary[int(rng.integers(len(boundary)))]
-                links = sum(1 for u in g.neighbors(w) if int(u) in S)
-                vol2 = volume + int(deg[w])
-                cut2 = cut + int(deg[w]) - 2 * links
-                S2 = S | {w}
+                w = _kth_member(boundary, int(integers(boundary.bit_count())))
+                S2, size2 = S | 1 << w, size + 1
+                vol2 = volume + deg[w]
+                cut2 = cut + deg[w] - 2 * (adj[w] & S).bit_count()
         if not grow:
-            cands = sorted(S)
-            w = cands[int(rng.integers(len(cands)))]
-            S2 = S - {w}
-            if not S2 or not _is_connected_subset(g, S2):
+            w = _kth_member(S, int(integers(size)))
+            S2, size2 = S ^ 1 << w, size - 1
+            if not S2 or not _spans(adj, S2):
                 temp *= cooling
                 continue
-            links = sum(1 for u in g.neighbors(w) if int(u) in S2)
-            vol2 = volume - int(deg[w])
-            cut2 = cut - int(deg[w]) + 2 * links
-        obj2 = objective(cut2, vol2, len(S2))
-        if obj2 <= cur_obj or rng.random() < math.exp((cur_obj - obj2) / max(temp, 1e-9)):
-            S, volume, cut, cur_obj = S2, vol2, cut2, obj2
-            consider(S, cut, volume)
+            vol2 = volume - deg[w]
+            cut2 = cut - deg[w] + 2 * (adj[w] & S2).bit_count()
+        obj2 = objective(cut2, vol2, size2)
+        if obj2 <= cur_obj or random() < math.exp((cur_obj - obj2) / max(temp, 1e-9)):
+            S, size, volume, cut, cur_obj = S2, size2, vol2, cut2, obj2
+            nbr = nbr | adj[w] if grow else None
+            if fits(volume, size) and (best is None or cut * best[1] < best[0] * volume):
+                best = (cut, volume, S)
         temp *= cooling
     return best
 
 
-def _window_minimum_local(g, windows, size_cap, seed, iterations, restarts):
+def _local_minima(adj, deg, windows, size_cap, seed, iterations, restarts):
     """Per-window best annealing result over restarts.
 
     Restart r seeds its growth at vertex r mod n, so with restarts >= n
@@ -390,15 +387,29 @@ def _window_minimum_local(g, windows, size_cap, seed, iterations, restarts):
     windows.
     """
     results = []
-    for w, (lo, hi) in enumerate(windows):
+    for w, window in enumerate(windows):
         best = None
         for r in range(restarts):
             rng = make_rng(derive_seed(seed, w, r))
-            got = _anneal_once(g, r % g.n, lo, hi, size_cap, rng, iterations)
-            if got is not None and (best is None or got[0] < best[0]):
+            got = _anneal_once(adj, deg, r % len(adj), window, size_cap, rng, iterations)
+            if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
                 best = got
         results.append(best)
     return results
+
+
+def _window_minima(g, windows, mode, size_cap, seed, iterations, restarts, budget):
+    """Per (vol_lo, vol_hi) window, (phi, witness) or None when no set was
+    found, and whether the minima are certified (exact mode)."""
+    adj, deg = _adjacency_masks(g), g.degrees.tolist()
+    if mode == "exact":
+        got = _exact_minima(adj, deg, windows, size_cap, budget)
+    elif mode == "local-search":
+        got = _local_minima(adj, deg, windows, size_cap, seed, iterations, restarts)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return ([None if b is None else (Fraction(b[0], b[1]), _members(b[2])) for b in got],
+            mode == "exact")
 
 
 def phi_at_scale(
@@ -423,14 +434,8 @@ def phi_at_scale(
     if not 0 < x <= Fraction(1, 2):
         raise ValueError("scale x must lie in (0, 1/2]")
     lo, hi = x * g.m, 2 * x * g.m
-    if mode == "exact":
-        got = _window_minimum_exact(g, [(lo, hi)], budget=budget)[0]
-        certified = True
-    elif mode == "local-search":
-        got = _window_minimum_local(g, [(lo, hi)], None, seed, iterations, restarts)[0]
-        certified = False
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    [got], certified = _window_minima(g, [(lo, hi)], mode, None, seed, iterations,
+                                      restarts, budget)
     phi, witness = (math.inf, None) if got is None else got
     return ScaleEntry(i=scale_index, x=x, vol_lo=lo, vol_hi=hi, phi=phi,
                       witness=witness, certified=certified)
@@ -492,24 +497,14 @@ def fr_bound(
         windows = [(x * g.m, 2 * x * g.m) for x in xs]
     if len(windows) != L:
         raise ValueError("need one window per scale")
-    if mode == "exact":
-        got = _window_minimum_exact(g, windows, size_cap=size_cap, budget=budget)
-        certified = True
-    elif mode == "local-search":
-        got = _window_minimum_local(g, windows, size_cap, seed, iterations, restarts)
-        certified = False
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    got, certified = _window_minima(g, windows, mode, size_cap, seed, iterations,
+                                    restarts, budget)
     profile = ScaleProfile(n=g.n, m=g.m, mode=mode)
     total = Fraction(0)
     for i, (x, (lo, hi), res) in enumerate(zip(xs, windows, got), start=1):
-        if res is None:
-            phi, witness = math.inf, None
-        else:
-            phi, witness = res
-            if phi > 0:
-                total += Fraction(1) / (phi * phi)
-            # phi == 0 can only happen for S = V, excluded by the windows
+        phi, witness = (math.inf, None) if res is None else res
+        if 0 < phi < math.inf:  # phi == 0 only for S = V, which no window admits
+            total += 1 / (phi * phi)
         profile.entries.append(
             ScaleEntry(i=i, x=x, vol_lo=lo, vol_hi=hi, phi=phi,
                        witness=witness, certified=certified)

@@ -28,6 +28,19 @@ from .walks import DEFAULT_STEP_CAP, escape_time, mixing_time, sample_starts
 VERSION = "nwmix-0.1.0"
 SAMPLED_START_COUNT = 64
 
+# "auto" per task: (largest n, mode up to that n, mode above it)
+_AUTO_MODES = {"mixing": (1024, "all", "sampled"),
+               "conductance": (20, "exact", "local-search")}
+
+
+def resolve_mode(mode: str, task: str, n: int) -> str:
+    """``mode`` with "auto" resolved for an n-vertex graph: mixing runs from
+    every start up to n = 1024, conductance enumerates exactly up to n = 20."""
+    if mode != "auto":
+        return mode
+    limit, small, large = _AUTO_MODES[task]
+    return small if n <= limit else large
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -84,7 +97,10 @@ class ExperimentConfig:
             elif key in ("k", "reps", "escape_trials", "samples"):
                 updates[key] = int(val)
             elif key == "c":
-                updates["c"] = Fraction(val)
+                try:
+                    updates["c"] = Fraction(val)
+                except ZeroDivisionError as exc:  # "1/0"
+                    raise ValueError(f"c must be a rational number, got {val!r}") from exc
             elif key in ("seed", "master_seed"):
                 updates["master_seed"] = int(val)
             elif key in ("cap", "step_cap"):
@@ -231,9 +247,7 @@ def run_scaling(config: ExperimentConfig):
         for rep in range(config.reps):
             seed = derive_seed(config.master_seed, n, rep)
             g = _graph_for(config, n, seed)
-            mode = config.mode
-            if mode == "auto":
-                mode = "all" if n <= 1024 else "sampled"
+            mode = resolve_mode(config.mode, "mixing", n)
             t0 = time.perf_counter()
             if mode == "all":
                 res = mixing_time(g, starts="all", cap=config.step_cap)
@@ -379,9 +393,7 @@ def run_conductance(config: ExperimentConfig, variant: str = "standard"):
     for n in config.n_values:
         seed = derive_seed(config.master_seed, n, 0)
         g = _graph_for(config, n, seed)
-        mode = config.mode
-        if mode == "auto":
-            mode = "exact" if n <= 20 else "local-search"
+        mode = resolve_mode(config.mode, "conductance", n)
         kwargs = dict(mode=mode, seed=derive_seed(config.master_seed, n, 7),
                       budget=config.enum_budget)
         if variant == "expected-volume":

@@ -371,6 +371,8 @@ def read_graph(path) -> UndirectedGraph:
         n, k = int(header[0]), int(header[1])
     except ValueError as exc:
         raise GraphValidationError(f"{path}:1: non-integer header") from exc
+    if n < 0 or k < 0:
+        raise GraphValidationError(f"{path}:1: header needs n >= 0 and k >= 0")
     edges = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

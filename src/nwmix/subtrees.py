@@ -7,8 +7,8 @@ Q(y) = sum_j q_j y^j, and Lagrange inversion gives
 mu_j = [z^(j-1)] Q(z)^j / j.
 
 Everything here is Fraction-exact; Monte Carlo estimators live at the bottom
-for cross-checking, and count_subtrees_containing gives the graph-side count
-the tree quantity dominates.
+for cross-checking; conductance.count_connected_sets(g, j, containing=v)
+gives the graph-side count the tree quantity dominates.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .conductance import DEFAULT_ENUM_BUDGET, count_connected_sets
-from .graphs import UndirectedGraph
 from .rng import make_rng
 
 
@@ -271,10 +269,9 @@ def catalan(j: int) -> int:
 
 
 def mu_upper_bound(C, j: int) -> Fraction:
-    """If q_j <= C^j for all j, then mu_j <= C^(j-1) C(2j-2, j-1) / j."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return Fraction(C) ** (j - 1) * math.comb(2 * j - 2, j - 1) / Fraction(j)
+    """If q_j <= C^j for all j, then mu_j <= C^(j-1) C(2j-2, j-1) / j: the
+    Poisson(C) closed form, since Poisson(C) has q_j = C^j exactly."""
+    return mu_poisson_closed_form(C, j)
 
 
 def mu_upper_bound_weak(C, j: int) -> Fraction:
@@ -412,13 +409,6 @@ def count_root_embeddings(children: list[list[int]], j: int) -> int:
             return acc[j - 1] if j - 1 < len(acc) else 0
         poly[u] = [0] + acc[: j - 1]  # E_u(z) = z * acc; parents use deg <= j-1
     raise AssertionError("unreachable: vertex 0 always processed")
-
-
-def count_subtrees_containing(
-    g: UndirectedGraph, v: int, j: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> int:
-    """|B_{j,v}|: connected j-vertex sets of the graph containing v."""
-    return count_connected_sets(g, j, containing=v, budget=budget)
 
 
 def write_mu_table(path, law: OffspringLaw, J: int, bound_C=None) -> None:

@@ -149,7 +149,8 @@ def all_connected_subsets(g, max_size=None):
 def min_phi_in_window(g, vol_lo, vol_hi, size_cap=None):
     """Exact minimum conductance over connected sets with volume in
     [vol_lo, vol_hi], by scanning all subsets.  Returns (phi, best_set)
-    with phi = Fraction, or (None, None) when the window is empty.
+    with phi = Fraction and best_set the lexicographically smallest sorted
+    tuple among the minimizers, or (None, None) when the window is empty.
     """
     nbr = neighbor_masks(g)
     best = None
@@ -163,9 +164,9 @@ def min_phi_in_window(g, vol_lo, vol_hi, size_cap=None):
         if not mask_connected(mask, nbr):
             continue
         phi = Fraction(cut, vol)
-        if best is None or phi < best:
-            best = phi
-            best_set = frozenset(i for i in range(g.n) if (mask >> i) & 1)
+        members = tuple(i for i in range(g.n) if (mask >> i) & 1)
+        if best is None or phi < best or (phi == best and members < best_set):
+            best, best_set = phi, members
     return best, best_set
 
 def fr_sum_bruteforce(g, size_cap=None):

@@ -84,9 +84,17 @@ def test_fr_bound_cycle(tmp_path):
 def test_fr_bound_budget_exhaustion(tmp_path, capsys):
     gpath = tmp_path / "k10.txt"
     write_graph(complete_graph(10), gpath)
-    code = main(["fr-bound", "--in", str(gpath), "--budget", "50"])
+    out = tmp_path / "fr.json"
+    code = main(["fr-bound", "--in", str(gpath), "--budget", "50", "--out", str(out)])
     assert code == EXIT_PARTIAL
     assert "budget" in capsys.readouterr().err
+    assert not out.exists()  # an exhausted budget writes nothing
+    stem = tmp_path / "cond"
+    code = main(["conductance", "--n", "20", "--c", "3", "--mode", "exact",
+                 "--budget", "100", "--out", str(stem)])
+    assert code == EXIT_PARTIAL
+    assert "budget" in capsys.readouterr().err
+    assert list(tmp_path.glob("cond*")) == []
 
 
 def test_subtrees_battery(tmp_path, capsys):

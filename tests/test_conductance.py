@@ -22,6 +22,8 @@ from nwmix import (
     sample_small_world,
 )
 
+from nwmix.rng import derive_seed
+
 import oracles
 
 H12 = sample_small_world(GraphSpec(n=12, k=1, c=2, seed=0))
@@ -94,6 +96,8 @@ def test_connected_sets_validation():
         list(connected_sets(g, 9))
     with pytest.raises(ValueError, match="containing"):
         list(connected_sets(g, 2, containing=8))
+    with pytest.raises(ValueError, match="containing"):
+        count_connected_sets(g, 2, containing=-1)
 
 
 def test_enumeration_budget():
@@ -217,3 +221,57 @@ def test_scale_profile_csv(tmp_path):
     assert rows[1][2] == "inf" and rows[1][6] == ""
     nonempty = [r for r in rows[1:] if r[2] != "inf"]
     assert all(float(r[2]) > 0 for r in nonempty)
+
+
+# -- the enumeration core's contract ---------------------------------------------
+
+
+def test_budget_is_the_node_count():
+    # Every connected set of at most j vertices (containing v, if given) is one
+    # unit of work; the counts were measured with the earlier set-based
+    # enumeration, so they pin when the budget runs out.
+    for kwargs, j, nodes in (({}, 5, 378), ({"containing": 3}, 5, 145),
+                             ({}, 6, 708), ({"containing": 3}, 4, 52)):
+        with pytest.raises(EnumerationBudgetError):
+            count_connected_sets(H12, j, budget=nodes - 1, **kwargs)
+        count_connected_sets(H12, j, budget=nodes, **kwargs)
+    # exact mode: every connected set below the top window's volume, plus roots
+    with pytest.raises(EnumerationBudgetError):
+        fr_bound(H12, budget=556)
+    assert fr_bound(H12, budget=557).total == fr_bound(H12).total
+
+
+def test_connected_sets_stream():
+    g = complete_graph(12)  # 12 singletons, far more sets overall
+    sets = connected_sets(g, 1, budget=5)
+    assert next(sets) == (0,)  # yielded before the budget runs out
+    with pytest.raises(EnumerationBudgetError):
+        list(sets)
+
+
+@pytest.mark.parametrize("g", [
+    build_ring(12, 1), build_ring(10, 2), complete_graph(6),
+    *(sample_small_world(GraphSpec(n=11, k=1, c=2, seed=s)) for s in range(3)),
+], ids=["C12", "C10k2", "K6", "H11s0", "H11s1", "H11s2"])
+def test_exact_witness_is_lex_smallest_minimizer(g):
+    for cap in (None, 3):
+        for e in fr_bound(g, size_cap=cap).profile.entries:
+            phi, witness = oracles.min_phi_in_window(g, e.vol_lo, e.vol_hi, size_cap=cap)
+            assert (e.phi, e.witness) == ((math.inf, None) if phi is None else (phi, witness))
+
+
+def test_local_search_profile_is_pinned():
+    # Pool graph of seed 0 (n=20, c=3), as in criterion 10; the profile was
+    # recorded from the earlier set-based annealer, so any change in the
+    # annealer's random draws or move rules shows here.
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
+    res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
+    assert [(e.phi, e.witness) for e in res.profile.entries] == [
+        (Fraction(4, 17), (6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17)),
+        (Fraction(3, 8), (4, 5, 6, 10, 11, 12)),
+        (Fraction(3, 7), (10, 11, 12)),
+        (Fraction(1, 2), (11, 12)),
+        (Fraction(1), (4,)),
+        (math.inf, None),
+    ]
+    assert res.total == Fraction(5129, 144)

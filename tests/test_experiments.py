@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from nwmix import (
     ExperimentConfig,
@@ -278,3 +280,34 @@ def test_run_constants(tmp_path):
     payload = json.loads(run_constants(Fraction(1), 1, out=str(out)))
     assert payload["regime"] == "small-c"
     assert json.loads(out.read_text()) == payload
+
+
+_CONFIG_KEYS = ["n", "n_values", "k", "c", "seed", "master_seed", "reps", "cap",
+                "step_cap", "budget", "enum_budget", "samples", "escape_trials",
+                "name", "mode", "out"]
+_CONFIG_VALUE = st.one_of(
+    st.integers(min_value=-3, max_value=50).map(str),
+    st.sampled_from(["3/2", "1/0", "0/0", "-1/2", "1,2", "4 8", "", "nan", "inf",
+                     "1e3", "sampled", "auto"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_CONFIG_LINE = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = ", "=="]),
+              _CONFIG_VALUE, st.sampled_from(["", " # note"])).map("".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_CONFIG_LINE, max_size=6))
+@example(["c = 1/0"])
+def test_config_from_file_fuzz(tmp_path, lines):
+    """Any config file either parses or raises ValueError."""
+    path = tmp_path / "fuzz.cfg"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        cfg = ExperimentConfig.from_file(path)
+    except ValueError:
+        return
+    assert cfg.n_values and cfg.reps >= 1 and cfg.c >= 0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nwmix import (
     BlowUpMap,
@@ -147,6 +149,8 @@ def test_graph_file_roundtrip(tmp_path):
         ("", "empty"),
         ("5\n", "header"),
         ("5 x\n", "non-integer header"),
+        ("5 -1\n0 1\n", "k >= 0"),
+        ("-1 0\n", "n >= 0"),
         ("5 0\n0 1 2\n", "expected 'u v'"),
         ("5 0\n0 a\n", "non-integer endpoint"),
         ("5 0\n1 0\n", "0 <= u < v < n"),
@@ -251,3 +255,27 @@ def test_write_graph_bytes(tmp_path):
     path = tmp_path / "g.txt"
     write_graph(g, path)
     assert path.read_bytes() == b"6 1\n0 1\n0 3\n0 5\n1 2\n1 3\n2 3\n3 4\n4 5\n"
+
+
+# Tokens stay short, so a header asks for at most ~10^6 vertices and every
+# example stays small.
+_TOKEN = st.one_of(
+    st.integers(min_value=-3, max_value=40).map(lambda i: str(i).encode()),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).map(str.encode),
+    st.binary(max_size=3),
+)
+_LINE = st.lists(_TOKEN, max_size=4).map(b" ".join)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_LINE, max_size=8), st.sampled_from([b"\n", b"\r\n"]))
+def test_read_graph_fuzz(tmp_path, lines, eol):
+    """Any file either parses or raises ValueError (GraphValidationError is one)."""
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(eol.join(lines))
+    try:
+        g = read_graph(path)
+    except ValueError:
+        return
+    assert g.indices.shape[0] == 2 * g.m

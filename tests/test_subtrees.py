@@ -14,9 +14,9 @@ from nwmix import (
     build_ring,
     catalan,
     complete_graph,
+    count_connected_sets,
     count_root_embeddings,
     count_root_subtrees,
-    count_subtrees_containing,
     deterministic_law,
     deterministic_subtree_count,
     explicit_law,
@@ -256,8 +256,8 @@ def test_mc_estimate_within():
 def test_count_subtrees_containing():
     ring = build_ring(10, 1)
     for j in range(1, 10):
-        assert count_subtrees_containing(ring, 0, j) == j
-    assert count_subtrees_containing(complete_graph(5), 2, 3) == math.comb(4, 2)
+        assert count_connected_sets(ring, j, containing=0) == j
+    assert count_connected_sets(complete_graph(5), 3, containing=2) == math.comb(4, 2)
 
 
 def test_write_mu_table(tmp_path):
