@@ -16,7 +16,6 @@ from nwmix import (
     point_mass,
     sample_small_world,
     stationary,
-    step,
     tv_distance,
 )
 from nwmix.walks import LazyKernel
@@ -29,7 +28,7 @@ kernel = LazyKernel(g)
 print("C16, walk started at vertex 0:")
 mu = point_mass(g.n, 0)
 for t in range(1, 26):
-    mu = step(kernel, mu)
+    mu = kernel.step(mu)
     if t in (1, 5, 10, 20, 24, 25):
         print(f"  step {t:3d}: TV from stationary = {tv_distance(mu, pi):.4f}")
 

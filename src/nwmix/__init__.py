@@ -97,7 +97,6 @@ from .walks import (
     simulate_walk,
     stationary,
     stationary_exact,
-    step,
     step_exact,
     tv_distance,
     tv_distance_exact,

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .conductance import EnumerationBudgetError, fr_bound
 from .experiments import (
+    QUIET_ARC_HEADER,
     ExperimentConfig,
     VerificationError,
     quiet_arc,
@@ -182,11 +183,7 @@ def _cmd_quiet_arc(args) -> int:
     rows = run_quiet_arc(cfg)
     if not cfg.out:
         for row in rows:
-            rec = dict(zip(
-                ["version", "master_seed", "n", "rep", "seed", "arc_start",
-                 "arc_len", "threshold", "meets_threshold", "escape_trials",
-                 "escape_median", "escape_censored"], row))
-            print(json.dumps(rec))
+            print(json.dumps(dict(zip(QUIET_ARC_HEADER, row))))
     any_censored = any(row[-1] > 0 for row in rows)
     return EXIT_PARTIAL if any_censored else EXIT_OK
 

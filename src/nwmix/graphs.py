@@ -57,12 +57,16 @@ class GraphSpec:
                 continue
             key, _, val = line.partition("=")
             kv[key.strip()] = val.strip()
-        try:
-            return cls(
-                n=int(kv["n"]), k=int(kv["k"]), c=Fraction(kv["c"]), seed=int(kv["seed"])
-            )
-        except KeyError as exc:
-            raise GraphValidationError(f"missing spec field {exc}") from exc
+        fields = {}
+        for name, parse in (("n", int), ("k", int), ("c", Fraction), ("seed", int)):
+            if name not in kv:
+                raise GraphValidationError(f"missing spec field {name!r}")
+            try:
+                fields[name] = parse(kv[name])
+            except (ValueError, ZeroDivisionError) as exc:  # "1/0"
+                raise GraphValidationError(
+                    f"spec field {name!r} is not valid: {kv[name]!r}") from exc
+        return cls(**fields)
 
 
 class UndirectedGraph:

@@ -6,9 +6,11 @@ generating function F(z) = sum_j mu_j z^j satisfies F(z) = z * Q(F(z)) where
 Q(y) = sum_j q_j y^j, and Lagrange inversion gives
 mu_j = [z^(j-1)] Q(z)^j / j.
 
-Everything here is Fraction-exact; Monte Carlo estimators live at the bottom
-for cross-checking; conductance.count_connected_sets(g, j, containing=v)
-gives the graph-side count the tree quantity dominates.
+Every value is an exact rational, computed on scaled Python integers: the
+moments and both mu solvers build one Fraction per output entry.  Monte Carlo
+estimators live at the bottom for cross-checking;
+conductance.count_connected_sets(g, j, containing=v) gives the graph-side
+count the tree quantity dominates.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -122,48 +125,44 @@ def explicit_law(weights) -> OffspringLaw:
     )
 
 
-def _falling(x, j: int) -> Fraction:
-    """Falling factorial (x)_j = x (x-1) ... (x-j+1)."""
-    out = Fraction(1)
-    for i in range(j):
-        out *= x - i
-    return out
-
-
 def factorial_moments(law: OffspringLaw, J: int) -> list[Fraction]:
     """[q_0, ..., q_J] with q_j = E[(B)_j], the expected number of ways to
     choose and order j children of a node; exact.
 
     Poisson(c): q_j = c^j.  Binomial(n, p): q_j = (n)_j p^j.
     Deterministic(d): q_j = (d)_j.  Binomial(n, p) plus ell deterministic
-    extras splits over how many of the j slots the extras fill.
+    extras splits over how many of the j slots the extras fill.  Each q_j is
+    one integer numerator over an integer denominator: b^j for p = a/b, the
+    lcm of the weight denominators for an explicit law.
     """
     if J < 0:
         raise ValueError("J must be >= 0")
-    qs = []
-    for j in range(J + 1):
-        if law.kind == "poisson":
-            q = Fraction(law.c) ** j
-        elif law.kind == "binomial":
-            q = _falling(Fraction(law.n), j) * Fraction(law.p) ** j
-        elif law.kind == "binomial_plus":
-            q = Fraction(0)
-            for s in range(j + 1):
-                q += (
-                    Fraction(math.comb(j, s))
-                    * _falling(Fraction(law.extra), s)
-                    * _falling(Fraction(law.n), j - s)
-                    * Fraction(law.p) ** (j - s)
-                )
-        elif law.kind == "deterministic":
-            q = _falling(Fraction(law.d), j)
-        else:
-            q = sum(
-                (wt * _falling(Fraction(v), j) for v, wt in law.weights),
-                Fraction(0),
-            )
-        qs.append(q)
-    return qs
+    js = range(J + 1)
+    if law.kind == "poisson":
+        c = Fraction(law.c)
+        return [Fraction(c.numerator**j, c.denominator**j) for j in js]
+    if law.kind == "deterministic":
+        return [Fraction(math.perm(law.d, j)) for j in js]
+    if law.kind == "explicit":
+        weights = [(v, Fraction(wt)) for v, wt in law.weights]
+        den = math.lcm(*(wt.denominator for _, wt in weights))
+        nums = [(v, wt.numerator * (den // wt.denominator)) for v, wt in weights]
+        return [Fraction(sum(w * math.perm(v, j) for v, w in nums), den)
+                for j in js]
+    # binomial is binomial_plus with no extras; s slots go to the extras:
+    # q_j = sum_s C(j, s) (ell)_s (n)_(j-s) a^(j-s) b^s / b^j
+    p = Fraction(law.p)
+    a, b = p.numerator, p.denominator
+    n = law.n
+    ell = law.extra if law.kind == "binomial_plus" else 0
+    return [
+        Fraction(
+            sum(math.comb(j, s) * math.perm(ell, s) * math.perm(n, j - s)
+                * a ** (j - s) * b**s for s in range(min(j, ell) + 1)),
+            b**j,
+        )
+        for j in js
+    ]
 
 
 def subset_moments(law: OffspringLaw, J: int) -> list[Fraction]:
@@ -176,60 +175,77 @@ def subset_moments(law: OffspringLaw, J: int) -> list[Fraction]:
             for j, q in enumerate(factorial_moments(law, J))]
 
 
-def mu_by_functional_equation(q: list[Fraction], J: int) -> list[Fraction]:
-    """mu_1..mu_J from F(z) = z Q(F(z)), solved coefficient by coefficient.
+def _scaled_series(q, J: int) -> tuple[list[int], int, int]:
+    """(a, delta, beta) with q_j = a_j / (delta beta^j) for j < J, a_j integers.
 
-    T[j] holds the series of F(z)^j to degree J; the degree-(r+1) coefficient
-    of F equals sum_j q_j [z^r] F^j, which only involves mu's of lower index,
-    so one forward sweep suffices.  Returns [mu_1, ..., mu_J].
+    delta is the denominator of q_0.  beta starts at 1 and is multiplied by
+    the denominator of q_j delta beta^j whenever that is not an integer, the
+    earlier a_i being rescaled by the same factor to the i-th power.  The
+    geometric scaling keeps a_j near q_j beta^j; one common denominator for
+    all q_j would grow every term like that denominator to the j-th power.
+    Entries go through Fraction(), so ints, floats and strings are exact.
     """
     if J < 1:
         raise ValueError("J must be >= 1")
     if len(q) < J:
         raise ValueError("need q_0..q_{J-1} at least")
-    mu = [Fraction(0)] * (J + 1)  # mu[0] unused
-    mu[1] = Fraction(q[0])
-    # T[j][r] = [z^r] F(z)^j, filled progressively; F^0 = 1.
-    T = [[Fraction(0)] * (J + 1) for _ in range(J + 1)]
-    T[0][0] = Fraction(1)
-    T[1][1] = mu[1]
+    qs = [Fraction(x) for x in q[:J]]
+    delta = qs[0].denominator
+    beta = 1
+    a = [qs[0].numerator]
+    for j in range(1, J):
+        num, den = qs[j].numerator, qs[j].denominator
+        scale = delta * beta**j
+        grow = den // math.gcd(scale, den)
+        if grow > 1:
+            beta *= grow
+            a = [ai * grow**i for i, ai in enumerate(a)]
+            scale *= grow**j
+        a.append(num * scale // den)
+    return a, delta, beta
+
+
+def mu_by_functional_equation(q: list[Fraction], J: int) -> list[Fraction]:
+    """mu_1..mu_J from F(z) = z Q(F(z)), solved coefficient by coefficient.
+
+    With q_j = a_j / (delta beta^j), F(z) = beta K(z / (delta beta)) where
+    K(w) = w A(K(w)) and A(y) = sum_j a_j y^j, so K has integer
+    coefficients k_j and mu_j = beta k_j / (delta beta)^j.  T[j] holds the
+    series of K(w)^j to degree J; the degree-(r+1) coefficient of K equals
+    sum_j a_j [w^r] K^j, which only involves k's of lower index, so one
+    forward sweep suffices.  Returns [mu_1, ..., mu_J].
+    """
+    a, delta, beta = _scaled_series(q, J)
+    k = [0] * (J + 1)  # k[0] unused
+    k[1] = a[0]
+    # T[j][r] = [w^r] K(w)^j, filled progressively; K^0 = 1.
+    T = [[0] * (J + 1) for _ in range(J + 1)]
+    T[0][0] = 1
+    T[1][1] = k[1]
     for r in range(1, J):
-        # all coefficients of F up to z^r are known; extend every power to z^r
+        # all coefficients of K up to w^r are known; extend every power to w^r
         for j in range(2, r + 1):
-            T[j][r] = sum(
-                (T[j - 1][r - s] * mu[s] for s in range(1, r - j + 2)),
-                Fraction(0),
-            )
-        mu[r + 1] = sum((q[j] * T[j][r] for j in range(r + 1)), Fraction(0))
-        T[1][r + 1] = mu[r + 1]
-    return mu[1:]
-
-
-def _poly_mul_trunc(a, b, deg):
-    out = [Fraction(0)] * (deg + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > deg:
-            continue
-        top = min(deg - i, len(b) - 1)
-        for s in range(top + 1):
-            if b[s]:
-                out[i + s] += ai * b[s]
-    return out
+            # sum over s = 1..r-j+1 of [w^(r-s)] K^(j-1) * k_s
+            T[j][r] = sum(map(mul, T[j - 1][j - 1:r], k[r - j + 1:0:-1]))
+        k[r + 1] = sum(a[j] * T[j][r] for j in range(1, r + 1))
+        T[1][r + 1] = k[r + 1]
+    return [Fraction(k[j], delta**j * beta ** (j - 1)) for j in range(1, J + 1)]
 
 
 def mu_by_lagrange(q: list[Fraction], J: int) -> list[Fraction]:
-    """mu_j = [z^(j-1)] Q(z)^j / j for j = 1..J, by direct power expansion."""
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if len(q) < J:
-        raise ValueError("need q_0..q_{J-1} at least")
-    base = [Fraction(x) for x in q[:J]]  # degrees above J-1 never contribute
+    """mu_j = [z^(j-1)] Q(z)^j / j for j = 1..J, by direct power expansion.
+
+    With q_j = a_j / (delta beta^j) and A(z) = sum_j a_j z^j, this is
+    mu_j = [z^(j-1)] A(z)^j / (j delta^j beta^(j-1)); the powers of A are
+    integer polynomials truncated at degree J-1.
+    """
+    a, delta, beta = _scaled_series(q, J)
+    rev = a[::-1]  # [z^t] (P A) = sum_i P[i] a[t-i] = sum_i P[i] rev[J-1-t+i]
     out = []
-    power = [Fraction(1)]  # Q^0
+    power = [1] + [0] * (J - 1)  # A^0, degrees 0..J-1
     for j in range(1, J + 1):
-        power = _poly_mul_trunc(power, base, J - 1)
-        coeff = power[j - 1] if j - 1 < len(power) else Fraction(0)
-        out.append(coeff / j)
+        power = [sum(map(mul, power[:t + 1], rev[J - 1 - t:])) for t in range(J)]
+        out.append(Fraction(power[j - 1], j * delta**j * beta ** (j - 1)))
     return out
 
 

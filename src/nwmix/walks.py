@@ -96,10 +96,6 @@ class LazyKernel:
         return self._PT @ mu
 
 
-def step(kernel: LazyKernel, mu: np.ndarray) -> np.ndarray:
-    return kernel.step(mu)
-
-
 def step_exact(g: UndirectedGraph, mu: list[Fraction]) -> list[Fraction]:
     """Exact-rational kernel application for small graphs."""
     if len(mu) != g.n:

@@ -240,6 +240,84 @@ def embeddings_weight(children, subset):
 
 
 # ---------------------------------------------------------------------------
+# exact subtree series, one Fraction operation at a time
+
+
+def falling(x, j):
+    """Falling factorial (x)_j = x (x-1) ... (x-j+1)."""
+    out = Fraction(1)
+    for i in range(j):
+        out *= x - i
+    return out
+
+def factorial_moments(law, J):
+    """[E[(B)_0], ..., E[(B)_J]] for an offspring law, term by term."""
+    qs = []
+    for j in range(J + 1):
+        if law.kind == "poisson":
+            q = Fraction(law.c) ** j
+        elif law.kind == "binomial":
+            q = falling(Fraction(law.n), j) * Fraction(law.p) ** j
+        elif law.kind == "binomial_plus":
+            q = Fraction(0)
+            for s in range(j + 1):
+                q += (
+                    Fraction(math.comb(j, s))
+                    * falling(Fraction(law.extra), s)
+                    * falling(Fraction(law.n), j - s)
+                    * Fraction(law.p) ** (j - s)
+                )
+        elif law.kind == "deterministic":
+            q = falling(Fraction(law.d), j)
+        else:
+            q = sum(
+                (wt * falling(Fraction(v), j) for v, wt in law.weights),
+                Fraction(0),
+            )
+        qs.append(q)
+    return qs
+
+def mu_by_functional_equation(q, J):
+    """mu_1..mu_J from F(z) = z Q(F(z)) on Fraction series: T[j][r] is
+    [z^r] F(z)^j, and [z^(r+1)] F = sum_j q_j T[j][r]."""
+    mu = [Fraction(0)] * (J + 1)
+    mu[1] = Fraction(q[0])
+    T = [[Fraction(0)] * (J + 1) for _ in range(J + 1)]
+    T[0][0] = Fraction(1)
+    T[1][1] = mu[1]
+    for r in range(1, J):
+        for j in range(2, r + 1):
+            T[j][r] = sum(
+                (T[j - 1][r - s] * mu[s] for s in range(1, r - j + 2)),
+                Fraction(0),
+            )
+        mu[r + 1] = sum((q[j] * T[j][r] for j in range(r + 1)), Fraction(0))
+        T[1][r + 1] = mu[r + 1]
+    return mu[1:]
+
+def poly_mul_trunc(a, b, deg):
+    out = [Fraction(0)] * (deg + 1)
+    for i, ai in enumerate(a):
+        if ai == 0 or i > deg:
+            continue
+        top = min(deg - i, len(b) - 1)
+        for s in range(top + 1):
+            if b[s]:
+                out[i + s] += ai * b[s]
+    return out
+
+def mu_by_lagrange(q, J):
+    """mu_j = [z^(j-1)] Q(z)^j / j on Fraction polynomials."""
+    base = [Fraction(x) for x in q[:J]]
+    out = []
+    power = [Fraction(1)]
+    for j in range(1, J + 1):
+        power = poly_mul_trunc(power, base, J - 1)
+        out.append(power[j - 1] / j)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 

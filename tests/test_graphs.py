@@ -64,6 +64,15 @@ def test_spec_validation_and_roundtrip():
         GraphSpec.from_lines("n = 10\nk = 1\n")
 
 
+def test_spec_from_lines_rejects_bad_fields():
+    with pytest.raises(GraphValidationError, match="'c'"):
+        GraphSpec.from_lines("n = 5\nk = 1\nc = 1/0\nseed = 0\n")
+    with pytest.raises(GraphValidationError, match="'n'"):
+        GraphSpec.from_lines("n = five\nk = 1\nc = 1\nseed = 0\n")
+    with pytest.raises(GraphValidationError, match="missing spec field 'seed'"):
+        GraphSpec.from_lines("n = 5\nk = 1\nc = 1\n")
+
+
 def test_from_edges_validation():
     with pytest.raises(GraphValidationError, match="out of range"):
         UndirectedGraph.from_edges(3, [(0, 3)])

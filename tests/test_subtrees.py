@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nwmix import (
@@ -30,7 +30,7 @@ from nwmix import (
     poisson_law,
     subset_moments,
 )
-from nwmix.subtrees import _sample_tree
+from nwmix.subtrees import _sample_tree, _scaled_series
 
 import oracles
 
@@ -158,6 +158,69 @@ def test_mu_solvers_agree_on_random_laws(support, data):
     law = explicit_law([(v, Fraction(w, total)) for v, w in zip(support, weights)])
     q = factorial_moments(law, 8)
     assert mu_by_functional_equation(q, 8) == mu_by_lagrange(q, 8)
+
+
+MOMENT_LAWS = [
+    poisson_law(Fraction(7, 2)),
+    poisson_law(0),
+    binomial_law(3, Fraction(2, 9)),  # j > n: (n)_j = 0
+    binomial_law(0, Fraction(1, 2)),
+    binomial_plus_law(4, Fraction(1, 8), 3),
+    binomial_plus_law(2, Fraction(5, 7), 0),
+    deterministic_law(3),
+    deterministic_law(0),
+    explicit_law([(0, Fraction(1, 6)), (2, Fraction(1, 2)), (5, Fraction(1, 3))]),
+]
+
+
+@pytest.mark.parametrize("law", MOMENT_LAWS,
+                         ids=[f"{l.kind}-{i}" for i, l in enumerate(MOMENT_LAWS)])
+def test_factorial_moments_match_oracle(law):
+    got = factorial_moments(law, 12)
+    assert got == oracles.factorial_moments(law, 12)
+    assert all(type(x) is Fraction for x in got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12),
+       st.fractions(min_value=0, max_value=1, max_denominator=200),
+       st.integers(min_value=0, max_value=4))
+def test_binomial_moments_match_oracle(n, p, extra):
+    for law in (binomial_law(n, p), binomial_plus_law(n, p, extra)):
+        assert factorial_moments(law, 15) == oracles.factorial_moments(law, 15)
+
+
+# prime-power denominators (where the greedy scale overshoots), a large prime
+# denominator, and a few small ones; ints and floats go through Fraction()
+_DENOMINATORS = [1, 2, 3, 7, 8, 9, 27, 64, 100, 2**61 - 1]
+_Q_ENTRY = st.one_of(
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40),
+              st.sampled_from(_DENOMINATORS)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=1000),
+    st.integers(min_value=-12, max_value=12),
+    st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False),
+    st.just(0),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=1, max_value=20).flatmap(
+    lambda J: st.tuples(st.just(J), st.lists(_Q_ENTRY, min_size=J, max_size=J + 2))))
+@example((20, [Fraction(1, 9)] * 20))
+@example((20, [1] + [Fraction(1, 8)] * 19))
+@example((12, [1, 0, Fraction(1, 8), 0, Fraction(1, 9), Fraction(5, 2**61 - 1)] * 2))
+@example((10, [Fraction(3, 2), Fraction(1, 4), 0, 0, Fraction(2, 3)] * 2))
+@example((9, [0, 1, 2, 3, 0, 5, 6, 7, 8]))
+@example((6, [0.1, 2, 0.375, 0, -1.5, 1e-3]))
+def test_mu_solvers_match_fraction_oracle(case):
+    J, q = case
+    exact = [Fraction(x) for x in q]
+    a, delta, beta = _scaled_series(q, J)
+    assert [Fraction(aj, delta * beta**j) for j, aj in enumerate(a)] == exact[:J]
+    fe = mu_by_functional_equation(q, J)
+    assert fe == oracles.mu_by_functional_equation(exact, J)
+    assert mu_by_lagrange(q, J) == oracles.mu_by_lagrange(q, J) == fe
+    assert all(type(x) is Fraction for x in fe)
 
 
 def test_poisson_closed_form():
