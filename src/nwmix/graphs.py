@@ -8,6 +8,7 @@ probability p = c/n.  Vertex indexing is 0-based everywhere, including files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -358,14 +359,40 @@ def write_graph(g: UndirectedGraph, path) -> None:
         fh.write(graph_text(g))
 
 
+# The form graph_text writes: an ``n k`` header, then ``u v`` lines of ASCII
+# digits, every line ending in LF.  Tokens stay below 10^18, inside int64.
+_WRITER_FORM = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18}\n)*)")
+
+
 def read_graph(path) -> UndirectedGraph:
     """Parse the edge-list format written by :func:`write_graph`.
 
+    A file in exactly the writer's form is parsed in bulk; any other
+    whitespace layout (CRLF, blank lines, tabs, signs) is read line by line.
     Malformed lines, out-of-range endpoints, and duplicate edges raise
     GraphValidationError naming the offending line number.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    bulk = _WRITER_FORM.fullmatch(text)
+    if bulk:
+        n, k = int(bulk[1]), int(bulk[2])
+        edges = np.fromstring(bulk[3], dtype=np.int64, sep=" ").reshape(-1, 2)
+        bad = np.flatnonzero((edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n))
+        if bad.size:
+            raise GraphValidationError(
+                f"{path}:{int(bad[0]) + 2}: endpoints must satisfy 0 <= u < v < n"
+            )
+    else:
+        n, k, edges = _read_lines(path, text.splitlines())
+    try:
+        return UndirectedGraph.from_edges(n, edges, ring_k=k)
+    except GraphValidationError as exc:
+        raise GraphValidationError(f"{path}: {exc}") from exc
+
+
+def _read_lines(path, lines: list[str]) -> tuple[int, int, np.ndarray]:
+    """Header and edges of an edge-list file, one line at a time."""
     if not lines:
         raise GraphValidationError(f"{path}: empty file")
     header = lines[0].split()
@@ -393,7 +420,4 @@ def read_graph(path) -> UndirectedGraph:
                 f"{path}:{lineno}: endpoints must satisfy 0 <= u < v < n"
             )
         edges.append((u, v))
-    try:
-        return UndirectedGraph.from_edges(n, np.array(edges, dtype=np.int64).reshape(-1, 2), ring_k=k)
-    except GraphValidationError as exc:
-        raise GraphValidationError(f"{path}: {exc}") from exc
+    return n, k, np.array(edges, dtype=np.int64).reshape(-1, 2)

@@ -6,7 +6,13 @@ graph the stationary distribution is pi(x) = deg(x) / (2m) and the total
 variation distance to pi is non-increasing along the chain, which lets the
 mixing-time search stop each start at its first step under the 1/4 threshold.
 The search evolves all its starts at once, as the columns of one n-by-s block
-multiplied by the sparse transposed kernel.
+multiplied by the sparse transposed kernel, and it evaluates TV in cache-sized
+row blocks with the same summation order as one whole-block sum.
+
+Trajectories and escape times are Monte Carlo on one Philox stream per seed,
+drawn chunk by chunk (coins, then picks).  Their Python loop visits only the
+steps where the walk moves, on neighbor lists fetched for the vertices it
+visits, and an escape walk draws only the picks it reaches.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .rng import derive_seed, make_rng
 MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
 _MASS_TOL = 1e-12
+_TV_ROWS = 1024
 
 
 class WalkError(ValueError):
@@ -214,7 +221,7 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
     active = np.arange(len(start_list))
     X = np.zeros((g.n, active.size))
     X[start_list, active] = 1.0
-    buf = np.empty_like(X)
+    buf = _tv_scratch(X)
     per: list[int | None] = [None] * active.size
     tv = _tv_columns(X, pi, buf)
     k = 0
@@ -225,7 +232,7 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
                 per[int(active[j])] = k
             keep = ~mixed
             X = X.compress(keep, axis=1)
-            buf = np.empty_like(X)
+            buf = _tv_scratch(X)
             active, tv = active[keep], tv[keep]
         if not active.size or k == cap:
             return per
@@ -237,11 +244,31 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
             raise WalkError("TV distance increased along the chain")
 
 
+def _tv_scratch(X) -> np.ndarray:
+    return np.empty((min(X.shape[0], _TV_ROWS) + 1, X.shape[1]))
+
+
 def _tv_columns(X, pi, buf) -> np.ndarray:
-    """TV distance of each column of X to pi, using buf as scratch."""
-    np.subtract(X, pi, out=buf)
-    np.abs(buf, out=buf)
-    return 0.5 * buf.sum(axis=0)
+    """TV distance of each column of X to pi, using buf as scratch.
+
+    The rows of |X - pi| are summed in blocks of up to ``_TV_ROWS`` rows held
+    in `buf`, whose row 0 carries in the column sums so far.  numpy adds the
+    rows of a block of two or more columns in strict order, so every sum is
+    bit-identical to one ``sum(axis=0)`` over all of |X - pi|, while the
+    scratch stays in cache.  A single column is summed pairwise, which
+    blocking would change, so it is summed whole.
+    """
+    n, s = X.shape
+    if s == 1:
+        return 0.5 * np.abs(X - pi).sum(axis=0)
+    buf[0] = 0.0
+    for a in range(0, n, _TV_ROWS):
+        b = min(a + _TV_ROWS, n)
+        blk = buf[1:b - a + 1]
+        np.subtract(X[a:b], pi[a:b], out=blk)
+        np.abs(blk, out=blk)
+        buf[0] = buf[:b - a + 1].sum(axis=0)
+    return 0.5 * buf[0]
 
 
 def _mixing_one_exact(g, x, cap, threshold) -> int | None:
@@ -264,30 +291,80 @@ def _mixing_one_exact(g, x, cap, threshold) -> int | None:
 
 
 # -- trajectory simulation ------------------------------------------------------
+#
+# Both walkers draw their randomness chunk by chunk from one Philox stream: a
+# chunk of `take` steps draws `take` coins and then `take` picks.  Step i moves
+# iff coins[i] >= 0.5, to neighbor ``nb[int(picks[i] * len(nb))]`` of the
+# current vertex.  The Python loop visits only the steps that move, and it
+# draws the picks in windows, because ``rng.random(a)`` followed by
+# ``rng.random(b)`` yields ``rng.random(a + b)``: a walk that leaves its region
+# early never draws the rest of its chunk.
+
+_ESCAPE_CHUNK = 4096
+_TRAJECTORY_CHUNK = 8192
+_PICK_WINDOW = 256
+
+
+class _Neighbors(dict):
+    """Neighbor lists as Python lists, fetched on a vertex's first visit.
+
+    An isolated vertex lists itself, so a move from it stays put.
+    """
+
+    def __init__(self, graph: UndirectedGraph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, v: int) -> list[int]:
+        nb = self.graph.neighbors(v).tolist() or [v]
+        self[v] = nb
+        return nb
+
+
+def _walk_chunk(rng, take, nbrs, pos, region=None):
+    """Walk one chunk of `take` lazy steps from `pos`.
+
+    Returns ``(coins, path, left)``: the chunk's coins, the vertex after each
+    step that moved, and whether the last of those left `region` (a set).  A
+    walk that leaves stops there and draws no more picks; otherwise all
+    `take` picks are drawn, so the next chunk starts where it would after
+    ``rng.random(take)``.
+    """
+    coins = rng.random(take)
+    path = []
+    for a in range(0, take, _PICK_WINDOW):
+        b = min(a + _PICK_WINDOW, take)
+        picks = rng.random(b - a).tolist()
+        for i in np.flatnonzero(coins[a:b] >= 0.5).tolist():
+            nb = nbrs[pos]
+            pos = nb[int(picks[i] * len(nb))]
+            path.append(pos)
+            if region is not None and pos not in region:
+                return coins, path, True
+    return coins, path, False
 
 
 def simulate_walk(g: UndirectedGraph, start: int, steps: int, seed: int) -> np.ndarray:
     """A lazy-walk trajectory of `steps` transitions, deterministic per seed."""
     if not 0 <= start < g.n:
         raise WalkError("start vertex out of range")
+    if steps < 0:
+        raise WalkError("steps must be >= 0")
     rng = make_rng(seed)
+    nbrs = _Neighbors(g)
     traj = np.empty(steps + 1, dtype=np.int64)
-    traj[0] = start
-    pos = int(start)
-    indptr, indices = g.indptr, g.indices
+    traj[0] = pos = int(start)
     i = 0
-    chunk = 8192
     while i < steps:
-        take = min(chunk, steps - i)
-        coins = rng.random(take)
-        picks = rng.random(take)
-        for t in range(take):
-            if coins[t] >= 0.5:
-                lo = indptr[pos]
-                d = indptr[pos + 1] - lo
-                pos = int(indices[lo + int(picks[t] * d)])
-            i += 1
-            traj[i] = pos
+        take = min(_TRAJECTORY_CHUNK, steps - i)
+        coins, path, _ = _walk_chunk(rng, take, nbrs, pos)
+        # pos holds until the first move, each path vertex until the next one
+        moves = np.flatnonzero(coins >= 0.5)
+        held = np.diff(moves, prepend=0, append=take)
+        traj[i + 1:i + 1 + take] = np.repeat([pos] + path, held)
+        if path:
+            pos = path[-1]
+        i += take
     return traj
 
 
@@ -309,26 +386,25 @@ def escape_time(
     `start` must lie inside the region.  A censored result reports the cap
     instead of pretending the walk escaped.
     """
-    inside = np.zeros(g.n, dtype=bool)
     region = np.asarray(list(region), dtype=np.int64)
-    inside[region] = True
-    if not inside[start]:
+    if region.size and (region.min() < 0 or region.max() >= g.n):
+        raise WalkError("region vertex out of range")
+    if not 0 <= start < g.n:
+        raise WalkError("start vertex out of range")
+    inside = set(region.tolist())
+    if start not in inside:
         raise WalkError("start vertex must lie inside the region")
     rng = make_rng(seed)
+    nbrs = _Neighbors(g)
     pos = int(start)
-    indptr, indices = g.indptr, g.indices
     t = 0
-    chunk = 4096
     while t < cap:
-        take = min(chunk, cap - t)
-        coins = rng.random(take)
-        picks = rng.random(take)
-        for i in range(take):
-            t += 1
-            if coins[i] >= 0.5:
-                lo = indptr[pos]
-                d = indptr[pos + 1] - lo
-                pos = int(indices[lo + int(picks[i] * d)])
-                if not inside[pos]:
-                    return EscapeResult(steps=t, censored=False)
+        take = min(_ESCAPE_CHUNK, cap - t)
+        coins, path, left = _walk_chunk(rng, take, nbrs, pos, inside)
+        if left:
+            moves = np.flatnonzero(coins >= 0.5)
+            return EscapeResult(steps=t + int(moves[len(path) - 1]) + 1, censored=False)
+        if path:
+            pos = path[-1]
+        t += take
     return EscapeResult(steps=cap, censored=True)

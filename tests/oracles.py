@@ -318,6 +318,101 @@ def mu_by_lagrange(q, J):
 
 
 # ---------------------------------------------------------------------------
+# lazy-walk trajectories, escape times and the edge-list reader, one step and
+# one line at a time (the library's first versions of these functions)
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 64) - 1)))
+
+def simulate_walk(g, start, steps, seed):
+    """Trajectory of `steps` lazy steps: per chunk of 8192 steps, the coins
+    and then the picks; step t moves iff coins[t] >= 0.5."""
+    rng = _philox(seed)
+    traj = np.empty(steps + 1, dtype=np.int64)
+    traj[0] = start
+    pos = int(start)
+    indptr, indices = g.indptr, g.indices
+    i = 0
+    chunk = 8192
+    while i < steps:
+        take = min(chunk, steps - i)
+        coins = rng.random(take)
+        picks = rng.random(take)
+        for t in range(take):
+            if coins[t] >= 0.5:
+                lo = indptr[pos]
+                d = indptr[pos + 1] - lo
+                pos = int(indices[lo + int(picks[t] * d)])
+            i += 1
+            traj[i] = pos
+    return traj
+
+def escape_time(g, start, region, seed, cap=1_000_000):
+    """(steps, censored) of the first exit from `region`, in chunks of 4096."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[np.asarray(list(region), dtype=np.int64)] = True
+    assert inside[start]
+    rng = _philox(seed)
+    pos = int(start)
+    indptr, indices = g.indptr, g.indices
+    t = 0
+    chunk = 4096
+    while t < cap:
+        take = min(chunk, cap - t)
+        coins = rng.random(take)
+        picks = rng.random(take)
+        for i in range(take):
+            t += 1
+            if coins[i] >= 0.5:
+                lo = indptr[pos]
+                d = indptr[pos + 1] - lo
+                pos = int(indices[lo + int(picks[i] * d)])
+                if not inside[pos]:
+                    return t, False
+    return cap, True
+
+def read_graph(path):
+    """The edge-list reader, line by line, with the library's messages."""
+    from nwmix import GraphValidationError, UndirectedGraph
+
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise GraphValidationError(f"{path}: empty file")
+    header = lines[0].split()
+    if len(header) != 2:
+        raise GraphValidationError(f"{path}:1: expected header 'n k'")
+    try:
+        n, k = int(header[0]), int(header[1])
+    except ValueError as exc:
+        raise GraphValidationError(f"{path}:1: non-integer header") from exc
+    if n < 0 or k < 0:
+        raise GraphValidationError(f"{path}:1: header needs n >= 0 and k >= 0")
+    edges = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphValidationError(f"{path}:{lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphValidationError(f"{path}:{lineno}: non-integer endpoint") from exc
+        if not (0 <= u < v < n):
+            raise GraphValidationError(
+                f"{path}:{lineno}: endpoints must satisfy 0 <= u < v < n"
+            )
+        edges.append((u, v))
+    try:
+        return UndirectedGraph.from_edges(
+            n, np.array(edges, dtype=np.int64).reshape(-1, 2), ring_k=k)
+    except GraphValidationError as exc:
+        raise GraphValidationError(f"{path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 

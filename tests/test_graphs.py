@@ -166,6 +166,13 @@ def test_graph_file_roundtrip(tmp_path):
         ("5 0\n0 5\n", "0 <= u < v < n"),
         ("5 0\n0 1\n0 1\n", "duplicate"),
         ("5 2\n0 1\n", "ring"),
+        # two faults: the first line that has one is reported
+        ("5 0\n0 1\n0 9\n3 1\n", r"bad\.txt:3: endpoints"),
+        ("5 0\n0 a\n0 1 2\n", r"bad\.txt:2: non-integer endpoint"),
+        ("5 0\n0 1 2\n0 a\n", r"bad\.txt:2: expected 'u v'"),
+        ("5 0\n0 12 3\n", r"bad\.txt:2: expected 'u v'"),
+        # a token past int64 is range-checked as a Python int
+        ("5 0\n0 1\n0 18446744073709551617\n", r"bad\.txt:3: endpoints"),
     ],
 )
 def test_read_graph_errors(tmp_path, text, msg):
@@ -276,15 +283,81 @@ _TOKEN = st.one_of(
 _LINE = st.lists(_TOKEN, max_size=4).map(b" ".join)
 
 
+def _read_both(path):
+    """(graph, None) or (None, exception) from the reader and from the oracle."""
+    out = []
+    for read in (read_graph, oracles.read_graph):
+        try:
+            out.append((read(path), None))
+        except Exception as exc:  # compared below, type and message
+            out.append((None, exc))
+    return out
+
+
+def _assert_same_read(path):
+    (g, err), (want, want_err) = _read_both(path)
+    if want_err is not None:
+        assert type(err) is type(want_err) and str(err) == str(want_err)
+    else:
+        assert err is None, err
+        assert g == want and g.ring_k == want.ring_k
+    return g, err
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(_LINE, max_size=8), st.sampled_from([b"\n", b"\r\n"]))
 def test_read_graph_fuzz(tmp_path, lines, eol):
-    """Any file either parses or raises ValueError (GraphValidationError is one)."""
+    """Any file either parses or raises ValueError (GraphValidationError is
+    one), and the reader agrees with the line-by-line oracle."""
     path = tmp_path / "fuzz.txt"
     path.write_bytes(eol.join(lines))
-    try:
-        g = read_graph(path)
-    except ValueError:
-        return
-    assert g.indices.shape[0] == 2 * g.m
+    g, err = _assert_same_read(path)
+    if err is None:
+        assert g.indices.shape[0] == 2 * g.m
+    else:
+        assert isinstance(err, ValueError)
+
+
+# Files close to the writer's form, so that both the bulk path and the line
+# loop are taken: small headers, endpoints that may be out of range, reversed
+# or repeated, and now and then a layout the bulk path does not take.
+_NUM = st.integers(0, 14).map(str)
+_EDGE = st.tuples(_NUM, _NUM).map(" ".join)
+_LAYOUT = st.sampled_from(["writer", "no final LF", "CRLF", "blank line", "tab",
+                           "leading zero", "plus sign", "three tokens"])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 12).map(str), st.integers(0, 2).map(str),
+       st.lists(_EDGE, max_size=12), _LAYOUT)
+def test_read_graph_writer_form_matches_oracle(tmp_path, n, k, edges, layout):
+    lines = [f"{n} {k}"] + edges
+    text = "".join(line + "\n" for line in lines)
+    if layout == "no final LF":
+        text = text[:-1]
+    elif layout == "CRLF":
+        text = text.replace("\n", "\r\n")
+    elif layout == "blank line":
+        text = text.replace("\n", "\n\n", 1)
+    elif layout == "tab":
+        text = text.replace(" ", "\t")
+    elif layout == "leading zero":
+        text = "0" + text.replace("\n", "\n0")[:-1]
+    elif layout == "plus sign":
+        text = text.replace("\n", "\n+", 1)
+    elif layout == "three tokens":
+        text += "1 2 3\n"
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    _assert_same_read(path)
+
+
+def test_read_graph_bulk_matches_oracle(tmp_path):
+    for spec in (GraphSpec(n=2000, k=1, c=Fraction(1, 2), seed=1),
+                 GraphSpec(n=300, k=3, c=5, seed=2)):
+        g = sample_small_world(spec)
+        path = tmp_path / "g.txt"
+        write_graph(g, path)
+        assert _assert_same_read(path)[0] == g

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nwmix import (
     GraphSpec,
     LazyKernel,
     MixingResult,
+    UndirectedGraph,
     WalkError,
     build_ring,
     complete_graph,
@@ -25,6 +28,8 @@ from nwmix import (
     tv_distance_exact,
     validate_distribution,
 )
+from nwmix.rng import make_rng
+from nwmix.walks import _tv_columns, _tv_scratch
 
 import oracles
 
@@ -170,6 +175,9 @@ def test_simulate_walk_trajectory():
     assert not np.array_equal(traj, simulate_walk(g, 3, 200, seed=12))
     with pytest.raises(WalkError):
         simulate_walk(g, start=20, steps=1, seed=0)
+    with pytest.raises(WalkError, match="steps"):
+        simulate_walk(g, 0, -1, seed=0)
+    assert simulate_walk(g, 5, 0, seed=0).tolist() == [5]
 
 
 def test_simulate_walk_distribution():
@@ -192,6 +200,13 @@ def test_escape_time():
     g = build_ring(16, 1)
     with pytest.raises(WalkError, match="inside"):
         escape_time(g, start=5, region=[0, 1], seed=0)
+    # a negative start or region vertex must not wrap around to the end
+    with pytest.raises(WalkError, match="start vertex out of range"):
+        escape_time(g, -1, [15, 0, 14], seed=0)
+    with pytest.raises(WalkError, match="region vertex out of range"):
+        escape_time(g, 0, [0, 16], seed=0)
+    with pytest.raises(WalkError, match="region vertex out of range"):
+        escape_time(g, 0, [-1, 0], seed=0)
     # whole graph: nothing to escape to
     res = escape_time(g, 0, range(16), seed=0, cap=50)
     assert res.censored and res.steps == 50
@@ -220,3 +235,83 @@ def test_sampled_starts_match_single_start_runs():
     assert res.per_start == single
     assert len(set(single)) >= 4
     assert single != sorted(single) and single != sorted(single, reverse=True)
+
+
+def test_rng_windows_concatenate():
+    # the walkers draw a chunk's picks in windows on this property
+    whole = make_rng(9).random(4096 + 700)
+    rng = make_rng(9)
+    parts = [rng.random(4096), rng.random(256), rng.random(256), rng.random(188)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("n", [5, 1024, 1025, 3000])
+@pytest.mark.parametrize("s", [1, 2, 3, 65])
+def test_tv_columns_bit_identical(n, s):
+    rng = np.random.default_rng(n * 100 + s)
+    X = rng.random((n, s))
+    X /= X.sum(axis=0)
+    pi = rng.random(n)[:, None]
+    pi /= pi.sum()
+    want = 0.5 * np.abs(X - pi).sum(axis=0)
+    assert np.array_equal(_tv_columns(X, pi, _tv_scratch(X)), want)
+
+
+def _arc_case(n, k, c, gseed, length):
+    """A small world, a window of `length` consecutive vertices and its middle."""
+    g = sample_small_world(GraphSpec(n=n, k=k, c=c, seed=gseed))
+    first = gseed % n
+    region = [(first + i) % n for i in range(length)]
+    return g, region[length // 2], region
+
+
+_CAPS = [1, 4095, 4096, 4097, 9000]
+
+
+def test_escape_time_matches_oracle_across_chunks():
+    # long arcs on sparse graphs: walks that escape in a later chunk and
+    # walks censored at every cap, next to quick escapes
+    cases = [_arc_case(400, 1, 0, 1, 100),
+             _arc_case(300, 2, Fraction(1, 50), 2, 200),
+             _arc_case(60, 1, 2, 3, 12),
+             (build_ring(50, 1), 0, range(50))]
+    late = censored = 0
+    for g, start, region in cases:
+        for seed in range(10):
+            for cap in _CAPS:
+                got = escape_time(g, start, region, seed=seed, cap=cap)
+                want = oracles.escape_time(g, start, region, seed=seed, cap=cap)
+                assert (got.steps, got.censored) == want
+                late += not got.censored and got.steps > 4096
+                censored += got.censored and cap > 1
+    assert late >= 3 and censored >= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(8, 120), k=st.integers(1, 2),
+       c=st.fractions(0, 6, max_denominator=8), gseed=st.integers(0, 10**6),
+       length=st.integers(1, 60), seed=st.integers(0, 2**64 - 1),
+       cap=st.sampled_from(_CAPS))
+def test_escape_time_matches_oracle(n, k, c, gseed, length, seed, cap):
+    g, start, region = _arc_case(n, k, c, gseed, min(length, n))
+    got = escape_time(g, start, region, seed=seed, cap=cap)
+    assert (got.steps, got.censored) == oracles.escape_time(g, start, region, seed, cap)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 80), c=st.fractions(0, 6, max_denominator=8),
+       gseed=st.integers(0, 10**6), start=st.integers(0, 79),
+       steps=st.one_of(st.sampled_from([0, 1, 8191, 8192, 8193, 16385]),
+                       st.integers(0, 3000)),
+       seed=st.integers(0, 2**64 - 1))
+def test_simulate_walk_matches_oracle(n, c, gseed, start, steps, seed):
+    g = sample_small_world(GraphSpec(n=n, k=1, c=c, seed=gseed))
+    start %= n
+    got = simulate_walk(g, start, steps, seed=seed)
+    assert np.array_equal(got, oracles.simulate_walk(g, start, steps, seed))
+
+
+def test_walk_stays_at_an_isolated_vertex():
+    g = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
+    assert set(simulate_walk(g, 3, 100, seed=1).tolist()) == {3}
+    assert escape_time(g, 3, [3], seed=1, cap=100).censored
