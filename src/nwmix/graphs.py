@@ -8,7 +8,6 @@ probability p = c/n.  Vertex indexing is 0-based everywhere, including files.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -359,11 +358,6 @@ def write_graph(g: UndirectedGraph, path) -> None:
         fh.write(graph_text(g))
 
 
-# The form graph_text writes: an ``n k`` header, then ``u v`` lines of ASCII
-# digits, every line ending in LF.  Tokens stay below 10^18, inside int64.
-_WRITER_FORM = re.compile(r"([0-9]{1,18}) ([0-9]{1,18})\n((?:[0-9]{1,18} [0-9]{1,18}\n)*)")
-
-
 def read_graph(path) -> UndirectedGraph:
     """Parse the edge-list format written by :func:`write_graph`.
 
@@ -372,23 +366,46 @@ def read_graph(path) -> UndirectedGraph:
     Malformed lines, out-of-range endpoints, and duplicate edges raise
     GraphValidationError naming the offending line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    bulk = _WRITER_FORM.fullmatch(text)
-    if bulk:
-        n, k = int(bulk[1]), int(bulk[2])
-        edges = np.fromstring(bulk[3], dtype=np.int64, sep=" ").reshape(-1, 2)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    bulk = _writer_form(raw)
+    if bulk is not None:
+        n, k, edges = bulk
         bad = np.flatnonzero((edges[:, 0] >= edges[:, 1]) | (edges[:, 1] >= n))
         if bad.size:
             raise GraphValidationError(
                 f"{path}:{int(bad[0]) + 2}: endpoints must satisfy 0 <= u < v < n"
             )
     else:
-        n, k, edges = _read_lines(path, text.splitlines())
+        with open(path, "r", encoding="utf-8") as fh:
+            n, k, edges = _read_lines(path, fh.read().splitlines())
     try:
         return UndirectedGraph.from_edges(n, edges, ring_k=k)
     except GraphValidationError as exc:
         raise GraphValidationError(f"{path}: {exc}") from exc
+
+
+def _writer_form(raw: bytes) -> tuple[int, int, np.ndarray] | None:
+    """(n, k, edges) if `raw` is in the form graph_text writes, else None.
+
+    That form is an ``n k`` header, then ``u v`` lines: ASCII digits and
+    single spaces only, every line ending in LF.  Tokens hold 1 to 18
+    digits, so they fit int64.  The check is on bytes: nothing but digits,
+    spaces and LFs, the separators alternating space, LF, space, LF, and
+    1 to 18 digits before each separator.
+    """
+    if not raw.endswith(b"\n") or raw.translate(None, b"0123456789 \n"):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    seps = np.flatnonzero(buf < 48)  # spaces (32) and LFs (10); digits are 48..57
+    gaps = seps[1:] - seps[:-1]  # one more than the digits between two
+    kinds = buf[seps]
+    if (not 1 <= seps[0] <= 18 or gaps.min(initial=2) < 2
+            or gaps.max(initial=2) > 19
+            or (kinds[0::2] != 32).any() or (kinds[1::2] != 10).any()):
+        return None
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
+    return int(vals[0]), int(vals[1]), vals[2:].reshape(-1, 2)
 
 
 def _read_lines(path, lines: list[str]) -> tuple[int, int, np.ndarray]:

@@ -11,6 +11,16 @@ moments and both mu solvers build one Fraction per output entry.  Monte Carlo
 estimators live at the bottom for cross-checking;
 conductance.count_connected_sets(g, j, containing=v) gives the graph-side
 count the tree quantity dominates.
+
+The Monte Carlo runs in blocks.  Its trees take their offspring counts from
+one stream, tree after tree in breadth-first order down to depth j-2; the
+stream is drawn ``_MC_DRAWS`` counts at a time, every complete tree is cut out
+of it as per-depth offspring arrays, and one counter counts the whole forest
+bottom-up, one numpy pass per depth, in exact integers: int64 while a proven
+bound on every coefficient fits it, Python integers otherwise.  Memory is
+bounded by the block.  The draws, the per-tree counts and every estimate are
+those of sampling and counting one tree at a time.  count_root_subtrees and
+count_root_embeddings hand a single tree to the same counter.
 """
 
 from __future__ import annotations
@@ -316,71 +326,205 @@ def brute_force_mu(law: OffspringLaw, j: int, samples: int, seed: int,
     ordered embeddings, the quantity the mu solvers compute from ordered
     factorial moments; distinct=True counts distinct subtrees instead,
     matching the subset-moment pipeline.
+
+    Stream layout: tree after tree, each tree's vertices at depths 0..j-2
+    draw their offspring counts in breadth-first order, one draw per vertex
+    (vertices at depth j-1 are leaves and draw nothing).  Because
+    ``law.sample(rng, a)`` followed by ``law.sample(rng, b)`` equals
+    ``law.sample(rng, a + b)`` for every law kind, the run draws that stream
+    in blocks of ``_MC_DRAWS`` counts (more while one tree outgrows the
+    block), cuts every complete tree out of it and counts the whole block at
+    once with ``_count_forest``.  Memory is bounded by the block, not by
+    ``samples``; a block's trees are counted in int64 only when the overflow
+    bound of ``_count_forest`` allows it, in Python integers otherwise.  The
+    counts and the estimate are those of one tree at a time, bit for bit.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if samples < 1:
         raise ValueError("need at least one sample")
-    counter = count_root_subtrees if distinct else count_root_embeddings
-    rng = make_rng(seed)
     counts = np.empty(samples, dtype=np.float64)
-    for t in range(samples):
-        counts[t] = counter(_sample_tree(law, j, rng), j)
+    done = 0
+    for block in _mc_counts(law, j, samples, seed, distinct):
+        counts[done:done + block.size] = block
+        done += block.size
     mean = float(counts.mean())
     stderr = float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
     return MCEstimate(mean=mean, stderr=stderr, samples=samples)
 
 
-def _sample_tree(law: OffspringLaw, j: int, rng) -> list[list[int]]:
-    """children[u] = child indices of u, for a tree truncated at depth j-1."""
-    children: list[list[int]] = [[]]
-    level = [0]
+_MC_DRAWS = 8192  # offspring counts drawn per Monte Carlo block
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _mc_counts(law: OffspringLaw, j: int, samples: int, seed: int,
+               distinct: bool):
+    """The exact per-tree counts behind brute_force_mu, one array per block."""
+    if j == 1:
+        yield np.ones(samples, dtype=np.int64)  # a root alone; nothing drawn
+        return
+    rng = make_rng(seed)
+    stream = np.empty(0, dtype=np.int64)
+    done = 0
+    while done < samples:
+        more = law.sample(rng, max(_MC_DRAWS, stream.size))
+        stream = np.concatenate((stream, more))
+        offs, used = _cut_forest(stream, j, samples - done)
+        if offs:
+            block = _count_forest(offs, j, distinct)
+            done += block.size
+            stream = stream[used:]
+            yield block
+
+
+def _cut_forest(stream: np.ndarray, j: int, limit: int
+                ) -> tuple[list[np.ndarray], int]:
+    """(offs, used): the first complete trees of `stream`, at most `limit`.
+
+    A tree starting at stream position p holds its depth-d vertices at
+    [lo_d, hi_d): lo_0 = p, hi_0 = p + 1, and the next level's width is the
+    sum of the current level's draws.  All starts are followed at once to
+    depth j-2 to find where each tree would stop drawing; the trees are then
+    chained from position 0.  offs[d] lists the offspring counts of the
+    chosen trees' depth-d vertices, tree after tree; ``used`` is where the
+    last chosen tree stops.  offs is empty when the first tree runs past the
+    end of the stream.
+    """
+    n = stream.size
+    csum = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(stream, out=csum[1:])
+    lo = np.arange(n)
+    hi = lo + 1
+    for _ in range(j - 2):
+        lo, hi = hi, hi + csum[np.minimum(hi, n)] - csum[np.minimum(lo, n)]
+    stop = hi.tolist()  # past n for a tree that runs off the stream
+    starts = []
+    p = 0
+    while len(starts) < limit and p < n and stop[p] <= n:
+        starts.append(p)
+        p = stop[p]
+    offs = []
+    lo = np.array(starts, dtype=np.int64)
+    width = np.ones(lo.size, dtype=np.int64)
     for _ in range(j - 1):
-        if not level:
+        total = int(width.sum())
+        if not total:
             break
-        offs = law.sample(rng, len(level))
-        nxt = []
-        for u, d in zip(level, offs):
-            for _ in range(int(d)):
-                children.append([])
-                children[u].append(len(children) - 1)
-                nxt.append(len(children) - 1)
-        level = nxt
-    return children
+        before = np.cumsum(width) - width
+        offs.append(stream[np.repeat(lo - before, width) + np.arange(total)])
+        lo, width = lo + width, csum[lo + width] - csum[lo]
+    return offs, p
+
+
+def _count_forest(offs: list[np.ndarray], j: int, distinct: bool) -> np.ndarray:
+    """Root counts of j-vertex subtrees for every tree of a forest, exact.
+
+    offs[d] lists the child counts of the depth-d vertices; depth d+1 lists
+    the children of depth d in the same order, grouped by parent, and the
+    vertices one level below offs[-1] are leaves.  offs[0] has one entry per
+    tree.  Work runs bottom-up, one numpy pass per depth, over z-series
+    truncated at degree j-1:
+
+    - distinct: N_u(z) = z * prod_children (1 + N_child(z));
+    - embeddings: E_u(z) = z * sum_s s! e_s(E_children), with e_s the
+      elementary symmetric polynomial, kept as a bivariate (s, z) product of
+      (1 + y E_child) over the children.
+
+    Leaves need no series (N = E = z): a vertex's k leaf children give the
+    starting factor (1 + z)^k, and a vertex whose children are all leaves
+    gets C(k, a) (distinct) or (k)_a (embeddings) from a table.  The other
+    children are multiplied in one child slot at a time.
+
+    Overflow rule: each value computed is a coefficient [z^a] of some E_u or
+    N_u, or a nonnegative term of one, and [z^a] N_u <= [z^a] E_u <=
+    catalan(a) * top^(a-1), with top the largest child count (plane trees on
+    a vertices, times an ordered choice of children per tree edge).  With
+    a <= j, int64 is used only while catalan(j) * top^(j-1) fits it; else
+    the same code runs on Python integers in object arrays.  The tables stay
+    inside the bound too: C(k, a) <= (k)_a <= top^a, and s! <= top^s since
+    e_s is kept only for s <= top.
+    """
+    top = max(int(k.max()) for k in offs if k.size)
+    dtype = object if catalan(j) * top ** (j - 1) > _INT64_MAX else np.int64
+    binom = np.array([[math.comb(k, a) for a in range(j)]
+                      for k in range(top + 1)], dtype=dtype)
+    ordered = np.array([[math.perm(k, a) for a in range(j)]
+                        for k in range(top + 1)], dtype=dtype)
+    sizes = np.arange(min(j - 1, top) + 1)  # e_s vanishes for s > top
+    fact = np.array([math.factorial(s) for s in sizes], dtype=dtype)[:, None]
+    child = None  # z-series of the depth-(d+1) vertices that have children
+    for d in range(len(offs) - 1, -1, -1):
+        k = offs[d] if d == 0 else offs[d][offs[d] > 0]  # one row per vertex
+        if child is None:  # every child is a leaf
+            acc = (binom if distinct else ordered)[k]
+        else:
+            inner = np.repeat(np.arange(k.size), k)[offs[d + 1] > 0]  # rows
+            nk = np.bincount(inner, minlength=k.size)
+            leaves = k - nk
+            # the rank of each inner child among its parent's inner children
+            rank = np.arange(inner.size) - (np.cumsum(nk) - nk)[inner]
+            slots = (np.argsort(rank, kind="stable"),
+                     np.cumsum(np.bincount(rank)).tolist())
+            if distinct:
+                acc = binom[leaves]
+                _slot_products(acc, child, inner, *slots, j)
+            else:
+                acc = ordered[leaves]
+                busy = np.flatnonzero(nk)
+                state = np.zeros((busy.size, sizes.size, j), dtype=dtype)
+                state[:, sizes, sizes] = binom[leaves[busy]][:, sizes]
+                state_row = np.cumsum(nk > 0) - 1
+                _slot_products(state, child, state_row[inner], *slots, j)
+                acc[busy] = (state * fact).sum(axis=1)
+        if d == 0:
+            return acc[:, j - 1]
+        child = np.zeros_like(acc)
+        child[:, 1:] = acc[:, :-1]  # z * acc
+    raise AssertionError("unreachable: depth 0 always processed")
+
+
+def _slot_products(acc, child, rows, order, bounds, j) -> None:
+    """Multiply row rows[c] of acc by (1 + y child[c]) for every child c, in
+    place, one rank slot at a time (each slot has one child per row).
+
+    acc is (rows, j) for distinct counts, where y = 1, or (rows, s, j)
+    indexed [row, s, z-degree], where the factor y raises s by one.
+    """
+    first = 0
+    for last in bounds:
+        sel = order[first:last]
+        first = last
+        r = rows[sel]
+        q = child[sel]
+        old = acc[r]
+        new = old.copy()
+        for b in range(1, j):
+            if acc.ndim == 2:
+                new[:, b:] += old[:, :j - b] * q[:, b, None]
+            else:
+                new[:, 1:, b:] += old[:, :-1, :j - b] * q[:, b, None, None]
+        acc[r] = new
+
+
+def _count_tree(children: list[list[int]], j: int, distinct: bool) -> int:
+    """The root count of one tree, given as child lists, via _count_forest."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    offs: list[np.ndarray] = []
+    level = [0]
+    while level and len(offs) < max(j - 1, 1):
+        offs.append(np.array([len(children[u]) for u in level], dtype=np.int64))
+        level = [c for u in level for c in children[u]]
+    return int(_count_forest(offs, j, distinct)[0])
 
 
 def count_root_subtrees(children: list[list[int]], j: int) -> int:
     """Number of distinct j-vertex subtrees containing vertex 0, exact.
 
-    Bottom-up DP: N_u(z) = z * prod_children (1 + N_child(z)), truncated at
-    the degrees a parent can still use.
+    ``children[u]`` lists the children of u.  Counted as a forest of one
+    tree by the Monte Carlo engine: N_u(z) = z * prod_children (1 + N_child).
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    n = len(children)
-    # children indices always exceed the parent's, so reverse order is
-    # post-order
-    poly: list[list[int] | None] = [None] * n
-    for u in range(n - 1, -1, -1):
-        acc = [1]  # product of (1 + N_child), truncated at degree j-1
-        for ch in children[u]:
-            q = poly[ch]
-            lim = min(j - 1, len(acc) - 1 + len(q) - 1)
-            out = [0] * (lim + 1)
-            for a, av in enumerate(acc):
-                if av == 0:
-                    continue
-                for b, bv in enumerate(q):
-                    if a + b <= lim:
-                        out[a + b] += av * bv
-            acc = out
-            poly[ch] = None
-        if u == 0:
-            # [z^j] N_root = [z^(j-1)] of the child product
-            return acc[j - 1] if j - 1 < len(acc) else 0
-        # store 1 + N_u(z) = 1 + z * acc; parents consume degrees <= j-1
-        poly[u] = [1] + acc[: j - 1]
-    raise AssertionError("unreachable: vertex 0 always processed")
+    return _count_tree(children, j, distinct=True)
 
 
 def count_root_embeddings(children: list[list[int]], j: int) -> int:
@@ -389,42 +533,10 @@ def count_root_embeddings(children: list[list[int]], j: int) -> int:
 
     Per node, E_u(z) = z * sum_s s! e_s(E_children), with e_s the elementary
     symmetric polynomial; the s! makes child selections ordered, matching
-    q_j = E[(B)_j].
+    q_j = E[(B)_j].  Counted as a forest of one tree by the Monte Carlo
+    engine.
     """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    n = len(children)
-    poly: list[list[int] | None] = [None] * n
-    for u in range(n - 1, -1, -1):
-        # P[s] = z-series of e_s(E_child1, ..), truncated at z-degree j-1
-        P: list[list[int]] = [[1]]
-        for ch in children[u]:
-            q = poly[ch]
-            poly[ch] = None
-            if all(v == 0 for v in q):
-                continue
-            P.append([0])
-            for s in range(len(P) - 1, 0, -1):
-                base = P[s - 1]
-                lim = min(j - 1, len(base) - 1 + len(q) - 1)
-                out = list(P[s]) + [0] * (lim + 1 - len(P[s]))
-                for a, av in enumerate(base):
-                    if av == 0:
-                        continue
-                    for b, bv in enumerate(q):
-                        if a + b <= lim:
-                            out[a + b] += av * bv
-                P[s] = out
-        width = max(len(p) for p in P)
-        acc = [0] * width
-        for s, p in enumerate(P):
-            f = math.factorial(s)
-            for t, v in enumerate(p):
-                acc[t] += f * v
-        if u == 0:
-            return acc[j - 1] if j - 1 < len(acc) else 0
-        poly[u] = [0] + acc[: j - 1]  # E_u(z) = z * acc; parents use deg <= j-1
-    raise AssertionError("unreachable: vertex 0 always processed")
+    return _count_tree(children, j, distinct=False)
 
 
 def write_mu_table(path, law: OffspringLaw, J: int, bound_C=None) -> None:

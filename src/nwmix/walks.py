@@ -56,15 +56,20 @@ def point_mass(n: int, x: int) -> np.ndarray:
 
 
 def stationary(g: UndirectedGraph) -> np.ndarray:
-    """pi(x) = deg(x) / (2m); requires a connected graph."""
+    """pi(x) = deg(x) / (2m); requires a connected graph.  A one-vertex
+    graph has no edges, and its vertex holds all the mass."""
     if not g.is_connected():
         raise WalkError("stationary distribution requires a connected graph")
+    if g.n == 1:
+        return np.ones(1)
     return g.degrees / (2.0 * g.m)
 
 
 def stationary_exact(g: UndirectedGraph) -> list[Fraction]:
     if not g.is_connected():
         raise WalkError("stationary distribution requires a connected graph")
+    if g.n == 1:
+        return [Fraction(1)]
     return [Fraction(int(d), 2 * g.m) for d in g.degrees]
 
 
@@ -72,25 +77,22 @@ class LazyKernel:
     """Sparse lazy transition kernel of a graph.
 
     It is stored transposed, as csr(P^T), so that a distribution, or an
-    n-by-s block of them held as columns, evolves by ``P^T @ mu``.
+    n-by-s block of them held as columns, evolves by ``P^T @ mu``.  An
+    isolated vertex keeps its mass, as a walk there stays put.
     """
 
     def __init__(self, graph: UndirectedGraph):
         self.graph = graph
         n = graph.n
         deg = graph.degrees
-        if np.any(deg == 0) and n > 1:
-            # isolated vertices only hold mass; kernel still well defined
-            inv = np.zeros(n)
-            nz = deg > 0
-            inv[nz] = 1.0 / deg[nz]
-        else:
-            inv = 1.0 / deg
+        isolated = deg == 0
+        inv = np.divide(1.0, deg, out=np.zeros(n), where=~isolated)
         # P^T[x, y] = P[y, x] = 1/(2 deg y) for each neighbor y of x
         adj_t = sparse.csr_matrix(
             ((0.5 * inv)[graph.indices], graph.indices, graph.indptr), shape=(n, n)
         )
-        self._PT = (sparse.identity(n, format="csr") * 0.5 + adj_t).tocsr()
+        hold = sparse.diags(np.where(isolated, 1.0, 0.5), format="csr")
+        self._PT = (hold + adj_t).tocsr()
 
     @property
     def matrix(self) -> sparse.csc_matrix:
@@ -112,6 +114,9 @@ def step_exact(g: UndirectedGraph, mu: list[Fraction]) -> list[Fraction]:
     half = Fraction(1, 2)
     for x in range(g.n):
         if mu[x] == 0:
+            continue
+        if deg[x] == 0:
+            out[x] = mu[x]  # an isolated vertex keeps its mass
             continue
         share = half * mu[x] / int(deg[x])
         for y in g.neighbors(x):

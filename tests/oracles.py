@@ -240,6 +240,103 @@ def embeddings_weight(children, subset):
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo subtree counts, one tree at a time (the library's first version)
+
+
+def sample_tree(law, j, rng):
+    """children[u] = child indices of u, for a tree truncated at depth j-1;
+    one ``law.sample`` call per level, in breadth-first order."""
+    children = [[]]
+    level = [0]
+    for _ in range(j - 1):
+        if not level:
+            break
+        offs = law.sample(rng, len(level))
+        nxt = []
+        for u, d in zip(level, offs):
+            for _ in range(int(d)):
+                children.append([])
+                children[u].append(len(children) - 1)
+                nxt.append(len(children) - 1)
+        level = nxt
+    return children
+
+def count_root_subtrees(children, j):
+    """Distinct j-vertex subtrees at vertex 0 by a per-node polynomial DP:
+    N_u(z) = z * prod_children (1 + N_child(z)).  Children follow parents."""
+    n = len(children)
+    poly = [None] * n
+    for u in range(n - 1, -1, -1):
+        acc = [1]
+        for ch in children[u]:
+            q = poly[ch]
+            lim = min(j - 1, len(acc) - 1 + len(q) - 1)
+            out = [0] * (lim + 1)
+            for a, av in enumerate(acc):
+                if av == 0:
+                    continue
+                for b, bv in enumerate(q):
+                    if a + b <= lim:
+                        out[a + b] += av * bv
+            acc = out
+            poly[ch] = None
+        if u == 0:
+            return acc[j - 1] if j - 1 < len(acc) else 0
+        poly[u] = [1] + acc[: j - 1]
+    raise AssertionError("unreachable")
+
+def count_root_embeddings(children, j):
+    """Ordered j-vertex embeddings at vertex 0 by a per-node DP:
+    E_u(z) = z * sum_s s! e_s(E_children).  Children follow parents."""
+    n = len(children)
+    poly = [None] * n
+    for u in range(n - 1, -1, -1):
+        P = [[1]]
+        for ch in children[u]:
+            q = poly[ch]
+            poly[ch] = None
+            if all(v == 0 for v in q):
+                continue
+            P.append([0])
+            for s in range(len(P) - 1, 0, -1):
+                base = P[s - 1]
+                lim = min(j - 1, len(base) - 1 + len(q) - 1)
+                out = list(P[s]) + [0] * (lim + 1 - len(P[s]))
+                for a, av in enumerate(base):
+                    if av == 0:
+                        continue
+                    for b, bv in enumerate(q):
+                        if a + b <= lim:
+                            out[a + b] += av * bv
+                P[s] = out
+        width = max(len(p) for p in P)
+        acc = [0] * width
+        for s, p in enumerate(P):
+            f = math.factorial(s)
+            for t, v in enumerate(p):
+                acc[t] += f * v
+        if u == 0:
+            return acc[j - 1] if j - 1 < len(acc) else 0
+        poly[u] = [0] + acc[: j - 1]
+    raise AssertionError("unreachable")
+
+def mc_counts(law, j, samples, seed, distinct=False):
+    """Per-tree counts of the Monte Carlo estimate, one sampled tree at a time."""
+    counter = count_root_subtrees if distinct else count_root_embeddings
+    rng = _philox(seed)
+    return [counter(sample_tree(law, j, rng), j) for _ in range(samples)]
+
+def brute_force_mu(law, j, samples, seed, distinct=False):
+    """The Monte Carlo estimate of mu_j, tree by tree, as an MCEstimate."""
+    from nwmix import MCEstimate
+
+    counts = np.array(mc_counts(law, j, samples, seed, distinct), dtype=np.float64)
+    mean = float(counts.mean())
+    stderr = float(counts.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.inf
+    return MCEstimate(mean=mean, stderr=stderr, samples=samples)
+
+
+# ---------------------------------------------------------------------------
 # exact subtree series, one Fraction operation at a time
 
 

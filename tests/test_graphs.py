@@ -1,9 +1,10 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nwmix import (
@@ -20,6 +21,7 @@ from nwmix import (
     sample_small_world,
     write_graph,
 )
+from nwmix import graphs
 
 import oracles
 
@@ -361,3 +363,27 @@ def test_read_graph_bulk_matches_oracle(tmp_path):
         path = tmp_path / "g.txt"
         write_graph(g, path)
         assert _assert_same_read(path)[0] == g
+
+
+# The writer's form as a regular expression, the bulk path's first test.
+_WRITER_RE = re.compile(rb"[0-9]{1,18} [0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from([b"0", b"7", b"1" * 18, b"9" * 19, b" ", b"\n",
+                                 b"\r", b"\t", b"-", b"\xc3\xa9"]), max_size=12))
+@example([b"1" * 18, b" ", b"0", b"\n"])
+@example([b"1" * 19, b" ", b"0", b"\n"])
+@example([b"3", b" ", b"1", b"\n", b"0", b" ", b"1", b" ", b"2", b"\n"])
+@example([b" ", b"3", b" ", b"1", b"\n"])
+@example([b"3", b" ", b"1", b"\n", b"0", b" ", b"1" * 19, b"\n"])
+@example([b"3", b" ", b"1", b" ", b"0", b" ", b"2", b"\n"])
+def test_writer_form_check_matches_regex(parts):
+    """The byte-level check accepts exactly the files the regex accepts,
+    and then reads the same numbers."""
+    raw = b"".join(parts)
+    got = graphs._writer_form(raw)
+    assert (got is not None) == bool(_WRITER_RE.fullmatch(raw))
+    if got is not None:
+        assert [got[0], got[1]] + got[2].ravel().tolist() == \
+            [int(t) for t in raw.split()]

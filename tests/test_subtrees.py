@@ -1,7 +1,9 @@
 import csv
 import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from nwmix import (
     count_connected_sets,
     count_root_embeddings,
     count_root_subtrees,
+    derive_seed,
     deterministic_law,
     deterministic_subtree_count,
     explicit_law,
@@ -30,7 +33,8 @@ from nwmix import (
     poisson_law,
     subset_moments,
 )
-from nwmix.subtrees import _sample_tree, _scaled_series
+from nwmix import subtrees
+from nwmix.subtrees import _scaled_series
 
 import oracles
 
@@ -282,7 +286,7 @@ def test_count_root_subtrees_by_hand():
 def test_counts_against_subset_oracle():
     rng = make_rng(77)
     for _ in range(12):
-        children = _sample_tree(poisson_law(Fraction(3, 2)), 5, rng)
+        children = oracles.sample_tree(poisson_law(Fraction(3, 2)), 5, rng)
         if len(children) > 14:
             continue
         for j in range(1, 6):
@@ -308,6 +312,128 @@ def test_brute_force_mu_matches_solver():
         brute_force_mu(law, 0, samples=10, seed=0)
     with pytest.raises(ValueError):
         brute_force_mu(law, 2, samples=0, seed=0)
+
+
+LAWS = [
+    poisson_law(Fraction(1, 3)),
+    poisson_law(2),
+    poisson_law(15),
+    binomial_law(10, Fraction(1, 5)),
+    binomial_plus_law(6, Fraction(1, 4), 1),
+    deterministic_law(2),
+    explicit_law([(0, Fraction(1, 2)), (3, Fraction(1, 3)), (1, Fraction(1, 6))]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=st.sampled_from(LAWS), seed=st.integers(0, 2**64 - 1),
+       a=st.integers(0, 300), b=st.integers(0, 300))
+def test_law_sample_concatenates(law, seed, a, b):
+    """Two draws in a row equal one draw of the summed size: the property
+    that lets brute_force_mu draw its offspring stream in blocks."""
+    rng = make_rng(seed)
+    split = np.concatenate((law.sample(rng, a), law.sample(rng, b)))
+    whole = law.sample(make_rng(seed), a + b)
+    assert split.dtype == whole.dtype == np.int64
+    assert split.tolist() == whole.tolist()
+
+
+def _block_counts(law, j, samples, seed, distinct, draws):
+    with mock.patch.object(subtrees, "_MC_DRAWS", draws):
+        return list(subtrees._mc_counts(law, j, samples, seed, distinct))
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(LAWS[:2] + LAWS[3:]), j=st.integers(1, 7),
+       seed=st.integers(0, 2**64 - 1), distinct=st.booleans(),
+       draws=st.sampled_from([1, 2, 3, 16, 64]), offset=st.integers(-1, 1))
+def test_mc_counts_match_oracle(law, j, seed, distinct, draws, offset):
+    """Per-tree counts equal the tree-at-a-time oracle, for sample counts
+    just below, at and just above the end of the first block."""
+    first = _block_counts(law, j, 40, seed, distinct, draws)[0].size
+    samples = max(1, first + offset)
+    blocks = _block_counts(law, j, samples, seed, distinct, draws)
+    got = [int(x) for block in blocks for x in block]
+    assert got == oracles.mc_counts(law, j, samples, seed, distinct)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_brute_force_mu_equals_oracle_at_benchmark_size(distinct):
+    law = poisson_law(2)
+    seed = derive_seed(20120117, 6, int(distinct))
+    assert brute_force_mu(law, 6, 1000, seed, distinct) == \
+        oracles.brute_force_mu(law, 6, 1000, seed, distinct)
+
+
+def test_brute_force_mu_equals_oracle_at_acceptance_size():
+    """test_04's five estimates, as the tree-at-a-time oracle gave them
+    (12 s to recompute, so kept as literals)."""
+    expected = {
+        1: (1.0, 0.0),
+        2: (0.99701, 0.0031486361711219315),
+        3: (1.9943, 0.010951377741030771),
+        4: (5.09587, 0.042345123928572995),
+        5: (13.80503, 0.15484575725242325),
+    }
+    for j, (mean, stderr) in expected.items():
+        est = brute_force_mu(poisson_law(1), j, samples=100_000,
+                             seed=derive_seed(0, 42, j))
+        assert est == MCEstimate(mean=mean, stderr=stderr, samples=100_000)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_mc_counts_past_int64_use_python_ints(distinct):
+    """A 40-child atom at j = 13 puts the overflow bound, and some counts,
+    past int64 while the trees stay small; the object-dtype path must give
+    the oracle's exact integers."""
+    law = explicit_law([(0, Fraction(97, 100)), (40, Fraction(3, 100))])
+    assert catalan(13) * 40**12 > np.iinfo(np.int64).max
+    blocks = list(subtrees._mc_counts(law, 13, 300, 3, distinct))
+    assert all(block.dtype == object for block in blocks)
+    got = [int(x) for block in blocks for x in block]
+    ref = oracles.mc_counts(law, 13, 300, 3, distinct)
+    assert got == ref
+    if not distinct:
+        assert max(ref) > np.iinfo(np.int64).max
+    assert brute_force_mu(law, 13, 300, 3, distinct) == \
+        oracles.brute_force_mu(law, 13, 300, 3, distinct)
+
+
+def test_counts_of_one_tree_past_int64():
+    """The complete 40-ary tree of depth 2 has more than 2^63 ordered
+    12-vertex embeddings at its root."""
+    tree = [list(range(1, 41))]
+    tree += [list(range(41 + 40 * i, 81 + 40 * i)) for i in range(40)]
+    tree += [[] for _ in range(1600)]
+    for j in (1, 2, 8, 12):
+        assert count_root_embeddings(tree, j) == oracles.count_root_embeddings(tree, j)
+        assert count_root_subtrees(tree, j) == oracles.count_root_subtrees(tree, j)
+    assert count_root_embeddings(tree, 12) > np.iinfo(np.int64).max
+
+
+def test_counts_at_large_j():
+    """Past j = 21, (j-1)! leaves int64 while a path's counts stay 1."""
+    path = [[u + 1] for u in range(29)] + [[]]
+    for j in (21, 22, 25, 30, 31):
+        assert count_root_subtrees(path, j) == int(j <= 30)
+        assert count_root_embeddings(path, j) == int(j <= 30)
+    est = brute_force_mu(deterministic_law(1), 25, samples=3, seed=0)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
+    binary = oracles.sample_tree(deterministic_law(2), 8, make_rng(0))
+    for j in (8, 22, 25):
+        assert count_root_embeddings(binary, j) == oracles.count_root_embeddings(binary, j)
+        assert count_root_subtrees(binary, j) == oracles.count_root_subtrees(binary, j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(LAWS[:2] + LAWS[3:]), depth=st.integers(1, 6),
+       j=st.integers(1, 8), seed=st.integers(0, 2**32))
+def test_count_root_matches_oracle(law, depth, j, seed):
+    """One tree through the forest engine, against the per-node DP; the
+    tree may be deeper or shallower than j."""
+    children = oracles.sample_tree(law, depth, make_rng(seed))
+    assert count_root_subtrees(children, j) == oracles.count_root_subtrees(children, j)
+    assert count_root_embeddings(children, j) == oracles.count_root_embeddings(children, j)
 
 
 def test_mc_estimate_within():

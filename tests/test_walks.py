@@ -315,3 +315,31 @@ def test_walk_stays_at_an_isolated_vertex():
     g = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
     assert set(simulate_walk(g, 3, 100, seed=1).tolist()) == {3}
     assert escape_time(g, 3, [3], seed=1, cap=100).censored
+
+
+def _one_vertex():
+    return UndirectedGraph.from_edges(1, np.empty((0, 2), dtype=np.int64))
+
+
+def test_one_vertex_stationary_and_kernel():
+    g = _one_vertex()
+    with np.errstate(all="raise"):
+        assert stationary(g).tolist() == [1.0]
+        assert LazyKernel(g).matrix.toarray().tolist() == [[1.0]]
+    assert stationary_exact(g) == [Fraction(1)]
+    assert step_exact(g, [Fraction(1)]) == [Fraction(1)]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_one_vertex_mixes_at_once(exact):
+    with np.errstate(all="raise"):
+        res = mixing_time(_one_vertex(), cap=50, exact=exact)
+    assert (res.tau, res.per_start, res.censored) == (0, [0], False)
+
+
+def test_kernel_keeps_mass_at_an_isolated_vertex():
+    g = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
+    P = LazyKernel(g).matrix.toarray()
+    assert np.allclose(P.sum(axis=1), 1.0)
+    assert P[3].tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert step_exact(g, [Fraction(0)] * 3 + [Fraction(1)])[3] == 1
