@@ -15,6 +15,7 @@ from nwmix import (
     mixing_time,
     point_mass,
     sample_small_world,
+    sample_starts,
     stationary,
     tv_distance,
 )
@@ -63,5 +64,5 @@ for n in (16, 32, 64, 128):
 # Beyond ~10^3 vertices, evolving all n starts gets heavy; a 64-start sample
 # still certifies a lower bound on the worst-start mixing time.
 g = sample_small_world(GraphSpec(n=2048, k=1, c=Fraction(5), seed=0))
-res = mixing_time(g, starts=("sample", 64, 123))
+res = mixing_time(g, starts=sample_starts(g.n, 64, 123))
 print(f"\nn=2048, c=5, 64 sampled starts: tau >= {res.tau} ({res.mode})")

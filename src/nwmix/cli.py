@@ -15,31 +15,22 @@ import os
 import sys
 from fractions import Fraction
 
-from .conductance import EnumerationBudgetError, fr_bound
+from .conductance import EnumerationBudgetError
 from .experiments import (
     QUIET_ARC_HEADER,
     ExperimentConfig,
     VerificationError,
-    quiet_arc,
-    resolve_mode,
+    build_graph,
+    conductance_bound,
+    mixing_run,
     run_conductance,
     run_constants,
     run_quiet_arc,
     run_scaling,
     run_subtree_verification,
 )
-from .graphs import (
-    GraphSpec,
-    GraphValidationError,
-    build_ring,
-    graph_text,
-    read_graph,
-    sample_small_world,
-    write_graph,
-)
-from .rng import derive_seed
+from .graphs import GraphValidationError, graph_text, read_graph, write_graph
 from .subtrees import poisson_law, write_mu_table
-from .walks import mixing_time, sample_starts
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,25 +60,27 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _single_graph(cfg: ExperimentConfig, args):
-    """One graph: from --in if given, else sampled from the config."""
+    """One graph: from --in if given, else built from the config's one n."""
     if getattr(args, "infile", None):
         return read_graph(args.infile)
-    n = cfg.n_values[0]
-    if cfg.c == 0:
-        return build_ring(n, cfg.k)
-    seed = derive_seed(cfg.master_seed, n, 0)
-    return sample_small_world(GraphSpec(n=n, k=cfg.k, c=cfg.c, seed=seed))
+    if len(cfg.n_values) != 1:
+        raise ValueError(f"{args.command} takes exactly one n, got "
+                         f"{','.join(map(str, cfg.n_values))}")
+    return build_graph(cfg, cfg.n_values[0], 0)
+
+
+def _emit(cfg: ExperimentConfig, payload: str) -> None:
+    """One JSON payload to --out if given, else to stdout."""
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+    else:
+        print(payload)
 
 
 def _cmd_generate(args) -> int:
     cfg = _config_from(args)
-    n = cfg.n_values[0]
-    if cfg.c == 0:
-        g = build_ring(n, cfg.k)
-    else:
-        g = sample_small_world(
-            GraphSpec(n=n, k=cfg.k, c=cfg.c, seed=derive_seed(cfg.master_seed, n, 0))
-        )
+    g = _single_graph(cfg, args)
     if cfg.out:
         write_graph(g, cfg.out)
     else:
@@ -97,26 +90,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_mix(args) -> int:
     cfg = _config_from(args)
-    g = _single_graph(cfg, args)
-    mode = resolve_mode(cfg.mode, "mixing", g.n)
-    if mode == "all":
-        res = mixing_time(g, starts="all", cap=cfg.step_cap)
-    elif mode == "sampled":
-        arc = quiet_arc(g)
-        starts = sorted(
-            set(sample_starts(g.n, min(64, g.n),
-                              derive_seed(cfg.master_seed, g.n, 1)))
-            | ({arc.center} if arc.length > 0 else set())
-        )
-        res = mixing_time(g, starts=starts, cap=cfg.step_cap)
-    else:
-        raise ValueError(f"unknown mixing mode {cfg.mode!r}")
-    payload = res.to_json()
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _, res = mixing_run(cfg, _single_graph(cfg, args), rep=0)
+    _emit(cfg, res.to_json())
     return EXIT_PARTIAL if res.censored else EXIT_OK
 
 
@@ -131,16 +106,7 @@ def _cmd_conductance(args) -> int:
 
 def _cmd_fr_bound(args) -> int:
     cfg = _config_from(args)
-    g = _single_graph(cfg, args)
-    mode = resolve_mode(cfg.mode, "conductance", g.n)
-    bound = fr_bound(g, mode=mode, seed=derive_seed(cfg.master_seed, g.n, 7),
-                     budget=cfg.enum_budget)
-    payload = bound.to_json()
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _emit(cfg, conductance_bound(cfg, _single_graph(cfg, args)).to_json())
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import subtrees as st
 from .conductance import DEFAULT_ENUM_BUDGET, fr_bound
 from .constants import VerificationError, constants_for
-from .graphs import GraphSpec, UndirectedGraph, build_ring, sample_small_world
+from .graphs import GraphSpec, UndirectedGraph, sample_small_world
 from .rng import derive_seed
 from .walks import DEFAULT_STEP_CAP, escape_time, mixing_time, sample_starts
 
@@ -68,6 +68,10 @@ class ExperimentConfig:
             raise ValueError(f"step cap must be >= 1, got {self.step_cap}")
         if self.enum_budget < 1:
             raise ValueError(f"enumeration budget must be >= 1, got {self.enum_budget}")
+        if self.samples < 1:
+            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.escape_trials < 1:
+            raise ValueError(f"escape trials must be >= 1, got {self.escape_trials}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -112,6 +116,13 @@ class ExperimentConfig:
             else:
                 raise ValueError(f"unknown config key {key!r}")
         return replace(self, **updates)
+
+
+def build_graph(config: ExperimentConfig, n: int, rep: int) -> UndirectedGraph:
+    """The config's small world on n vertices for replication ``rep``, seeded
+    by ``derive_seed(master_seed, n, rep)``; with c = 0 it is the bare ring."""
+    return sample_small_world(GraphSpec(
+        n=n, k=config.k, c=config.c, seed=derive_seed(config.master_seed, n, rep)))
 
 
 # -- quiet arcs ------------------------------------------------------------------
@@ -215,23 +226,31 @@ SCALING_SUMMARY_HEADER = ["version", "master_seed", "n", "reps", "n_censored",
                           "median_ratio"]
 
 
-def _graph_for(config: ExperimentConfig, n: int, seed: int) -> UndirectedGraph:
-    if config.c == 0:
-        return build_ring(n, config.k)
-    return sample_small_world(GraphSpec(n=n, k=config.k, c=config.c, seed=seed))
-
-
-def scaling_starts(config: ExperimentConfig, g: UndirectedGraph, n: int,
+def scaling_starts(config: ExperimentConfig, g: UndirectedGraph,
                    rep: int) -> list[int]:
     """64 sampled starts plus the quiet-arc center (the adversarial start)."""
-    starts = set(
-        sample_starts(n, min(SAMPLED_START_COUNT, n),
-                      derive_seed(config.master_seed, n, rep, 1))
-    )
+    starts = set(sample_starts(g.n, SAMPLED_START_COUNT,
+                               derive_seed(config.master_seed, g.n, rep, 1)))
     arc = quiet_arc(g)
     if arc.length > 0:
         starts.add(arc.center)
     return sorted(starts)
+
+
+def mixing_run(config: ExperimentConfig, g: UndirectedGraph, rep: int):
+    """Mixing time of replication ``rep``'s graph under the config's mode,
+    "auto" resolved for g.n: every start, or ``scaling_starts``.
+
+    Returns (resolved mode, MixingResult).
+    """
+    mode = resolve_mode(config.mode, "mixing", g.n)
+    if mode == "all":
+        starts = "all"
+    elif mode == "sampled":
+        starts = scaling_starts(config, g, rep)
+    else:
+        raise ValueError(f"unknown mixing mode {config.mode!r}")
+    return mode, mixing_time(g, starts=starts, cap=config.step_cap)
 
 
 def run_scaling(config: ExperimentConfig):
@@ -246,16 +265,9 @@ def run_scaling(config: ExperimentConfig):
     for n in config.n_values:
         for rep in range(config.reps):
             seed = derive_seed(config.master_seed, n, rep)
-            g = _graph_for(config, n, seed)
-            mode = resolve_mode(config.mode, "mixing", n)
+            g = build_graph(config, n, rep)
             t0 = time.perf_counter()
-            if mode == "all":
-                res = mixing_time(g, starts="all", cap=config.step_cap)
-            elif mode == "sampled":
-                res = mixing_time(g, starts=scaling_starts(config, g, n, rep),
-                                  cap=config.step_cap)
-            else:
-                raise ValueError(f"unknown scaling mode {config.mode!r}")
+            mode, res = mixing_run(config, g, rep)
             timings.append((n, rep, time.perf_counter() - t0))
             records.append(ScalingRecord(
                 n=n, rep=rep, seed=seed, mode=mode, tau=res.tau,
@@ -334,7 +346,7 @@ def run_quiet_arc(config: ExperimentConfig):
     for n in config.n_values:
         for rep in range(config.reps):
             seed = derive_seed(config.master_seed, n, rep)
-            g = _graph_for(config, n, seed)
+            g = build_graph(config, n, rep)
             arc = quiet_arc(g)
             thr = quiet_arc_threshold(n, config.c)
             meets = None if thr is None else arc.length >= thr
@@ -382,6 +394,15 @@ def expected_volume_windows(n: int, c, k: int, scales: int):
     return out
 
 
+def conductance_bound(config: ExperimentConfig, g: UndirectedGraph, **kwargs):
+    """``fr_bound`` on g with the config's mode ("auto" resolved for g.n) and
+    budget, and the local-search seed ``derive_seed(master_seed, g.n, 7)``;
+    ``kwargs`` pass the windows and size cap through."""
+    return fr_bound(g, mode=resolve_mode(config.mode, "conductance", g.n),
+                    seed=derive_seed(config.master_seed, g.n, 7),
+                    budget=config.enum_budget, **kwargs)
+
+
 def run_conductance(config: ExperimentConfig, variant: str = "standard"):
     """Scale profile + FR-style sum for one sampled graph per n.
 
@@ -391,11 +412,8 @@ def run_conductance(config: ExperimentConfig, variant: str = "standard"):
     """
     results = []
     for n in config.n_values:
-        seed = derive_seed(config.master_seed, n, 0)
-        g = _graph_for(config, n, seed)
-        mode = resolve_mode(config.mode, "conductance", n)
-        kwargs = dict(mode=mode, seed=derive_seed(config.master_seed, n, 7),
-                      budget=config.enum_budget)
+        g = build_graph(config, n, 0)
+        kwargs = {}
         if variant == "expected-volume":
             from .conductance import num_scales
 
@@ -409,7 +427,7 @@ def run_conductance(config: ExperimentConfig, variant: str = "standard"):
             kwargs["size_cap"] = cap
         elif variant != "standard":
             raise ValueError(f"unknown variant {variant!r}")
-        bound = fr_bound(g, **kwargs)
+        bound = conductance_bound(config, g, **kwargs)
         results.append((n, bound))
         if config.out:
             stem = config.out if len(config.n_values) == 1 else f"{config.out}.n{n}"
@@ -522,10 +540,11 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
     """
     from .conductance import count_connected_sets
 
+    config = ExperimentConfig(n_values=(n,), k=k, c=Fraction(c),
+                              master_seed=master_seed, reps=reps)
     counts = np.zeros((reps, j_max), dtype=np.int64)
     for rep in range(reps):
-        seed = derive_seed(master_seed, n, rep)
-        g = sample_small_world(GraphSpec(n=n, k=k, c=Fraction(c), seed=seed))
+        g = build_graph(config, n, rep)
         for j in range(1, j_max + 1):
             counts[rep, j - 1] = count_connected_sets(g, j, containing=0,
                                                       budget=budget)

@@ -45,29 +45,6 @@ class GraphSpec:
     def p(self) -> Fraction:
         return self.c / self.n
 
-    def to_lines(self) -> str:
-        return f"n = {self.n}\nk = {self.k}\nc = {self.c}\nseed = {self.seed}\n"
-
-    @classmethod
-    def from_lines(cls, text: str) -> "GraphSpec":
-        kv = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-        fields = {}
-        for name, parse in (("n", int), ("k", int), ("c", Fraction), ("seed", int)):
-            if name not in kv:
-                raise GraphValidationError(f"missing spec field {name!r}")
-            try:
-                fields[name] = parse(kv[name])
-            except (ValueError, ZeroDivisionError) as exc:  # "1/0"
-                raise GraphValidationError(
-                    f"spec field {name!r} is not valid: {kv[name]!r}") from exc
-        return cls(**fields)
-
 
 class UndirectedGraph:
     """Simple undirected graph in CSR form with sorted neighbor lists.

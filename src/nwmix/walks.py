@@ -183,10 +183,10 @@ def mixing_time(
 ) -> MixingResult:
     """Per-start first step with TV(mu_k, pi) <= threshold; tau is the max.
 
-    ``starts`` is "all", an explicit list of vertices, or ("sample", size,
-    seed).  All starts evolve together as the columns of one n-by-s block,
-    stepped by the sparse transposed kernel; a start's column is dropped from
-    the block at the step it mixes.  TV monotonicity is checked at every
+    ``starts`` is "all" or a list of vertices, such as a seeded
+    ``sample_starts`` draw.  All starts evolve together as the columns of one
+    n-by-s block, stepped by the sparse transposed kernel; a start's column is
+    dropped from the block at the step it mixes.  TV monotonicity is checked at every
     step.  ``exact=True`` runs rational arithmetic (intended for n <= 64
     oracle comparisons).
     """
@@ -197,9 +197,6 @@ def mixing_time(
     if starts == "all":
         start_list = list(range(g.n))
         mode = "exact-all-starts"
-    elif isinstance(starts, tuple) and len(starts) == 3 and starts[0] == "sample":
-        start_list = sample_starts(g.n, int(starts[1]), int(starts[2]))
-        mode = "sampled-starts"
     else:
         start_list = [int(v) for v in starts]
         if any(not 0 <= v < g.n for v in start_list):

@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from nwmix import build_ring, complete_graph, write_graph
+from nwmix import ExperimentConfig, build_ring, complete_graph, experiments, write_graph
 from nwmix.cli import EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION, main
 
 
@@ -70,6 +71,34 @@ def test_mix_sampled_mode(tmp_path, capsys):
     full = json.loads(capsys.readouterr().out)
     assert sampled["tau"] <= full["tau"]
     assert sampled["mode"] == "sampled-starts"
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_mix_sampled_matches_scaling_rep_0(monkeypatch, capsys, seed):
+    # scaling rep 0 and `mix` build the same graph, so one start rule gives
+    # the same per-start mixing times
+    runs = []
+    mixing_time = experiments.mixing_time
+
+    def recorded(*args, **kwargs):
+        runs.append(mixing_time(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(experiments, "mixing_time", recorded)
+    experiments.run_scaling(ExperimentConfig(n_values=(256,), c=Fraction(2), reps=1,
+                                             master_seed=seed, mode="sampled"))
+    argv = ["mix", "--n", "256", "--c", "2", "--seed", str(seed), "--mode", "sampled"]
+    assert main(argv) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["per_start"] == runs[0].per_start
+
+
+def test_single_graph_commands_take_one_n(tmp_path, capsys):
+    for command in ("generate", "mix", "fr-bound"):
+        out = tmp_path / command
+        argv = [command, "--n", "16,32", "--c", "0", "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "exactly one n" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_fr_bound_cycle(tmp_path):
@@ -153,6 +182,18 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg), "--n", "10"]) == EXIT_OK
     ten = capsys.readouterr().out.splitlines()
     assert ten[0] == "10 1"  # the flag wins over the file
+
+
+def test_config_counts_below_one_exit_validation(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 64\nc = 1\nreps = 1\nescape_trials = -5\n")
+    out = tmp_path / "qa.csv"
+    assert main(["quiet-arc", "--config", str(cfg), "--out", str(out)]) == EXIT_VALIDATION
+    assert "escape trials" in capsys.readouterr().err
+    assert not out.exists()
+    cfg.write_text("samples = 0\n")
+    assert main(["subtrees", "--config", str(cfg), "--max-j", "4"]) == EXIT_VALIDATION
+    assert "samples" in capsys.readouterr().err
 
 
 def test_conductance_cli(tmp_path):

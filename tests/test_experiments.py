@@ -57,6 +57,10 @@ def test_config_validation():
         ExperimentConfig(reps=0)
     with pytest.raises(ValueError):
         ExperimentConfig(c=Fraction(-1))
+    with pytest.raises(ValueError, match="samples"):
+        ExperimentConfig(samples=0)
+    with pytest.raises(ValueError, match="escape trials"):
+        ExperimentConfig(escape_trials=-5)
 
 
 def test_config_from_file(tmp_path):
@@ -123,7 +127,7 @@ def test_quiet_arc_threshold():
 def test_scaling_starts_include_arc_center():
     cfg = ExperimentConfig(n_values=(128,), c=Fraction(2), reps=1)
     g = build_ring(128, 1)
-    starts = scaling_starts(cfg, g, 128, 0)
+    starts = scaling_starts(cfg, g, 0)
     assert starts == sorted(set(starts))
     arc = quiet_arc(g)
     assert arc.center in starts
@@ -311,3 +315,4 @@ def test_config_from_file_fuzz(tmp_path, lines):
     except ValueError:
         return
     assert cfg.n_values and cfg.reps >= 1 and cfg.c >= 0
+    assert cfg.samples >= 1 and cfg.escape_trials >= 1

@@ -51,28 +51,15 @@ def test_ring_validation():
         build_ring(5, 0)
 
 
-def test_spec_validation_and_roundtrip():
+def test_spec_validation():
     spec = GraphSpec(n=20, k=2, c=Fraction(3, 2), seed=7)
     assert spec.p == Fraction(3, 40)
-    again = GraphSpec.from_lines(spec.to_lines())
-    assert again == spec
     with pytest.raises(GraphValidationError):
         GraphSpec(n=4, k=2, c=1, seed=0)
     with pytest.raises(GraphValidationError):
         GraphSpec(n=10, k=1, c=-1, seed=0)
     with pytest.raises(GraphValidationError):
         GraphSpec(n=10, k=1, c=11, seed=0)  # p > 1
-    with pytest.raises(GraphValidationError):
-        GraphSpec.from_lines("n = 10\nk = 1\n")
-
-
-def test_spec_from_lines_rejects_bad_fields():
-    with pytest.raises(GraphValidationError, match="'c'"):
-        GraphSpec.from_lines("n = 5\nk = 1\nc = 1/0\nseed = 0\n")
-    with pytest.raises(GraphValidationError, match="'n'"):
-        GraphSpec.from_lines("n = five\nk = 1\nc = 1\nseed = 0\n")
-    with pytest.raises(GraphValidationError, match="missing spec field 'seed'"):
-        GraphSpec.from_lines("n = 5\nk = 1\nc = 1\n")
 
 
 def test_from_edges_validation():

@@ -128,9 +128,8 @@ def test_mixing_start_modes():
     assert some.mode == "sampled-starts"
     assert some.starts == [0, 5]
     assert some.tau <= full.tau  # sampled starts lower-bound the true tau
-    sampled = mixing_time(g, starts=("sample", 4, 99))
-    assert sampled.starts == sample_starts(16, 4, 99)
-    assert len(sampled.starts) == 4
+    sampled = mixing_time(g, starts=sample_starts(16, 4, 99))
+    assert sampled.mode == "sampled-starts" and len(sampled.starts) == 4
     everyone = mixing_time(g, starts=list(range(16)))
     assert everyone.mode == "exact-all-starts" and everyone.tau == full.tau
     with pytest.raises(WalkError, match="out of range"):
@@ -230,7 +229,7 @@ def test_sampled_starts_match_single_start_runs():
     # the starts mix at different steps, so the batched run drops columns from
     # its block at several steps, and in an order unlike the start order
     g = sample_small_world(GraphSpec(n=300, k=1, c=Fraction(1, 2), seed=3))
-    res = mixing_time(g, starts=("sample", 12, 5))
+    res = mixing_time(g, starts=sample_starts(300, 12, 5))
     single = [mixing_time(g, starts=[x]).per_start[0] for x in res.starts]
     assert res.per_start == single
     assert len(set(single)) >= 4
