@@ -17,7 +17,10 @@ visitors over it.  Windows become integer volume bounds, ratios cut/volume
 are compared by integer cross-multiplication (ties go to the lexicographically
 smallest sorted witness), and only results become Fractions.  Past the
 enumeration budget, simulated annealing over the same masks gives
-certified=False upper bounds.
+certified=False upper bounds.  The annealer draws one scalar at a time from
+``rng.philox_draws``, which reads raw Philox words and returns exactly the
+draws of a ``Generator`` on the same key, bit for bit, at a fraction of
+numpy's per-call cost.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import UndirectedGraph
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, philox_draws
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 
@@ -302,16 +305,19 @@ def _exact_minima(adj, deg, windows, size_cap, budget):
     return best
 
 
-def _anneal_once(adj, deg, start, window, size_cap, rng, iterations):
+def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
     """One annealing run; returns (cut, volume, S) for the best valid set seen.
 
-    Moves add a uniform boundary vertex or drop a uniform vertex of S (kept
-    only if S stays connected), both drawn from the ascending vertex order.
+    ``draws`` is a ``philox_draws`` pair.  Moves add a uniform boundary
+    vertex or drop a uniform vertex of S (kept only if S stays connected),
+    both drawn from the ascending vertex order.  Dropping a vertex with one
+    link into the rest keeps S connected, so only other drops pay for the
+    connectivity search.
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
     lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    random, integers = rng.random, rng.integers
+    random, integers = draws
 
     def fits(vol, size):
         return vlo <= vol <= vhi and (size_cap is None or size <= size_cap)
@@ -335,7 +341,7 @@ def _anneal_once(adj, deg, start, window, size_cap, rng, iterations):
         boundary = nbr & ~S
         if not boundary:
             break
-        w = _kth_member(boundary, int(integers(boundary.bit_count())))
+        w = _kth_member(boundary, integers(boundary.bit_count()))
         cut += deg[w] - 2 * (adj[w] & S).bit_count()
         S |= 1 << w
         nbr |= adj[w]
@@ -357,18 +363,19 @@ def _anneal_once(adj, deg, start, window, size_cap, rng, iterations):
             if not boundary:
                 grow = False
             else:
-                w = _kth_member(boundary, int(integers(boundary.bit_count())))
+                w = _kth_member(boundary, integers(boundary.bit_count()))
                 S2, size2 = S | 1 << w, size + 1
                 vol2 = volume + deg[w]
                 cut2 = cut + deg[w] - 2 * (adj[w] & S).bit_count()
         if not grow:
-            w = _kth_member(S, int(integers(size)))
+            w = _kth_member(S, integers(size))
             S2, size2 = S ^ 1 << w, size - 1
-            if not S2 or not _spans(adj, S2):
+            links = (adj[w] & S2).bit_count()
+            if not S2 or (links != 1 and not _spans(adj, S2)):
                 temp *= cooling
                 continue
             vol2 = volume - deg[w]
-            cut2 = cut - deg[w] + 2 * (adj[w] & S2).bit_count()
+            cut2 = cut - deg[w] + 2 * links
         obj2 = objective(cut2, vol2, size2)
         if obj2 <= cur_obj or random() < math.exp((cur_obj - obj2) / max(temp, 1e-9)):
             S, size, volume, cut, cur_obj = S2, size2, vol2, cut2, obj2
@@ -390,8 +397,9 @@ def _local_minima(adj, deg, windows, size_cap, seed, iterations, restarts):
     for w, window in enumerate(windows):
         best = None
         for r in range(restarts):
-            rng = make_rng(derive_seed(seed, w, r))
-            got = _anneal_once(adj, deg, r % len(adj), window, size_cap, rng, iterations)
+            draws = philox_draws(derive_seed(seed, w, r))
+            got = _anneal_once(adj, deg, r % len(adj), window, size_cap, draws,
+                               iterations)
             if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
                 best = got
         results.append(best)

@@ -540,6 +540,9 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
     """
     from .conductance import count_connected_sets
 
+    if reps < 2:
+        raise ValueError("reps must be at least 2: the 3-sigma comparison with "
+                         "mu needs a sample standard deviation")
     config = ExperimentConfig(n_values=(n,), k=k, c=Fraction(c),
                               master_seed=master_seed, reps=reps)
     counts = np.zeros((reps, j_max), dtype=np.int64)

@@ -397,14 +397,21 @@ def _cut_forest(stream: np.ndarray, j: int, limit: int
     hi = lo + 1
     for _ in range(j - 2):
         lo, hi = hi, hi + csum[np.minimum(hi, n)] - csum[np.minimum(lo, n)]
-    stop = hi.tolist()  # past n for a tree that runs off the stream
-    starts = []
-    p = 0
-    while len(starts) < limit and p < n and stop[p] <= n:
-        starts.append(p)
-        p = stop[p]
+    # Chain the trees from position 0: a tree at p leads to hi[p] > p, and
+    # the stream's end n and a tree running off it lead to the sink n + 1.
+    # Pointer doubling: each pass doubles both the known prefix of the chain
+    # and the jump.  All but the chain's last position below the sink are
+    # tree starts.
+    nxt = np.full(n + 2, n + 1, dtype=np.int64)
+    nxt[:n] = np.minimum(hi, n + 1)
+    chain = np.zeros(1, dtype=np.int64)
+    while chain[-1] <= n and chain.size <= limit:
+        chain = np.concatenate((chain, nxt[chain]))
+        nxt = nxt[nxt]
+    chain = chain[chain <= n]
     offs = []
-    lo = np.array(starts, dtype=np.int64)
+    lo = chain[:min(limit, chain.size - 1)]
+    p = int(chain[lo.size])
     width = np.ones(lo.size, dtype=np.int64)
     for _ in range(j - 1):
         total = int(width.sum())

@@ -185,6 +185,122 @@ def fr_sum_bruteforce(g, size_cap=None):
 
 
 # ---------------------------------------------------------------------------
+# simulated annealing on numpy Generators (the library's annealer before it
+# read raw Philox words)
+
+
+def _child_seed(master, *parts):
+    mask = (1 << 64) - 1
+    ss = np.random.SeedSequence([int(x) & mask for x in (master, *parts)])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+def _kth_bit(S, k):
+    for _ in range(k):
+        S &= S - 1
+    return (S & -S).bit_length() - 1
+
+def _mask_neighborhood(nbr, S):
+    out = 0
+    for v in range(S.bit_length()):
+        if S >> v & 1:
+            out |= nbr[v]
+    return out
+
+def anneal_once(nbr, deg, start, window, size_cap, rng, iterations):
+    """One annealing run, drawing each scalar with rng.random() and
+    rng.integers(k); (cut, volume, S) of the best valid set seen, or None."""
+    lo, hi = window
+    vlo, vhi = math.ceil(lo), math.floor(hi)
+
+    def fits(vol, size):
+        return vlo <= vol <= vhi and (size_cap is None or size <= size_cap)
+
+    def objective(cut, vol, size):
+        pen = 0.0
+        if vol < vlo:
+            pen += float((lo - vol) / lo)
+        elif vol > vhi:
+            pen += float((vol - hi) / hi)
+        if size_cap is not None and size > size_cap:
+            pen += (size - size_cap) / size_cap
+        return cut / vol + 2.0 * pen
+
+    S, size = 1 << start, 1
+    volume = cut = deg[start]
+    while volume < vlo and size < len(nbr):
+        boundary = _mask_neighborhood(nbr, S) & ~S
+        if not boundary:
+            break
+        w = _kth_bit(boundary, int(rng.integers(boundary.bit_count())))
+        cut += deg[w] - 2 * (nbr[w] & S).bit_count()
+        S |= 1 << w
+        volume += deg[w]
+        size += 1
+    best = (cut, volume, S) if fits(volume, size) else None
+
+    cur_obj = objective(cut, volume, size)
+    temp = 0.25
+    cooling = 0.99 if iterations < 500 else math.exp(math.log(0.004) / iterations)
+    for _ in range(iterations):
+        grow_p = 0.5 if vlo <= volume <= vhi else (0.8 if volume < vlo else 0.2)
+        grow = rng.random() < grow_p or size <= 1
+        if grow:
+            boundary = _mask_neighborhood(nbr, S) & ~S
+            if not boundary:
+                grow = False
+            else:
+                w = _kth_bit(boundary, int(rng.integers(boundary.bit_count())))
+                S2, size2 = S | 1 << w, size + 1
+                vol2 = volume + deg[w]
+                cut2 = cut + deg[w] - 2 * (nbr[w] & S).bit_count()
+        if not grow:
+            w = _kth_bit(S, int(rng.integers(size)))
+            S2, size2 = S ^ 1 << w, size - 1
+            if not mask_connected(S2, nbr):
+                temp *= cooling
+                continue
+            vol2 = volume - deg[w]
+            cut2 = cut - deg[w] + 2 * (nbr[w] & S2).bit_count()
+        obj2 = objective(cut2, vol2, size2)
+        if obj2 <= cur_obj or rng.random() < math.exp((cur_obj - obj2) / max(temp, 1e-9)):
+            S, size, volume, cut, cur_obj = S2, size2, vol2, cut2, obj2
+            if fits(volume, size) and (best is None or cut * best[1] < best[0] * volume):
+                best = (cut, volume, S)
+        temp *= cooling
+    return best
+
+def local_search_profile(g, seed, iterations, restarts, size_cap=None, windows=None):
+    """(total, per_scale) of local-search fr_bound: per window the best
+    annealing result over restarts, restart r of window w growing from
+    vertex r mod n on the Philox Generator keyed by derive_seed(seed, w, r).
+    per_scale holds (phi, witness), or (None, None) where no set was found."""
+    m = g.m
+    scales = max(1, math.ceil(math.log2(m)))
+    if windows is None:
+        windows = [(Fraction(m, 2 ** i), Fraction(2 * m, 2 ** i))
+                   for i in range(1, scales + 1)]
+    nbr = neighbor_masks(g)
+    deg = [g.degree(u) for u in range(g.n)]
+    total = Fraction(0)
+    per_scale = []
+    for w, window in enumerate(windows):
+        best = None
+        for r in range(restarts):
+            rng = _philox(_child_seed(seed, w, r))
+            got = anneal_once(nbr, deg, r % g.n, window, size_cap, rng, iterations)
+            if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
+                best = got
+        if best is None:
+            per_scale.append((None, None))
+            continue
+        phi = Fraction(best[0], best[1])
+        per_scale.append((phi, tuple(v for v in range(g.n) if best[2] >> v & 1)))
+        if phi > 0:
+            total += 1 / phi ** 2
+    return total, per_scale
+
+
+# ---------------------------------------------------------------------------
 # circular runs / cycle subsets
 
 

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nwmix import (
@@ -275,3 +275,35 @@ def test_local_search_profile_is_pinned():
         (math.inf, None),
     ]
     assert res.total == Fraction(5129, 144)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=5, max_value=16), k=st.sampled_from([1, 2]),
+       c=st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(3)]),
+       graph_seed=st.integers(min_value=0, max_value=10**6),
+       seed=st.integers(min_value=0, max_value=2**64 - 1),
+       iterations=st.sampled_from([0, 1, 40, 499, 500, 650]),
+       restarts=st.integers(min_value=1, max_value=5),
+       size_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+       data=st.data())
+@example(n=20, k=1, c=Fraction(3), graph_seed=0, seed=derive_seed(1, 0),
+         iterations=400, restarts=32, size_cap=None, data=None)
+def test_local_search_matches_generator_oracle(n, k, c, graph_seed, seed, iterations,
+                                               restarts, size_cap, data):
+    # the annealer's raw Philox draws against the same annealer on numpy
+    # Generators: same profile, witnesses and total
+    g = sample_small_world(GraphSpec(n=max(n, 2 * k + 1), k=k, c=c, seed=graph_seed))
+    windows = None
+    if data is not None and data.draw(st.booleans(), label="custom windows"):
+        bound = st.fractions(min_value=Fraction(1, 4), max_value=2 * g.m,
+                             max_denominator=8)
+        windows = [tuple(sorted(data.draw(st.tuples(bound, bound))))
+                   for _ in range(num_scales(g.m))]
+    res = fr_bound(g, mode="local-search", seed=seed, iterations=iterations,
+                   restarts=restarts, size_cap=size_cap, windows=windows)
+    total, per_scale = oracles.local_search_profile(g, seed, iterations, restarts,
+                                                    size_cap=size_cap, windows=windows)
+    assert [(e.phi, e.witness) for e in res.profile.entries] == [
+        (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
+    ]
+    assert res.total == total

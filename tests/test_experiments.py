@@ -279,6 +279,17 @@ def test_connected_set_bound_check():
     assert out[0]["mean"] == 1.0  # the singleton {v} is the only 1-set
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_connected_set_bound_check_needs_two_reps():
+    # one replicate has no sample standard deviation; the 3-sigma test used
+    # to compare against NaN (with a numpy warning) and read False
+    for reps in (1, 0):
+        with pytest.raises(ValueError, match="standard deviation"):
+            connected_set_bound_check(n=12, reps=reps, j_max=2)
+    out = connected_set_bound_check(n=12, reps=2, j_max=2)
+    assert all(math.isfinite(row["stderr"]) for row in out)
+
+
 def test_run_constants(tmp_path):
     out = tmp_path / "constants.json"
     payload = json.loads(run_constants(Fraction(1), 1, out=str(out)))
