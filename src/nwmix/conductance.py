@@ -305,6 +305,18 @@ def _exact_minima(adj, deg, windows, size_cap, budget):
     return best
 
 
+def _drop_neighbors(adj, nbr: int, w: int, S: int) -> int:
+    """`nbr`, the neighborhood of S plus w, updated to that of S: a
+    neighbor of w leaves it unless it has a neighbor in S."""
+    lost = adj[w]
+    while lost:
+        low = lost & -lost
+        if not adj[low.bit_length() - 1] & S:
+            nbr &= ~low
+        lost ^= low
+    return nbr
+
+
 def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
     """One annealing run; returns (cut, volume, S) for the best valid set seen.
 
@@ -312,7 +324,8 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
     vertex or drop a uniform vertex of S (kept only if S stays connected),
     both drawn from the ascending vertex order.  Dropping a vertex with one
     link into the rest keeps S connected, so only other drops pay for the
-    connectivity search.
+    connectivity search.  The neighborhood of S is kept across moves, and an
+    accepted drop updates it in place (`_drop_neighbors`).
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
@@ -357,8 +370,6 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
         grow_p = 0.5 if vlo <= volume <= vhi else (0.8 if volume < vlo else 0.2)
         grow = random() < grow_p or size <= 1
         if grow:
-            if nbr is None:
-                nbr = _neighborhood(adj, S)
             boundary = nbr & ~S
             if not boundary:
                 grow = False
@@ -379,7 +390,10 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
         obj2 = objective(cut2, vol2, size2)
         if obj2 <= cur_obj or random() < math.exp((cur_obj - obj2) / max(temp, 1e-9)):
             S, size, volume, cut, cur_obj = S2, size2, vol2, cut2, obj2
-            nbr = nbr | adj[w] if grow else None
+            if grow:
+                nbr |= adj[w]
+            else:
+                nbr = _drop_neighbors(adj, nbr, w, S)
             if fits(volume, size) and (best is None or cut * best[1] < best[0] * volume):
                 best = (cut, volume, S)
         temp *= cooling

@@ -155,23 +155,17 @@ def quiet_arc(g: UndirectedGraph) -> QuietArc:
         return QuietArc(start=0, length=n, n=n)
     if not quiet.any():
         return QuietArc(start=0, length=0, n=n)
-    # rotate so the scan starts at a non-quiet vertex, then runs are linear
+    # rotate so the scan starts at a non-quiet vertex, then runs are linear:
+    # a run starts where the rolled mask steps up and ends where it steps down
     pivot = int(np.flatnonzero(~quiet)[0])
     rolled = np.roll(quiet, -pivot)
-    best_len, best_start = 0, 0
-    run_start = None
-    for i, q in enumerate(rolled):
-        if q and run_start is None:
-            run_start = i
-        elif not q and run_start is not None:
-            if i - run_start > best_len:
-                best_len, best_start = i - run_start, run_start
-            run_start = None
-    if run_start is not None and n - run_start > best_len:
-        best_len, best_start = n - run_start, run_start
-    if best_len < 2:
+    edges = np.diff(rolled.astype(np.int8), append=np.int8(0))
+    starts = np.flatnonzero(edges == 1) + 1
+    lengths = np.flatnonzero(edges == -1) + 1 - starts
+    best = int(lengths.argmax())  # the first longest run from the pivot
+    if lengths[best] < 2:
         return QuietArc(start=0, length=0, n=n)
-    return QuietArc(start=(best_start + pivot) % n, length=best_len, n=n)
+    return QuietArc(start=(int(starts[best]) + pivot) % n, length=int(lengths[best]), n=n)
 
 
 def quiet_arc_threshold(n: int, c) -> float | None:

@@ -70,7 +70,8 @@ class UndirectedGraph:
         """Build from an array of undirected edges given as (u, v) pairs.
 
         Validates simplicity: endpoints in range, no self-loops, no duplicate
-        edges (regardless of orientation).
+        edges (regardless of orientation).  A ring-tagged graph is checked to
+        hold its ring, and so is known to be connected without a search.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size:
@@ -91,6 +92,7 @@ class UndirectedGraph:
         g = cls(n, indptr, keys % n, ring_k=ring_k)
         if ring_k:
             g._check_ring_containment()
+            g._connected = True  # the ring is a cycle through all n vertices
         return g
 
     def _check_ring_containment(self):

@@ -32,9 +32,14 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def philox(seed: int) -> np.random.Philox:
+    """Philox bit generator keyed directly by a 64-bit seed."""
+    return np.random.Philox(key=int(seed) & _MASK64)
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """Philox generator keyed directly by a 64-bit seed."""
-    return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    """Generator on ``philox(seed)``."""
+    return np.random.Generator(philox(seed))
 
 
 def philox_draws(seed: int):
@@ -49,7 +54,7 @@ def philox_draws(seed: int):
     its high half for the next 32-bit draw (double draws leave that half
     waiting); k = 1 draws nothing.
     """
-    bitgen = np.random.Philox(key=int(seed) & _MASK64)
+    bitgen = philox(seed)
     blocks = map(bitgen.random_raw, repeat(_WORDS))  # fetched as consumed
     word = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
     high = None  # the waiting high half of the last word split for 32 bits

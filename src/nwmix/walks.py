@@ -12,7 +12,10 @@ row blocks with the same summation order as one whole-block sum.
 Trajectories and escape times are Monte Carlo on one Philox stream per seed,
 drawn chunk by chunk (coins, then picks).  Their Python loop visits only the
 steps where the walk moves, on neighbor lists fetched for the vertices it
-visits, and an escape walk draws only the picks it reaches.
+visits, and an escape walk draws only the picks it reaches.  An escape walk
+in a region whose vertices all have the same neighbor offsets, such as a
+quiet arc of the ring, makes i.i.d. ring steps: it runs in numpy on the raw
+Philox words of the same stream, with the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from scipy import sparse
 
 from .graphs import UndirectedGraph
-from .rng import derive_seed, make_rng
+from .rng import derive_seed, make_rng, philox
 
 MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
@@ -305,6 +308,8 @@ def _mixing_one_exact(g, x, cap, threshold) -> int | None:
 _ESCAPE_CHUNK = 4096
 _TRAJECTORY_CHUNK = 8192
 _PICK_WINDOW = 256
+_RING_WINDOW = 1024  # wider than the loop's: each window costs a dozen numpy calls
+_HALF = np.uint64(1 << 63)  # a raw word w gives random() >= 0.5 iff w >= 2**63
 
 
 class _Neighbors(dict):
@@ -386,8 +391,12 @@ def escape_time(
     """First step at which a lazy walk from `start` leaves `region`.
 
     `start` must lie inside the region.  A censored result reports the cap
-    instead of pretending the walk escaped.
+    instead of pretending the walk escaped.  If every region vertex has the
+    same neighbor offsets, the walk runs as i.i.d. ring steps
+    (`_ring_escape`); any other region takes the move loop.
     """
+    if cap < 1:
+        raise WalkError("cap must be >= 1")
     region = np.asarray(list(region), dtype=np.int64)
     if region.size and (region.min() < 0 or region.max() >= g.n):
         raise WalkError("region vertex out of range")
@@ -396,6 +405,9 @@ def escape_time(
     inside = set(region.tolist())
     if start not in inside:
         raise WalkError("start vertex must lie inside the region")
+    off = _shared_offsets(g, region)
+    if off is not None:
+        return _ring_escape(g.n, off, np.sort(region), int(start), seed, cap)
     rng = make_rng(seed)
     nbrs = _Neighbors(g)
     pos = int(start)
@@ -408,5 +420,60 @@ def escape_time(
             return EscapeResult(steps=t + int(moves[len(path) - 1]) + 1, censored=False)
         if path:
             pos = path[-1]
+        t += take
+    return EscapeResult(steps=cap, censored=True)
+
+
+def _shared_offsets(g: UndirectedGraph, region: np.ndarray) -> np.ndarray | None:
+    """The offsets ``(u - v) mod n`` of the neighbors u of v, in CSR order,
+    if every vertex v of the (nonempty) region has the same ones; else None.
+
+    On the (n, k)-ring they are shared by the vertices k .. n-1-k; nearer
+    the ends the sorted neighbor lists wrap around and reorder them.
+    """
+    lo = g.indptr[region]
+    deg = g.indptr[region + 1] - lo
+    d = int(deg[0])
+    if d == 0 or (deg != d).any():
+        return None
+    off = (g.indices[lo[:, None] + np.arange(d)] - region[:, None]) % g.n
+    if (off != off[0]).any():
+        return None
+    return off[0]
+
+
+def _ring_escape(n, off, region, pos, seed, cap) -> EscapeResult:
+    """escape_time from `pos` in the sorted `region`, whose vertices all
+    have the neighbor offsets `off`.
+
+    A move picking neighbor i adds ``off[i]`` mod n, so the vertices a chunk
+    visits are one cumulative sum.  The draws are those of `_walk_chunk`,
+    read as raw words of the same Philox stream: per chunk of `take` steps,
+    `take` coin words (step t moves iff its word is >= 2**63, which is
+    ``random() >= 0.5``), then `take` pick words (word w picks
+    ``int((w >> 11) * 2**-53 * d)``, which is ``int(random() * d)``).  The
+    picks are drawn in windows, as ``random_raw(a)`` then ``random_raw(b)``
+    is ``random_raw(a + b)``.
+    """
+    bitgen = philox(seed)
+    d = off.size
+    last = region.size - 1
+    t = 0
+    while t < cap:
+        take = min(_ESCAPE_CHUNK, cap - t)
+        coins = bitgen.random_raw(take) >= _HALF
+        for a in range(0, take, _RING_WINDOW):
+            b = min(a + _RING_WINDOW, take)
+            words = bitgen.random_raw(b - a)
+            moves = np.flatnonzero(coins[a:b])
+            if not moves.size:
+                continue
+            picks = ((words[moves] >> 11) * 2.0**-53 * d).astype(np.int64)
+            path = (pos + np.cumsum(off[picks])) % n
+            out = region[np.minimum(np.searchsorted(region, path), last)] != path
+            j = int(out.argmax())
+            if out[j]:
+                return EscapeResult(steps=t + a + int(moves[j]) + 1, censored=False)
+            pos = int(path[-1])
         t += take
     return EscapeResult(steps=cap, censored=True)

@@ -626,6 +626,38 @@ def read_graph(path):
 
 
 # ---------------------------------------------------------------------------
+# quiet arcs, scanned vertex by vertex (the library's first version)
+
+
+def quiet_arc(g):
+    """(start, length) of the first longest circular run of degree-2k
+    vertices, scanning from the first loud vertex; runs of one count as no
+    arc, (0, 0)."""
+    quiet = g.degrees == 2 * g.ring_k
+    n = g.n
+    if quiet.all():
+        return 0, n
+    if not quiet.any():
+        return 0, 0
+    pivot = int(np.flatnonzero(~quiet)[0])
+    rolled = np.roll(quiet, -pivot)
+    best_len, best_start = 0, 0
+    run_start = None
+    for i, q in enumerate(rolled):
+        if q and run_start is None:
+            run_start = i
+        elif not q and run_start is not None:
+            if i - run_start > best_len:
+                best_len, best_start = i - run_start, run_start
+            run_start = None
+    if run_start is not None and n - run_start > best_len:
+        best_len, best_start = n - run_start, run_start
+    if best_len < 2:
+        return 0, 0
+    return (best_start + pivot) % n, best_len
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 

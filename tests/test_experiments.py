@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_quiet_arc_short_runs_vanish():
     assert arc.length == 0
     with pytest.raises(ValueError, match="ring"):
         quiet_arc(UndirectedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 3),
+       extra=st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=1, max_size=90))
+@example(k=1, extra=[0] * 7)
+@example(k=2, extra=[1] * 7)
+@example(k=1, extra=[0, 1, 0, 1, 0])
+@example(k=1, extra=[0, 0, 1, 0, 0, 1, 0, 0])
+def test_quiet_arc_matches_scan_oracle(k, extra):
+    # quiet_arc reads only n, ring_k and the degrees of the graph
+    g = SimpleNamespace(n=len(extra), ring_k=k, degrees=2 * k + np.array(extra))
+    arc = quiet_arc(g)
+    assert (arc.start, arc.length) == oracles.quiet_arc(g)
 
 
 def test_quiet_arc_threshold():

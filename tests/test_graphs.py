@@ -225,6 +225,24 @@ def test_connected_flag_against_oracle():
         assert g.is_connected() == oracles.mask_connected(full, oracles.neighbor_masks(g))
 
 
+def test_ring_tagged_graphs_are_connected_without_a_search(tmp_path, monkeypatch):
+    def no_search(self):
+        raise AssertionError("BFS run on a ring-tagged graph")
+
+    path = tmp_path / "g.txt"
+    write_graph(sample_small_world(GraphSpec(n=40, k=2, c=3, seed=1)), path)
+    base = sample_small_world(GraphSpec(n=60, k=1, c=2, seed=4))
+    monkeypatch.setattr(UndirectedGraph, "_bfs_connected", no_search)
+    tagged = [sample_small_world(GraphSpec(n=50, k=1, c=Fraction(1, 2), seed=3)),
+              sample_small_world(GraphSpec(n=20, k=3, c=0, seed=0)),
+              build_ring(7, 3), read_graph(path), blow_up(base, 5).auxiliary]
+    for g in tagged:
+        assert g.ring_k >= 1 and g.is_connected()
+    untagged = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(AssertionError, match="BFS"):
+        untagged.is_connected()
+
+
 def test_has_edges_matches_has_edge():
     rng = np.random.default_rng(2)
     graphs = [sample_small_world(GraphSpec(n=n, k=k, c=c, seed=s))

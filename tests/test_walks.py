@@ -18,6 +18,7 @@ from nwmix import (
     escape_time,
     mixing_time,
     point_mass,
+    quiet_arc,
     sample_small_world,
     sample_starts,
     simulate_walk,
@@ -28,8 +29,9 @@ from nwmix import (
     tv_distance_exact,
     validate_distribution,
 )
+from nwmix import walks
 from nwmix.rng import make_rng
-from nwmix.walks import _tv_columns, _tv_scratch
+from nwmix.walks import _shared_offsets, _tv_columns, _tv_scratch
 
 import oracles
 
@@ -295,6 +297,100 @@ def test_escape_time_matches_oracle(n, k, c, gseed, length, seed, cap):
     g, start, region = _arc_case(n, k, c, gseed, min(length, n))
     got = escape_time(g, start, region, seed=seed, cap=cap)
     assert (got.steps, got.censored) == oracles.escape_time(g, start, region, seed, cap)
+
+
+def _interior(g, region) -> bool:
+    """Whether the region avoids the k vertices at either end of the ring,
+    where the sorted neighbor lists wrap around."""
+    return min(region) >= g.ring_k and max(region) <= g.n - 1 - g.ring_k
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(8, 300), k=st.integers(1, 3), first=st.integers(0, 299),
+       length=st.integers(1, 150), spot=st.integers(0, 149),
+       seed=st.integers(0, 2**64 - 1), cap=st.sampled_from(_CAPS))
+def test_ring_window_escape_matches_oracle(n, k, first, length, spot, seed, cap):
+    # every window of a ring is a quiet arc; those clear of the ends make
+    # i.i.d. steps, those touching vertex 0 or n-1 take the move loop
+    g = build_ring(n, k)
+    length = min(length, n)
+    region = [(first + i) % n for i in range(length)]
+    start = region[spot % length]
+    if length >= 3:
+        assert (_shared_offsets(g, np.array(region)) is not None) == _interior(g, region)
+    got = escape_time(g, start, region, seed=seed, cap=cap)
+    assert (got.steps, got.censored) == oracles.escape_time(g, start, region, seed, cap)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 600), k=st.integers(1, 2),
+       c=st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]),
+       gseed=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1),
+       cap=st.sampled_from(_CAPS))
+def test_quiet_arc_escape_matches_oracle(n, k, c, gseed, seed, cap):
+    g = sample_small_world(GraphSpec(n=n, k=k, c=c, seed=gseed))
+    arc = quiet_arc(g)
+    if arc.length == 0:
+        return
+    region = arc.vertices()
+    if arc.length >= 3:
+        assert (_shared_offsets(g, region) is not None) == _interior(g, region)
+    got = escape_time(g, arc.center, region, seed=seed, cap=cap)
+    assert (got.steps, got.censored) == oracles.escape_time(g, arc.center, region, seed, cap)
+
+
+def _no_loop(*args, **kwargs):
+    raise AssertionError("the move loop ran")
+
+
+def test_ring_escape_matches_oracle_across_chunks(monkeypatch):
+    # i.i.d. steps only: exits in the first chunk, in later ones, and walks
+    # censored at every cap
+    arc_graph = sample_small_world(GraphSpec(n=4096, k=1, c=Fraction(1, 4), seed=7))
+    arc = quiet_arc(arc_graph)
+    assert _interior(arc_graph, arc.vertices())
+    cases = [(build_ring(400, 1), 200, range(150, 250)),
+             (build_ring(400, 2), 180, range(100, 260)),
+             (arc_graph, arc.center, arc.vertices())]
+    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    late = censored = 0
+    for g, start, region in cases:
+        for seed in range(8):
+            for cap in _CAPS:
+                got = escape_time(g, start, region, seed=seed, cap=cap)
+                want = oracles.escape_time(g, start, region, seed=seed, cap=cap)
+                assert (got.steps, got.censored) == want
+                late += not got.censored and got.steps > 4096
+                censored += got.censored and cap > 1
+    assert late >= 3 and censored >= 10
+
+
+def test_escape_path_follows_the_region(monkeypatch):
+    g = sample_small_world(GraphSpec(n=2048, k=1, c=Fraction(1, 2), seed=3))
+    arc = quiet_arc(g)
+    assert _interior(g, arc.vertices())
+    # one step past the arc's end is a vertex with a shortcut
+    loud = arc.vertices()[-1] + 1
+    assert g.degree(loud) > 2
+    wider = np.append(arc.vertices(), loud)
+    want = [oracles.escape_time(g, arc.center, r, seed=5, cap=4097)
+            for r in (arc.vertices(), wider)]
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_walk_chunk", _no_loop)
+        got = escape_time(g, arc.center, arc.vertices(), seed=5, cap=4097)
+    assert (got.steps, got.censored) == want[0]
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_ring_escape", _no_loop)
+        got = escape_time(g, arc.center, wider, seed=5, cap=4097)
+    assert (got.steps, got.censored) == want[1]
+
+
+def test_escape_time_rejects_cap_below_one():
+    g = build_ring(20, 1)
+    for cap in (0, -5):
+        for start, region in ((5, range(3, 8)), (0, range(20))):  # both paths
+            with pytest.raises(WalkError, match="cap must be >= 1"):
+                escape_time(g, start, region, seed=1, cap=cap)
 
 
 @settings(max_examples=30, deadline=None)
