@@ -13,6 +13,7 @@ from .conductance import (
     FRBound,
     ScaleEntry,
     ScaleProfile,
+    connected_set_counts,
     connected_sets,
     count_connected_sets,
     cut_stats,

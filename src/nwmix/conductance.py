@@ -12,12 +12,12 @@ row, is a Python int with bit v set for member v, so a link count is
 ``(adj[w] & S).bit_count()`` and a neighbourhood is an OR of rows (the masks
 take about n^2/8 bytes).  ``_connected_masks`` enumerates each connected set
 once by Wernicke's ESU canonical extension, carrying volume and cut along;
-``connected_sets``, ``count_connected_sets`` and the exact window minima are
-visitors over it.  Windows become integer volume bounds, ratios cut/volume
-are compared by integer cross-multiplication (ties go to the lexicographically
-smallest sorted witness), and only results become Fractions.  Past the
-enumeration budget, simulated annealing over the same masks gives
-certified=False upper bounds.  The annealer draws one scalar at a time from
+``connected_sets``, ``connected_set_counts`` (one count per size from one
+pass) and the exact window minima are visitors over it.  Windows become
+integer volume bounds, ratios cut/volume are compared by integer
+cross-multiplication (ties go to the lexicographically smallest sorted
+witness), and only results become Fractions.  Past the enumeration budget,
+simulated annealing over the same masks gives certified=False upper bounds.  The annealer draws one scalar at a time from
 ``rng.philox_draws``, which reads raw Philox words and returns exactly the
 draws of a ``Generator`` on the same key, bit for bit, at a fraction of
 numpy's per-call cost.
@@ -224,11 +224,25 @@ def connected_sets(g: UndirectedGraph, j: int, containing: int | None = None,
             yield _members(S)
 
 
+def connected_set_counts(g: UndirectedGraph, j_max: int, containing: int | None = None,
+                         budget: int = DEFAULT_ENUM_BUDGET) -> list[int]:
+    """[|B_1|, ..., |B_j_max|] (or the |B_{j,v}|) from one enumeration.
+
+    That enumeration visits every connected set of at most j_max vertices,
+    so it costs what ``count_connected_sets(g, j_max)`` does and raises
+    EnumerationBudgetError exactly when that does.
+    """
+    sets = _sets_up_to(g, j_max, containing, budget)  # checks j_max first
+    counts = [0] * (j_max + 1)
+    for _, size, _, _ in sets:
+        counts[size] += 1
+    return counts[1:]
+
+
 def count_connected_sets(g: UndirectedGraph, j: int, containing: int | None = None,
                          budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """|B_j| or |B_{j,v}| without materializing the sets."""
-    return sum(1 for _, size, _, _ in _sets_up_to(g, j, containing, budget)
-               if size == j)
+    return connected_set_counts(g, j, containing, budget)[-1]
 
 
 # -- scale profile ---------------------------------------------------------------

@@ -532,7 +532,7 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
     subtree count of the dominating branching process, Binomial(n-1-2k, c/n)
     plus 2k deterministic children.
     """
-    from .conductance import count_connected_sets
+    from .conductance import connected_set_counts
 
     if reps < 2:
         raise ValueError("reps must be at least 2: the 3-sigma comparison with "
@@ -541,10 +541,8 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
                               master_seed=master_seed, reps=reps)
     counts = np.zeros((reps, j_max), dtype=np.int64)
     for rep in range(reps):
-        g = build_graph(config, n, rep)
-        for j in range(1, j_max + 1):
-            counts[rep, j - 1] = count_connected_sets(g, j, containing=0,
-                                                      budget=budget)
+        counts[rep] = connected_set_counts(build_graph(config, n, rep), j_max,
+                                           containing=0, budget=budget)
     law = st.binomial_plus_law(n - 1 - 2 * k, Fraction(c, n), 2 * k)
     q = st.factorial_moments(law, j_max)
     mu = st.mu_by_functional_equation(q, j_max)

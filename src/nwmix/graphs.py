@@ -4,6 +4,13 @@ The (n, k)-ring has vertices 0..n-1 and an edge between every pair at cyclic
 distance at most k; for n > 2k it is 2k-regular with m = n*k edges.  The
 small world adds each of the n(n-1)/2 - nk non-ring pairs independently with
 probability p = c/n.  Vertex indexing is 0-based everywhere, including files.
+
+Graphs are built once, from an edge array, into CSR form, and are never
+changed after.  A ring-tagged graph is checked to hold its ring by counting
+the CSR entries at cyclic distance at most k, and is then connected without
+a search.  The edge-list writer formats every number in numpy, as one byte
+matrix of right-aligned digits; the reader parses a file in the writer's form
+in bulk and any other layout line by line.
 """
 
 from __future__ import annotations
@@ -87,21 +94,18 @@ class UndirectedGraph:
         if dup.size:
             a, b = divmod(int(keys[dup[0]]), n)
             raise GraphValidationError(f"duplicate edge ({a}, {b})")
+        # each entry's row and col, the col as keys % n computed in place: at
+        # this size a fresh array's page faults cost more than the arithmetic
+        rows = keys // n
+        cols = np.multiply(rows, n)
+        np.subtract(keys, cols, out=cols)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        g = cls(n, indptr, keys % n, ring_k=ring_k)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        g = cls(n, indptr, cols, ring_k=ring_k)
         if ring_k:
-            g._check_ring_containment()
+            _check_ring_containment(n, ring_k, rows, cols)
             g._connected = True  # the ring is a cycle through all n vertices
         return g
-
-    def _check_ring_containment(self):
-        k = self.ring_k
-        if self.n <= 2 * k:
-            raise GraphValidationError("ring tag requires n > 2k")
-        ring = _ring_edges(self.n, k)
-        if not np.all(self.has_edges(ring[:, 0], ring[:, 1])):
-            raise GraphValidationError("tagged graph is missing a ring edge")
 
     # -- queries ------------------------------------------------------------
 
@@ -180,6 +184,22 @@ class UndirectedGraph:
     def __repr__(self):
         tag = f", ring_k={self.ring_k}" if self.ring_k else ""
         return f"UndirectedGraph(n={self.n}, m={self.m}{tag})"
+
+
+def _check_ring_containment(n: int, k: int, rows: np.ndarray, cols: np.ndarray):
+    """Raise unless the distinct CSR entries (rows, cols) hold the (n, k)-ring.
+
+    With n > 2k every vertex has 2k ring neighbors, those at cyclic distance
+    at most k: the entries with ``|col - row| <= k`` or ``>= n - k``, two
+    disjoint ranges.  The entries are distinct, so there are 2nk of them
+    exactly when every ring edge is present.
+    """
+    if n <= 2 * k:
+        raise GraphValidationError("ring tag requires n > 2k")
+    gap = np.subtract(cols, rows)
+    np.abs(gap, out=gap)
+    if np.count_nonzero(gap <= k) + np.count_nonzero(gap >= n - k) != 2 * n * k:
+        raise GraphValidationError("tagged graph is missing a ring edge")
 
 
 # -- generators ---------------------------------------------------------------
@@ -326,9 +346,37 @@ def blow_up_shortcut_probability(R: int, p: Fraction) -> Fraction:
 def graph_text(g: UndirectedGraph) -> str:
     """The edge-list text: ``n k`` first, then one ``u v`` line per edge with
     u < v, sorted lexicographically; every line ends in LF."""
-    edges = g.edge_array()
-    body = ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
-    return f"{g.n} {g.ring_k}\n" + body
+    return f"{g.n} {g.ring_k}\n" + _pair_lines(g.edge_array().ravel())
+
+
+def _pair_lines(vals: np.ndarray) -> str:
+    """The nonnegative integers `vals` in decimal, two to a line: ``a b`` LF.
+
+    One byte matrix holds every value right-aligned in as many digit
+    columns as the largest needs, then a space or LF column; the digits are
+    peeled off by repeated division by ten (uint32 arithmetic when the
+    values fit, uint64 otherwise), and a mask drops each row's leading pad.
+    """
+    if not vals.size:
+        return ""
+    top = int(vals.max())
+    dt = np.uint32 if top < 1 << 32 else np.uint64
+    x = vals.astype(dt)
+    width = len(str(top))
+    buf = np.empty((x.size, width + 1), dtype=np.uint8)
+    pad = np.full(x.size, width - 1, dtype=np.int8)  # leading columns to drop
+    ten = dt(10)
+    for col in range(width - 1, 0, -1):
+        q = x // ten
+        buf[:, col] = x - q * ten
+        pad -= q > 0
+        x = q
+    buf[:, 0] = x
+    buf += ord("0")
+    buf[0::2, width] = ord(" ")
+    buf[1::2, width] = ord("\n")
+    keep = np.arange(width + 1, dtype=np.int8) >= pad[:, None]
+    return buf[keep].tobytes().decode("ascii")
 
 
 def write_graph(g: UndirectedGraph, path) -> None:

@@ -7,11 +7,14 @@ work is split into replications, starts, or restarts.
 ``philox_draws`` serves loops that draw one scalar at a time (the annealer
 in ``conductance``): it reads the raw 64-bit Philox words directly and turns
 them into the same floats and bounded integers a ``Generator`` would, bit
-for bit, without numpy's per-call cost.
+for bit, without numpy's per-call cost.  ``thread_philox`` serves callers
+that key thousands of short streams (the escape walks in ``walks``): it
+re-keys one generator per thread instead of building a new one.
 """
 
 from __future__ import annotations
 
+import threading
 from itertools import chain, repeat
 
 import numpy as np
@@ -19,6 +22,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _WORDS = 512  # raw words fetched per refill in philox_draws
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+_THREAD = threading.local()  # .bitgen: the generator thread_philox re-keys
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -35,6 +40,26 @@ def derive_seed(master: int, *parts: int) -> int:
 def philox(seed: int) -> np.random.Philox:
     """Philox bit generator keyed directly by a 64-bit seed."""
     return np.random.Philox(key=int(seed) & _MASK64)
+
+
+def thread_philox(seed: int) -> np.random.Philox:
+    """``philox(seed)`` as it starts, on this thread's one reused generator.
+
+    Setting ``.state`` skips the entropy seeding that numpy's constructor
+    runs and the key then overwrites, at a fifth of the cost.  The stream is
+    the same word for word.  The generator is the caller's only until this
+    thread's next call.
+    """
+    bitgen = getattr(_THREAD, "bitgen", None)
+    if bitgen is None:
+        bitgen = _THREAD.bitgen = np.random.Philox(0)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS4,
+                  "key": np.array([int(seed) & _MASK64, 0], dtype=np.uint64)},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return bitgen
 
 
 def make_rng(seed: int) -> np.random.Generator:

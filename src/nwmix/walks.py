@@ -15,11 +15,15 @@ steps where the walk moves, on neighbor lists fetched for the vertices it
 visits, and an escape walk draws only the picks it reaches.  An escape walk
 in a region whose vertices all have the same neighbor offsets, such as a
 quiet arc of the ring, makes i.i.d. ring steps: it runs in numpy on the raw
-Philox words of the same stream, with the same result bit for bit.
+Philox words of the same stream, with the same result bit for bit.  The
+region analysis (shared offsets, sorted vertices) is kept for the last graph
+and region, since an experiment's escape trials repeat them, and each trial
+re-keys this thread's one Philox generator rather than building a new one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +32,7 @@ import numpy as np
 from scipy import sparse
 
 from .graphs import UndirectedGraph
-from .rng import derive_seed, make_rng, philox
+from .rng import derive_seed, make_rng, thread_philox
 
 MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
@@ -397,17 +401,19 @@ def escape_time(
     """
     if cap < 1:
         raise WalkError("cap must be >= 1")
-    region = np.asarray(list(region), dtype=np.int64)
+    if not isinstance(region, np.ndarray):
+        region = list(region)
+    region = np.asarray(region, dtype=np.int64)
     if region.size and (region.min() < 0 or region.max() >= g.n):
         raise WalkError("region vertex out of range")
     if not 0 <= start < g.n:
         raise WalkError("start vertex out of range")
-    inside = set(region.tolist())
-    if start not in inside:
+    if not (region == start).any():
         raise WalkError("start vertex must lie inside the region")
-    off = _shared_offsets(g, region)
-    if off is not None:
-        return _ring_escape(g.n, off, np.sort(region), int(start), seed, cap)
+    ring = _ring_plan(g, region.tobytes())
+    if ring is not None:
+        return _ring_escape(g.n, *ring, int(start), seed, cap)
+    inside = set(region.tolist())
     rng = make_rng(seed)
     nbrs = _Neighbors(g)
     pos = int(start)
@@ -422,6 +428,25 @@ def escape_time(
             pos = path[-1]
         t += take
     return EscapeResult(steps=cap, censored=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _ring_plan(g: UndirectedGraph, region: bytes):
+    """``(offsets, sorted region)`` for `_ring_escape` if the int64 vertices
+    in `region` share their neighbor offsets, else None.
+
+    The escape trials of an experiment repeat one graph and region, so the
+    last answer is kept, read-only, as every call shares it.  Graphs hash by
+    identity and are never mutated.
+    """
+    vertices = np.frombuffer(region, dtype=np.int64)
+    off = _shared_offsets(g, vertices)
+    if off is None:
+        return None
+    ring = (off, np.sort(vertices))
+    for a in ring:
+        a.flags.writeable = False
+    return ring
 
 
 def _shared_offsets(g: UndirectedGraph, region: np.ndarray) -> np.ndarray | None:
@@ -455,7 +480,7 @@ def _ring_escape(n, off, region, pos, seed, cap) -> EscapeResult:
     picks are drawn in windows, as ``random_raw(a)`` then ``random_raw(b)``
     is ``random_raw(a + b)``.
     """
-    bitgen = philox(seed)
+    bitgen = thread_philox(seed)
     d = off.size
     last = region.size - 1
     t = 0

@@ -626,6 +626,26 @@ def read_graph(path):
 
 
 # ---------------------------------------------------------------------------
+# the edge-list writer and the ring check of ring-tagged graphs (the
+# library's earlier versions)
+
+
+def graph_text(g):
+    """The edge-list text, one ``%``-formatted ``u v`` line per edge."""
+    edges = g.edge_array()
+    body = ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
+    return f"{g.n} {g.ring_k}\n" + body
+
+
+def ring_contained(g, k):
+    """Whether g holds every edge of the (n, k)-ring, n > 2k: a binary search
+    of the n*k ring pairs (u, u + d mod n), d = 1..k, among its edges."""
+    u = np.repeat(np.arange(g.n, dtype=np.int64), k)
+    d = np.tile(np.arange(1, k + 1, dtype=np.int64), g.n)
+    return bool(np.all(g.has_edges(u, (u + d) % g.n)))
+
+
+# ---------------------------------------------------------------------------
 # quiet arcs, scanned vertex by vertex (the library's first version)
 
 

@@ -13,6 +13,7 @@ from nwmix import (
     UndirectedGraph,
     build_ring,
     complete_graph,
+    connected_set_counts,
     connected_sets,
     count_connected_sets,
     cut_stats,
@@ -235,6 +236,8 @@ def test_budget_is_the_node_count():
         with pytest.raises(EnumerationBudgetError):
             count_connected_sets(H12, j, budget=nodes - 1, **kwargs)
         count_connected_sets(H12, j, budget=nodes, **kwargs)
+        counts = connected_set_counts(H12, j, budget=nodes, **kwargs)
+        assert sum(counts) == nodes
     # exact mode: every connected set below the top window's volume, plus roots
     with pytest.raises(EnumerationBudgetError):
         fr_bound(H12, budget=556)
@@ -307,3 +310,24 @@ def test_local_search_matches_generator_oracle(n, k, c, graph_seed, seed, iterat
         (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
     ]
     assert res.total == total
+
+
+@pytest.mark.parametrize("g", [build_ring(9, 1), build_ring(11, 2), H12,
+                               complete_graph(7),
+                               sample_small_world(GraphSpec(n=16, k=1, c=3, seed=4))],
+                         ids=["C9", "C11^2", "H12", "K7", "H16"])
+def test_connected_set_counts_match_single_counts(g):
+    for containing in (None, 0, g.n - 1):
+        for j_max in (1, 3, min(6, g.n)):
+            counts = connected_set_counts(g, j_max, containing=containing)
+            assert counts == [count_connected_sets(g, j, containing=containing)
+                              for j in range(1, j_max + 1)]
+            # the budget covers every set of at most j_max vertices, no fewer
+            total = sum(counts)
+            connected_set_counts(g, j_max, containing=containing, budget=total)
+            with pytest.raises(EnumerationBudgetError):
+                connected_set_counts(g, j_max, containing=containing, budget=total - 1)
+    with pytest.raises(ValueError, match="size j"):
+        connected_set_counts(g, g.n + 1)
+    with pytest.raises(ValueError, match="size j"):
+        connected_set_counts(g, 0)

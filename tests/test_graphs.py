@@ -392,3 +392,89 @@ def test_writer_form_check_matches_regex(parts):
     if got is not None:
         assert [got[0], got[1]] + got[2].ravel().tolist() == \
             [int(t) for t in raw.split()]
+
+
+# -- the edge-list writer and the ring check against their earlier versions -----
+
+
+def _small_world(k, extra, c, seed):
+    n = 2 * k + 1 + extra
+    return sample_small_world(GraphSpec(n=n, k=k, c=min(c, n), seed=seed))
+
+
+_SMALL_WORLD = st.builds(
+    _small_world, k=st.integers(1, 3),
+    extra=st.one_of(st.integers(0, 30), st.integers(0, 3000)),
+    c=st.fractions(0, 8, max_denominator=4), seed=st.integers(0, 10**6))
+_EMPTY = st.integers(0, 10**6).map(
+    lambda n: UndirectedGraph.from_edges(n, np.empty((0, 2), dtype=np.int64)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_SMALL_WORLD, _EMPTY))
+@example(UndirectedGraph.from_edges(0, np.empty((0, 2), dtype=np.int64)))
+@example(build_ring(10, 1))  # a line "0 9": one value 1 digit, the other 2
+@example(build_ring(100, 3))
+def test_graph_text_matches_oracle(g):
+    assert graphs.graph_text(g) == oracles.graph_text(g)
+
+
+def test_pair_lines_edge_values():
+    # one- and two-digit values, and either side of the switch to uint64
+    values = [0, 9, 10, 2**32 - 1, 2**32, 2**63 - 1]
+    pairs = [(a, b) for a in values for b in values]
+    got = graphs._pair_lines(np.array(pairs, dtype=np.int64).ravel())
+    assert got == "".join(f"{a} {b}\n" for a, b in pairs)
+    for v in values:
+        assert graphs._pair_lines(np.array([v, v], dtype=np.int64)) == f"{v} {v}\n"
+    assert graphs._pair_lines(np.empty(0, dtype=np.int64)) == ""
+
+
+def _ring_check_agrees(n, k, edges):
+    """The tagged build raises exactly when the oracle finds a ring edge
+    missing from the untagged build of the same edges."""
+    complete = oracles.ring_contained(UndirectedGraph.from_edges(n, edges), k)
+    if complete:
+        UndirectedGraph.from_edges(n, edges, ring_k=k)
+    else:
+        with pytest.raises(GraphValidationError, match="missing a ring edge"):
+            UndirectedGraph.from_edges(n, edges, ring_k=k)
+    return complete
+
+
+def _drop_and_add(g, drop, add):
+    """g's edges without edge `drop` (mod m), plus the `add`-th (mod count)
+    pair that is not an edge, if any."""
+    edges = g.edge_array()
+    edges = np.delete(edges, drop % len(edges), axis=0)
+    iu, iv = np.triu_indices(g.n, k=1)
+    absent = ~g.has_edges(iu, iv)
+    if add is not None and absent.any():
+        pick = np.flatnonzero(absent)[add % absent.sum()]
+        edges = np.vstack([edges, [[iu[pick], iv[pick]]]])
+    return edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 3), extra=st.integers(0, 25),
+       c=st.fractions(0, 6, max_denominator=4), gseed=st.integers(0, 10**6),
+       drop=st.integers(0, 10**6), add=st.one_of(st.none(), st.integers(0, 10**6)))
+@example(k=1, extra=0, c=Fraction(0), gseed=0, drop=0, add=None)  # n = 2k + 1
+@example(k=3, extra=0, c=Fraction(0), gseed=0, drop=5, add=None)
+@example(k=2, extra=3, c=Fraction(0), gseed=0, drop=4, add=0)  # m holds
+def test_ring_check_matches_oracle(k, extra, c, gseed, drop, add):
+    g = _small_world(k, extra, c, gseed)
+    assert _ring_check_agrees(g.n, k, g.edge_array())
+    edges = _drop_and_add(g, drop, add)
+    _ring_check_agrees(g.n, k, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_blocks=st.integers(3, 12), R=st.integers(2, 5),
+       c=st.fractions(0, 4, max_denominator=4), gseed=st.integers(0, 10**6),
+       drop=st.integers(0, 10**6), add=st.one_of(st.none(), st.integers(0, 10**6)))
+def test_ring_check_on_blow_ups_matches_oracle(n_blocks, R, c, gseed, drop, add):
+    base = sample_small_world(GraphSpec(n=n_blocks * R, k=1, c=c, seed=gseed))
+    aux = blow_up(base, R).auxiliary
+    assert aux.ring_k == 1 and oracles.ring_contained(aux, 1)
+    _ring_check_agrees(aux.n, 1, _drop_and_add(aux, drop, add))

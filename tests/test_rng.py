@@ -1,8 +1,11 @@
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nwmix.rng import make_rng, philox_draws
+from nwmix.rng import make_rng, philox, philox_draws, thread_philox
 
 # k = 1 draws nothing, 2**32 - 1 and 2**32 are numpy's edge ranges, and
 # 2**31 + 11 rejects about half its draws
@@ -38,3 +41,37 @@ def test_philox_draws_range():
     for k in (0, -1, 2**32 + 1):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             integers(k)
+
+
+def test_thread_philox_restarts_the_stream():
+    seeds = [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -3]
+    for seed in seeds:
+        want = philox(seed).random_raw(4103)
+        bitgen = thread_philox(seed)
+        assert np.array_equal(bitgen.random_raw(4103), want)
+        # a re-key mid-stream, and after Generator draws that leave a
+        # buffered half word, starts over
+        np.random.Generator(bitgen).integers(3, size=5)
+        gen = np.random.Generator(thread_philox(seed))
+        ref = make_rng(seed)
+        assert np.array_equal(gen.random(7), ref.random(7))
+        assert np.array_equal(gen.integers(10, size=9), ref.integers(10, size=9))
+        assert np.array_equal(gen.geometric(0.01, size=9), ref.geometric(0.01, size=9))
+    assert thread_philox(1) is thread_philox(2)
+
+
+def test_thread_philox_is_one_generator_per_thread():
+    got = {}
+
+    def run(name):
+        got[name] = (thread_philox(7), thread_philox(7).random_raw(3))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    mine = thread_philox(7)
+    assert len({id(mine), id(got[0][0]), id(got[1][0])}) == 3
+    for _, words in got.values():
+        assert np.array_equal(words, philox(7).random_raw(3))

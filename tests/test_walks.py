@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nwmix import (
+    EscapeResult,
     GraphSpec,
     LazyKernel,
     MixingResult,
@@ -438,3 +439,60 @@ def test_kernel_keeps_mass_at_an_isolated_vertex():
     assert np.allclose(P.sum(axis=1), 1.0)
     assert P[3].tolist() == [0.0, 0.0, 0.0, 1.0]
     assert step_exact(g, [Fraction(0)] * 3 + [Fraction(1)])[3] == 1
+
+
+# -- the (graph, region) memo of escape_time -------------------------------------
+
+
+def test_escape_memo_keeps_graphs_with_one_region_apart(monkeypatch):
+    # the same region bytes on a ring, where the walk makes i.i.d. steps, and
+    # on that ring plus a shortcut from inside the region, where it does not
+    ring = build_ring(200, 1)
+    edges = np.vstack([ring.edge_array(), [[100, 150]]])
+    shortcut = UndirectedGraph.from_edges(200, edges, ring_k=1)
+    region = np.arange(90, 111)
+    ring_calls = []
+    real = walks._ring_escape
+
+    def counted(*args):
+        ring_calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(walks, "_ring_escape", counted)
+    got = {}
+    for seed in range(12):
+        for name, g in (("ring", ring), ("shortcut", shortcut)):
+            res = escape_time(g, 98, region, seed=seed, cap=5000)
+            assert (res.steps, res.censored) == \
+                oracles.escape_time(g, 98, region, seed=seed, cap=5000)
+            got.setdefault(name, []).append(res.steps)
+    assert len(ring_calls) == 12  # the ring's calls only
+    assert got["ring"] != got["shortcut"]
+
+
+def test_escape_region_types_agree():
+    g = sample_small_world(GraphSpec(n=4096, k=1, c=Fraction(1, 4), seed=7))
+    arc = quiet_arc(g)
+    lo, hi = int(arc.vertices().min()), int(arc.vertices().max()) + 1
+    wide = range(max(lo - 20, 0), min(hi + 20, g.n))  # takes the move loop
+    for span in (range(lo, hi), wide):
+        forms = [list(span), span, np.array(span, dtype=np.int32),
+                 np.array(span, dtype=np.int64)]
+        for seed in (0, 1, 2):
+            got = {escape_time(g, arc.center, r, seed=seed) for r in forms}
+            assert got == {EscapeResult(*oracles.escape_time(g, arc.center, span,
+                                                             seed=seed))}
+
+
+def test_escape_memo_rejects_bad_input_on_every_call():
+    g = build_ring(30, 1)
+    region = np.arange(10, 20)
+    escape_time(g, 15, region, seed=0)  # the region is memoised now
+    for start, reg, msg in ((5, region, "inside"), (30, region, "start vertex out"),
+                            (15, np.append(region, 30), "region vertex out"),
+                            (15, np.append(region, -1), "region vertex out"),
+                            (15, np.empty(0, dtype=np.int64), "inside")):
+        for _ in range(2):
+            with pytest.raises(WalkError, match=msg):
+                escape_time(g, start, reg, seed=0)
+        assert escape_time(g, 15, region, seed=0) == escape_time(g, 15, list(region), seed=0)
