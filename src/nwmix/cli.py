@@ -3,8 +3,9 @@
 Subcommands: generate, mix, conductance, fr-bound, subtrees, constants,
 scaling, quiet-arc.  Options may come from a ``key = value`` config file
 (--config), with command-line flags taking precedence.  Exit codes:
-0 success, 2 validation error, 3 budget exhaustion or censoring produced
-partial results.  A closed output pipe (``| head``) ends a run quietly.
+0 success, 2 validation error or an unreadable input or unwritable output
+file, 3 budget exhaustion or censoring produced partial results.  A closed
+output pipe (``| head``) ends a run quietly.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ def _cmd_fr_bound(args) -> int:
 
 def _cmd_subtrees(args) -> int:
     cfg = _config_from(args)
+    report = run_subtree_verification(cfg, J=args.max_j,
+                                      mc_samples=args.mc_samples)
     if args.table:
         c = cfg.c if cfg.c > 0 else Fraction(1)
         write_mu_table(args.table, poisson_law(c), args.max_j, bound_C=c)
-    report = run_subtree_verification(cfg, J=args.max_j,
-                                      mc_samples=args.mc_samples)
     if not cfg.out:
         for name, ok, detail in report:
             print(f"{'PASS' if ok else 'FAIL'} {name} {detail}".rstrip())
@@ -198,6 +199,10 @@ def main(argv=None) -> int:
         # interpreter's final flush of stdout to devnull so it cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as e:
+        # an unreadable --in or --config file, or an unwritable --out
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except EnumerationBudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARTIAL

@@ -454,6 +454,8 @@ def run_subtree_verification(config: ExperimentConfig, J: int = 30,
     Exactness failures raise VerificationError; Monte Carlo legs report
     pass/fail without raising.  Returns the list of (check, ok, detail).
     """
+    if J < 1:
+        raise ValueError(f"J must be >= 1, got {J}")
     report = []
 
     def exact(name, ok, detail=""):

@@ -7,7 +7,11 @@ variation distance to pi is non-increasing along the chain, which lets the
 mixing-time search stop each start at its first step under the 1/4 threshold.
 The search evolves all its starts at once, as the columns of one n-by-s block
 multiplied by the sparse transposed kernel, and it evaluates TV in cache-sized
-row blocks with the same summation order as one whole-block sum.
+row blocks with the same summation order as one whole-block sum.  The kernel
+is the module's only use of scipy: ``scipy.sparse`` is imported when the
+first LazyKernel is built, so importing nwmix, and every path that builds no
+kernel (graphs, conductance, subtrees, constants, escape walks), never loads
+scipy.
 
 Trajectories and escape times are Monte Carlo on one Philox stream per seed,
 drawn chunk by chunk (coins, then picks).  Their Python loop visits only the
@@ -27,12 +31,15 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .graphs import UndirectedGraph
 from .rng import derive_seed, make_rng, thread_philox
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
@@ -89,6 +96,8 @@ class LazyKernel:
     """
 
     def __init__(self, graph: UndirectedGraph):
+        from scipy import sparse
+
         self.graph = graph
         n = graph.n
         deg = graph.degrees

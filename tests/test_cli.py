@@ -241,3 +241,30 @@ def test_generate_into_closed_pipe_exits_quietly(lines_read):
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_OK
     assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--in", "{missing}"],
+    ["fr-bound", "--in", "{missing}"],
+    ["generate", "--config", "{missing}", "--n", "64"],
+    ["generate", "--n", "64", "--out", "{no_dir}/g.txt"],
+], ids=["mix-in", "fr-bound-in", "generate-config", "generate-out"])
+def test_file_errors_exit_validation(tmp_path, argv):
+    paths = {"missing": tmp_path / "missing.txt", "no_dir": tmp_path / "no" / "dir"}
+    argv = [a.format(**paths) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nwmix.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("max_j", [0, -3])
+def test_subtrees_max_j_below_one(tmp_path, capsys, max_j):
+    table = tmp_path / "mu.csv"
+    argv = ["subtrees", "--max-j", str(max_j), "--table", str(table)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: J must be >= 1, got {max_j}\n"
+    assert not table.exists()

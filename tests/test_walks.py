@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +501,47 @@ def test_escape_memo_rejects_bad_input_on_every_call():
             with pytest.raises(WalkError, match=msg):
                 escape_time(g, start, reg, seed=0)
         assert escape_time(g, 15, region, seed=0) == escape_time(g, 15, list(region), seed=0)
+
+
+_SCIPY_FREE_PATHS = textwrap.dedent("""
+    import sys
+    from fractions import Fraction
+
+    import nwmix
+    from nwmix import (GraphSpec, build_ring, constants_for, escape_time,
+                       factorial_moments, fr_bound, mixing_time, poisson_law,
+                       read_graph, sample_small_world, write_graph)
+
+    def fail_if_loaded(where):
+        if "scipy.sparse" in sys.modules:
+            sys.exit(f"scipy.sparse loaded by {where}")
+
+    fail_if_loaded("import nwmix")
+    g = sample_small_world(GraphSpec(n=64, k=1, c=Fraction(2), seed=1))
+    write_graph(g, sys.argv[1])
+    read_graph(sys.argv[1])
+    fail_if_loaded("graph sample, write and read")
+    fr_bound(sample_small_world(GraphSpec(n=12, k=1, c=Fraction(3), seed=0)))
+    fail_if_loaded("exact fr_bound")
+    constants_for(Fraction(1, 2), 1)
+    fail_if_loaded("constants_for")
+    escape_time(build_ring(64, 1), 10, list(range(21)), seed=0)
+    fail_if_loaded("escape_time on a ring arc")
+    factorial_moments(poisson_law(2), 10)
+    fail_if_loaded("factorial_moments")
+    mixing_time(build_ring(16, 1))
+    if "scipy.sparse" not in sys.modules:
+        sys.exit("mixing_time ran without loading scipy.sparse")
+""")
+
+
+def test_scipy_loads_only_with_the_walk_kernel(tmp_path):
+    # a fresh interpreter, since this one has long since imported scipy; the
+    # script reports through sys.exit, so the check also holds under python -O
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_PATHS, str(tmp_path / "g.txt")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
