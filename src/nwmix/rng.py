@@ -9,7 +9,9 @@ in ``conductance``): it reads the raw 64-bit Philox words directly and turns
 them into the same floats and bounded integers a ``Generator`` would, bit
 for bit, without numpy's per-call cost.  ``thread_philox`` serves callers
 that key thousands of short streams (the escape walks in ``walks``): it
-re-keys one generator per thread instead of building a new one.
+re-keys a generator kept per thread and slot instead of building a new one,
+and it can position the stream at any raw-word offset, so a caller reads
+only the stretches of a stream it uses, on as many cursors as it has slots.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 _WORDS = 512  # raw words fetched per refill in philox_draws
-_ZEROS4 = np.zeros(4, dtype=np.uint64)
-_THREAD = threading.local()  # .bitgen: the generator thread_philox re-keys
+_ZEROS4 = [0, 0, 0, 0]
+_THREAD = threading.local()  # .bitgens: the generators thread_philox re-keys
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -42,23 +44,36 @@ def philox(seed: int) -> np.random.Philox:
     return np.random.Philox(key=int(seed) & _MASK64)
 
 
-def thread_philox(seed: int) -> np.random.Philox:
-    """``philox(seed)`` as it starts, on this thread's one reused generator.
+def thread_philox(seed: int, word: int = 0, slot: int = 0) -> np.random.Philox:
+    """``philox(seed)`` after its first `word` raw words, on this thread's
+    reused generator number `slot`.
 
     Setting ``.state`` skips the entropy seeding that numpy's constructor
-    runs and the key then overwrites, at a fifth of the cost.  The stream is
-    the same word for word.  The generator is the caller's only until this
-    thread's next call.
+    runs and the key then overwrites; given as Python ints, not arrays,
+    the state is read without numpy scalar conversions.  Each Philox
+    counter value yields a block of four words, and the counter is stepped
+    before a block is made, so the stream from `word` on starts with the
+    counter at ``word // 4``, an empty buffer, and ``word % 4`` words
+    dropped.  The stream is the same word for word.  The generator is the
+    caller's only until this thread's next call with the same slot.
     """
-    bitgen = getattr(_THREAD, "bitgen", None)
+    if word < 0:
+        raise ValueError(f"word offset must be >= 0, got {word}")
+    bitgens = getattr(_THREAD, "bitgens", None)
+    if bitgens is None:
+        bitgens = _THREAD.bitgens = {}
+    bitgen = bitgens.get(slot)
     if bitgen is None:
-        bitgen = _THREAD.bitgen = np.random.Philox(0)
+        bitgen = bitgens[slot] = np.random.Philox(0)
+    block, skip = divmod(int(word), 4)
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": _ZEROS4,
-                  "key": np.array([int(seed) & _MASK64, 0], dtype=np.uint64)},
+        "state": {"counter": [(block >> s) & _MASK64 for s in (0, 64, 128, 192)],
+                  "key": [int(seed) & _MASK64, 0]},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
+    if skip:
+        bitgen.random_raw(skip)
     return bitgen
 
 

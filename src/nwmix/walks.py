@@ -19,16 +19,20 @@ steps where the walk moves, on neighbor lists fetched for the vertices it
 visits, and an escape walk draws only the picks it reaches.  An escape walk
 in a region whose vertices all have the same neighbor offsets, such as a
 quiet arc of the ring, makes i.i.d. ring steps: it runs in numpy on the raw
-Philox words of the same stream, with the same result bit for bit.  The
-region analysis (shared offsets, sorted vertices) is kept for the last graph
-and region, since an experiment's escape trials repeat them, and each trial
-re-keys this thread's one Philox generator rather than building a new one.
+Philox words of the same stream, with the same result bit for bit.  It reads
+a chunk in windows of steps, each window's coin words and its pick words
+from two of this thread's Philox generators, re-keyed and positioned at the
+chunk's coins and picks, so it draws only the coins it reaches as well.  The
+region analysis (range check, inside-mask, shared offsets) is kept for the
+last graph and region, since an experiment's escape trials repeat them; a
+trial's checks and exit tests are then lookups in the mask.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -185,6 +189,8 @@ class MixingResult:
 
 
 def sample_starts(n: int, size: int, seed: int) -> list[int]:
+    if size < 0:
+        raise WalkError(f"start count must be >= 0, got {size}")
     rng = make_rng(seed)
     size = min(size, n)
     return sorted(int(v) for v in rng.choice(n, size=size, replace=False))
@@ -199,8 +205,8 @@ def mixing_time(
 ) -> MixingResult:
     """Per-start first step with TV(mu_k, pi) <= threshold; tau is the max.
 
-    ``starts`` is "all" or a list of vertices, such as a seeded
-    ``sample_starts`` draw.  All starts evolve together as the columns of one
+    ``starts`` is "all" or a nonempty list of vertices (ints or numpy
+    integers), such as a seeded ``sample_starts`` draw.  All starts evolve together as the columns of one
     n-by-s block, stepped by the sparse transposed kernel; a start's column is
     dropped from the block at the step it mixes.  TV monotonicity is checked at every
     step.  ``exact=True`` runs rational arithmetic (intended for n <= 64
@@ -210,11 +216,13 @@ def mixing_time(
         raise WalkError("cap must be >= 1")
     if not g.is_connected():
         raise WalkError("mixing time requires a connected graph")
-    if starts == "all":
+    if isinstance(starts, str) and starts == "all":
         start_list = list(range(g.n))
         mode = "exact-all-starts"
     else:
-        start_list = [int(v) for v in starts]
+        start_list = [_vertex(v) for v in starts]
+        if not start_list:
+            raise WalkError("no start vertices")
         if any(not 0 <= v < g.n for v in start_list):
             raise WalkError("start vertex out of range")
         mode = "sampled-starts" if len(start_list) < g.n else "exact-all-starts"
@@ -230,6 +238,15 @@ def mixing_time(
         n=g.n, tau=tau, mode=mode, starts=start_list, per_start=per,
         cap=cap, censored=censored,
     )
+
+
+def _vertex(v) -> int:
+    """`v` as a vertex number: an int or numpy integer, never a float that
+    ``int`` would truncate."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise WalkError(f"start vertex must be an integer, got {v!r}") from None
 
 
 def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
@@ -316,12 +333,13 @@ def _mixing_one_exact(g, x, cap, threshold) -> int | None:
 # current vertex.  The Python loop visits only the steps that move, and it
 # draws the picks in windows, because ``rng.random(a)`` followed by
 # ``rng.random(b)`` yields ``rng.random(a + b)``: a walk that leaves its region
-# early never draws the rest of its chunk.
+# early never draws the rest of its chunk's picks.  The ring walk also draws
+# the coins in windows, on a second generator positioned at the chunk's picks.
 
 _ESCAPE_CHUNK = 4096
 _TRAJECTORY_CHUNK = 8192
 _PICK_WINDOW = 256
-_RING_WINDOW = 1024  # wider than the loop's: each window costs a dozen numpy calls
+_RING_WINDOW = 512  # wider than the loop's: each window costs a dozen numpy calls
 _HALF = np.uint64(1 << 63)  # a raw word w gives random() >= 0.5 iff w >= 2**63
 
 
@@ -413,19 +431,20 @@ def escape_time(
     if not isinstance(region, np.ndarray):
         region = list(region)
     region = np.asarray(region, dtype=np.int64)
-    if region.size and (region.min() < 0 or region.max() >= g.n):
+    plan = _region_plan(g, region.tobytes())
+    if plan is None:
         raise WalkError("region vertex out of range")
+    mask, off = plan
     if not 0 <= start < g.n:
         raise WalkError("start vertex out of range")
-    if not (region == start).any():
+    pos = int(start)
+    if pos != start or not mask[pos]:
         raise WalkError("start vertex must lie inside the region")
-    ring = _ring_plan(g, region.tobytes())
-    if ring is not None:
-        return _ring_escape(g.n, *ring, int(start), seed, cap)
+    if off is not None:
+        return _ring_escape(g.n, off, mask, pos, seed, cap)
     inside = set(region.tolist())
     rng = make_rng(seed)
     nbrs = _Neighbors(g)
-    pos = int(start)
     t = 0
     while t < cap:
         take = min(_ESCAPE_CHUNK, cap - t)
@@ -440,22 +459,27 @@ def escape_time(
 
 
 @functools.lru_cache(maxsize=1)
-def _ring_plan(g: UndirectedGraph, region: bytes):
-    """``(offsets, sorted region)`` for `_ring_escape` if the int64 vertices
-    in `region` share their neighbor offsets, else None.
+def _region_plan(g: UndirectedGraph, region: bytes):
+    """``(inside, offsets)`` for the int64 vertices in `region`, or None if
+    one of them is not a vertex of g.
 
-    The escape trials of an experiment repeat one graph and region, so the
-    last answer is kept, read-only, as every call shares it.  Graphs hash by
-    identity and are never mutated.
+    `inside` is a boolean mask over the vertices of g.  `offsets` are the
+    neighbor offsets that every region vertex shares, for `_ring_escape`, or
+    None if they differ (or the region is empty).  The escape trials of an
+    experiment repeat one graph and region, so the last answer is kept,
+    read-only, as every call shares it.  Graphs hash by identity and are
+    never mutated.
     """
     vertices = np.frombuffer(region, dtype=np.int64)
-    off = _shared_offsets(g, vertices)
-    if off is None:
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
         return None
-    ring = (off, np.sort(vertices))
-    for a in ring:
-        a.flags.writeable = False
-    return ring
+    inside = np.zeros(g.n, dtype=bool)
+    inside[vertices] = True
+    inside.flags.writeable = False
+    off = _shared_offsets(g, vertices) if vertices.size else None
+    if off is not None:
+        off.flags.writeable = False
+    return inside, off
 
 
 def _shared_offsets(g: UndirectedGraph, region: np.ndarray) -> np.ndarray | None:
@@ -476,38 +500,40 @@ def _shared_offsets(g: UndirectedGraph, region: np.ndarray) -> np.ndarray | None
     return off[0]
 
 
-def _ring_escape(n, off, region, pos, seed, cap) -> EscapeResult:
-    """escape_time from `pos` in the sorted `region`, whose vertices all
-    have the neighbor offsets `off`.
+def _ring_escape(n, off, inside, pos, seed, cap) -> EscapeResult:
+    """escape_time from `pos` in the region masked by `inside`, whose
+    vertices all have the neighbor offsets `off`.
 
-    A move picking neighbor i adds ``off[i]`` mod n, so the vertices a chunk
-    visits are one cumulative sum.  The draws are those of `_walk_chunk`,
-    read as raw words of the same Philox stream: per chunk of `take` steps,
-    `take` coin words (step t moves iff its word is >= 2**63, which is
-    ``random() >= 0.5``), then `take` pick words (word w picks
-    ``int((w >> 11) * 2**-53 * d)``, which is ``int(random() * d)``).  The
-    picks are drawn in windows, as ``random_raw(a)`` then ``random_raw(b)``
-    is ``random_raw(a + b)``.
+    A move picking neighbor i adds ``off[i]`` mod n, so the vertices a
+    window visits are one cumulative sum.  The draws are those of
+    `_walk_chunk`, read as raw words of the same Philox stream: per chunk of
+    `take` steps from step t, the `take` coin words from word 2t (a step
+    moves iff its word is >= 2**63, which is ``random() >= 0.5``), then the
+    `take` pick words (with d = len(off), word w picks
+    ``int((w >> 11) * 2**-53 * d)``, which is ``int(random() * d)``).  Both are read in windows of
+    ``_RING_WINDOW`` steps, on two of this thread's generators positioned
+    at the chunk's coin and pick words, so a walk that leaves in its first
+    window draws one window of each, not the whole chunk of coins.
     """
-    bitgen = thread_philox(seed)
-    d = off.size
-    last = region.size - 1
+    # 2**-53 * d is exact, so x * scale rounds as (x * 2**-53) * d does
+    scale = 2.0**-53 * off.size
     t = 0
     while t < cap:
         take = min(_ESCAPE_CHUNK, cap - t)
-        coins = bitgen.random_raw(take) >= _HALF
+        coin_words = thread_philox(seed, 2 * t)
+        pick_words = thread_philox(seed, 2 * t + take, slot=1)
         for a in range(0, take, _RING_WINDOW):
             b = min(a + _RING_WINDOW, take)
-            words = bitgen.random_raw(b - a)
-            moves = np.flatnonzero(coins[a:b])
+            moves = (coin_words.random_raw(b - a) >= _HALF).nonzero()[0]
+            words = pick_words.random_raw(b - a)
             if not moves.size:
                 continue
-            picks = ((words[moves] >> 11) * 2.0**-53 * d).astype(np.int64)
-            path = (pos + np.cumsum(off[picks])) % n
-            out = region[np.minimum(np.searchsorted(region, path), last)] != path
-            j = int(out.argmax())
-            if out[j]:
+            picks = ((words[moves] >> 11) * scale).astype(np.int64)
+            path = pos + np.cumsum(off[picks])  # reduced mod n by the gather
+            stay = inside.take(path, mode="wrap")
+            j = int(stay.argmin())
+            if not stay[j]:
                 return EscapeResult(steps=t + a + int(moves[j]) + 1, censored=False)
-            pos = int(path[-1])
+            pos = int(path[-1]) % n
         t += take
     return EscapeResult(steps=cap, censored=True)

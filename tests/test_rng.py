@@ -60,18 +60,47 @@ def test_thread_philox_restarts_the_stream():
     assert thread_philox(1) is thread_philox(2)
 
 
+_SEEDS = [0, 1, 2**63, 2**64 - 1, -3]
+_WORDS = [0, 1, 3, 4, 4095, 4096, 8193]
+
+
+def test_thread_philox_positions_the_stream():
+    for seed in _SEEDS:
+        stream = philox(seed).random_raw(max(_WORDS) + 37)
+        for word in _WORDS:
+            for slot in (0, 1):
+                bitgen = thread_philox(seed, word, slot=slot)
+                # within a block, across a block edge, then whole blocks
+                got = np.concatenate([bitgen.random_raw(1), bitgen.random_raw(4),
+                                      bitgen.random_raw(32)])
+                assert np.array_equal(got, stream[word:word + 37]), (seed, word, slot)
+        # two slots are two cursors on one stream: moving one leaves the other
+        coins = thread_philox(seed, 8)
+        picks = thread_philox(seed, 4096 + 8, slot=1)
+        assert np.array_equal(coins.random_raw(5), stream[8:13])
+        assert np.array_equal(picks.random_raw(6), stream[4104:4110])
+        assert np.array_equal(coins.random_raw(3), stream[13:16])
+    assert thread_philox(1, 5) is thread_philox(2) is not thread_philox(2, slot=1)
+    with pytest.raises(ValueError, match="word offset"):
+        thread_philox(1, -1)
+
+
 def test_thread_philox_is_one_generator_per_thread():
     got = {}
 
     def run(name):
-        got[name] = (thread_philox(7), thread_philox(7).random_raw(3))
+        got[name] = (thread_philox(7), thread_philox(7).random_raw(3),
+                     thread_philox(7, 4095, slot=1),
+                     thread_philox(7, 4095, slot=1).random_raw(3))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    mine = thread_philox(7)
-    assert len({id(mine), id(got[0][0]), id(got[1][0])}) == 3
-    for _, words in got.values():
+    mine = [thread_philox(7), thread_philox(7, slot=1)]
+    ids = {id(b) for b in mine} | {id(v[i]) for v in got.values() for i in (0, 2)}
+    assert len(ids) == 6
+    for _, words, _, positioned in got.values():
         assert np.array_equal(words, philox(7).random_raw(3))
+        assert np.array_equal(positioned, philox(7).random_raw(4098)[4095:])

@@ -36,7 +36,7 @@ from nwmix import (
     validate_distribution,
 )
 from nwmix import walks
-from nwmix.rng import make_rng
+from nwmix.rng import make_rng, thread_philox
 from nwmix.walks import _shared_offsets, _tv_columns, _tv_scratch
 
 import oracles
@@ -142,6 +142,36 @@ def test_mixing_start_modes():
     assert everyone.mode == "exact-all-starts" and everyone.tau == full.tau
     with pytest.raises(WalkError, match="out of range"):
         mixing_time(g, starts=[16])
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("the walk kernel was built")
+
+
+def test_mixing_rejects_no_starts_before_building_the_kernel(monkeypatch):
+    monkeypatch.setattr(walks, "LazyKernel", _no_kernel)
+    g = build_ring(16, 1)
+    for exact in (False, True):
+        with pytest.raises(WalkError, match="no start vertices"):
+            mixing_time(g, starts=[], exact=exact)
+
+
+def test_mixing_rejects_starts_that_are_not_integers():
+    g = build_ring(16, 1)
+    for bad in (1.5, 1.0, np.float64(3.0), "2", None):
+        with pytest.raises(WalkError, match="must be an integer"):
+            mixing_time(g, starts=[0, bad])
+    # numpy integers are vertices
+    ints = mixing_time(g, starts=np.array([1, 9], dtype=np.int32))
+    assert ints.starts == [1, 9] and all(type(v) is int for v in ints.starts)
+    assert ints.per_start == mixing_time(g, starts=[1, 9]).per_start
+
+
+def test_sample_starts_rejects_a_negative_count():
+    for size in (-1, -100):
+        with pytest.raises(WalkError, match="start count must be >= 0"):
+            sample_starts(100, size, 7)
+    assert sample_starts(100, 0, 7) == []
 
 
 def test_mixing_censoring_and_json():
@@ -272,7 +302,9 @@ def _arc_case(n, k, c, gseed, length):
     return g, region[length // 2], region
 
 
-_CAPS = [1, 4095, 4096, 4097, 9000]
+# the window edges of `_ring_escape`, the chunk edges, and a cap past two chunks
+_W = walks._RING_WINDOW
+_CAPS = [1, _W - 1, _W, _W + 1, 4095, 4096, 4097, 8193, 9000]
 
 
 def test_escape_time_matches_oracle_across_chunks():
@@ -369,6 +401,27 @@ def test_ring_escape_matches_oracle_across_chunks(monkeypatch):
                 late += not got.censored and got.steps > 4096
                 censored += got.censored and cap > 1
     assert late >= 3 and censored >= 10
+
+
+def test_ring_escape_draws_only_the_windows_it_reaches(monkeypatch):
+    handed_out = []
+
+    def recorded(*args, **kwargs):
+        bitgen = thread_philox(*args, **kwargs)
+        handed_out.append(bitgen)
+        return bitgen
+
+    monkeypatch.setattr(walks, "thread_philox", recorded)
+    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    g = build_ring(400, 1)
+    region = range(195, 206)
+    quick = [escape_time(g, 200, region, seed=seed) for seed in range(30)]
+    assert all(0 < r.steps <= _W for r in quick)
+    coin_words, pick_words = handed_out[-2:]
+    # the coin words of one window, not of the whole 4096-step chunk
+    counter = coin_words.state["state"]["counter"]
+    assert counter[0] <= -(-_W // 4) and not counter[1:].any()
+    assert coin_words is thread_philox(0) and coin_words is not pick_words
 
 
 def test_escape_path_follows_the_region(monkeypatch):
@@ -493,7 +546,8 @@ def test_escape_memo_rejects_bad_input_on_every_call():
     g = build_ring(30, 1)
     region = np.arange(10, 20)
     escape_time(g, 15, region, seed=0)  # the region is memoised now
-    for start, reg, msg in ((5, region, "inside"), (30, region, "start vertex out"),
+    for start, reg, msg in ((5, region, "inside"), (15.5, region, "inside"),
+                            (30, region, "start vertex out"),
                             (15, np.append(region, 30), "region vertex out"),
                             (15, np.append(region, -1), "region vertex out"),
                             (15, np.empty(0, dtype=np.int64), "inside")):
