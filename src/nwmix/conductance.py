@@ -21,6 +21,16 @@ simulated annealing over the same masks gives certified=False upper bounds.  The
 ``rng.philox_draws``, which reads raw Philox words and returns exactly the
 draws of a ``Generator`` on the same key, bit for bit, at a fraction of
 numpy's per-call cost.
+
+Local search stops where no better set can exist.  A window's floor is the
+least cut/volume a connected set in it can have: a proper subset has cut at
+least 2k if the graph is tagged as holding the 2k-edge-connected (n, k)-ring
+(else at least 1), of the parity of its volume, since vol = 2 e(S) + cut,
+and the whole vertex set, where the window admits it, has cut 0.  A window
+that no set fits is not annealed, and a run, or a window's restarts, end
+once the best meets the floor.  Bests are replaced only on a strictly
+smaller ratio, so every phi, witness and total is the one the full search
+gives.
 """
 
 from __future__ import annotations
@@ -331,7 +341,33 @@ def _drop_neighbors(adj, nbr: int, w: int, S: int) -> int:
     return nbr
 
 
-def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
+def _window_floor(deg, ring_k, window, size_cap):
+    """The least cut/volume that a connected set with volume in the window
+    can have, as a (cut, volume) pair, or None when no set fits the window.
+
+    A window admitting the whole vertex set has floor 0.  A proper subset of
+    a connected graph has cut >= 1, and of a graph holding the (n, k)-ring,
+    which is 2k-edge-connected, cut >= 2k; its volume is at least the least
+    degree and below 2m, and its cut has the parity of its volume, as
+    vol = 2 e(S) + cut.  With c(v) that least cut for volume v, one of the
+    top two volumes v in range has the least c(v)/v.
+    """
+    lo, hi = window
+    vlo, vhi = math.ceil(lo), math.floor(hi)
+    total = sum(deg)
+    if vlo <= total <= vhi and (size_cap is None or size_cap >= len(deg)):
+        return 0, 1
+    least = 2 * ring_k if ring_k else 1
+    top = min(vhi, total - 1)
+    floor = None
+    for v in range(max(vlo, min(deg), top - 1), top + 1):
+        c = least + (v - least) % 2
+        if floor is None or c * floor[1] < floor[0] * v:
+            floor = (c, v)
+    return floor
+
+
+def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
     """One annealing run; returns (cut, volume, S) for the best valid set seen.
 
     ``draws`` is a ``philox_draws`` pair.  Moves add a uniform boundary
@@ -340,6 +376,11 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
     link into the rest keeps S connected, so only other drops pay for the
     connectivity search.  The neighborhood of S is kept across moves, and an
     accepted drop updates it in place (`_drop_neighbors`).
+
+    The run returns as soon as its best meets ``floor``, the window's
+    `_window_floor`: the best is replaced only by a strictly smaller ratio,
+    which no set in the window has, so the result is the one the full run
+    would return.
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
@@ -375,6 +416,9 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
         volume += deg[w]
         size += 1
     best = (cut, volume, S) if fits(volume, size) else None
+    floor_cut, floor_vol = floor
+    if best is not None and cut * floor_vol <= floor_cut * volume:
+        return best
 
     cur_obj = objective(cut, volume, size)
     temp = 0.25
@@ -410,26 +454,38 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations):
                 nbr = _drop_neighbors(adj, nbr, w, S)
             if fits(volume, size) and (best is None or cut * best[1] < best[0] * volume):
                 best = (cut, volume, S)
+                if cut * floor_vol <= floor_cut * volume:
+                    return best
         temp *= cooling
     return best
 
 
-def _local_minima(adj, deg, windows, size_cap, seed, iterations, restarts):
+def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restarts):
     """Per-window best annealing result over restarts.
 
     Restart r seeds its growth at vertex r mod n, so with restarts >= n
     every single-vertex set is tried, which matters for the smallest-volume
-    windows.
+    windows.  A window that no set fits is not annealed, and a window skips
+    its remaining restarts once its best meets the window's floor
+    (`_window_floor`).  Bests are replaced only on a strictly smaller ratio
+    and each restart draws from its own seed, so every result, witness
+    included, is the one all the restarts would give.
     """
     results = []
     for w, window in enumerate(windows):
+        floor = _window_floor(deg, ring_k, window, size_cap)
+        if floor is None:
+            results.append(None)
+            continue
         best = None
         for r in range(restarts):
             draws = philox_draws(derive_seed(seed, w, r))
             got = _anneal_once(adj, deg, r % len(adj), window, size_cap, draws,
-                               iterations)
+                               iterations, floor)
             if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
                 best = got
+                if got[0] * floor[1] <= floor[0] * got[1]:
+                    break
         results.append(best)
     return results
 
@@ -441,7 +497,12 @@ def _window_minima(g, windows, mode, size_cap, seed, iterations, restarts, budge
     if mode == "exact":
         got = _exact_minima(adj, deg, windows, size_cap, budget)
     elif mode == "local-search":
-        got = _local_minima(adj, deg, windows, size_cap, seed, iterations, restarts)
+        if restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {restarts}")
+        if iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {iterations}")
+        got = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed, iterations,
+                            restarts)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ([None if b is None else (Fraction(b[0], b[1]), _members(b[2])) for b in got],

@@ -206,7 +206,8 @@ def mixing_time(
     """Per-start first step with TV(mu_k, pi) <= threshold; tau is the max.
 
     ``starts`` is "all" or a nonempty list of vertices (ints or numpy
-    integers), such as a seeded ``sample_starts`` draw.  All starts evolve together as the columns of one
+    integers), such as a seeded ``sample_starts`` draw; the mode is
+    "exact-all-starts" only if the list covers every vertex.  All starts evolve together as the columns of one
     n-by-s block, stepped by the sparse transposed kernel; a start's column is
     dropped from the block at the step it mixes.  TV monotonicity is checked at every
     step.  ``exact=True`` runs rational arithmetic (intended for n <= 64
@@ -225,7 +226,7 @@ def mixing_time(
             raise WalkError("no start vertices")
         if any(not 0 <= v < g.n for v in start_list):
             raise WalkError("start vertex out of range")
-        mode = "sampled-starts" if len(start_list) < g.n else "exact-all-starts"
+        mode = "sampled-starts" if len(set(start_list)) < g.n else "exact-all-starts"
 
     if exact:
         per = [_mixing_one_exact(g, x, cap, threshold) for x in start_list]
@@ -421,16 +422,20 @@ def escape_time(
 ) -> EscapeResult:
     """First step at which a lazy walk from `start` leaves `region`.
 
-    `start` must lie inside the region.  A censored result reports the cap
-    instead of pretending the walk escaped.  If every region vertex has the
-    same neighbor offsets, the walk runs as i.i.d. ring steps
+    `start` must lie inside the region, whose vertices must be integers
+    (a float is an error, not a truncated vertex).  A censored result
+    reports the cap instead of pretending the walk escaped.  If every region
+    vertex has the same neighbor offsets, the walk runs as i.i.d. ring steps
     (`_ring_escape`); any other region takes the move loop.
     """
     if cap < 1:
         raise WalkError("cap must be >= 1")
     if not isinstance(region, np.ndarray):
         region = list(region)
-    region = np.asarray(region, dtype=np.int64)
+    region = np.asarray(region)
+    if region.size and region.dtype.kind not in "iu":
+        raise WalkError(f"region vertices must be integers, got dtype {region.dtype}")
+    region = region.astype(np.int64, copy=False)
     plan = _region_plan(g, region.tobytes())
     if plan is None:
         raise WalkError("region vertex out of range")

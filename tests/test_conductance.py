@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from nwmix import (
     sample_small_world,
 )
 
+from nwmix import conductance
+from nwmix.experiments import expected_volume_windows
 from nwmix.rng import derive_seed
 
 import oracles
@@ -310,6 +313,118 @@ def test_local_search_matches_generator_oracle(n, k, c, graph_seed, seed, iterat
         (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
     ]
     assert res.total == total
+
+
+def _untagged(g):
+    return UndirectedGraph.from_edges(g.n, g.edge_array())
+
+
+def _tree_with_shortcuts(g, seed):
+    """A random spanning tree on g's vertices plus g's non-ring edges, untagged:
+    a connected graph with cuts of 1."""
+    rng = np.random.default_rng(seed)
+    edges = {(int(rng.integers(v)), v) for v in range(1, g.n)}
+    edges |= {(u, v) for u, v in g.edge_array().tolist()
+              if min(v - u, g.n - v + u) > g.ring_k}
+    return UndirectedGraph.from_edges(g.n, sorted(edges))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=5, max_value=12), k=st.sampled_from([1, 2]),
+       c=st.sampled_from([0, Fraction(1, 2), Fraction(2), Fraction(4)]),
+       graph_seed=st.integers(min_value=0, max_value=10**6),
+       shape=st.sampled_from(["ring", "untagged", "tree"]), data=st.data())
+@example(n=12, k=1, c=Fraction(2), graph_seed=0, shape="ring", data=None)
+@example(n=10, k=2, c=Fraction(0), graph_seed=0, shape="untagged", data=None)
+@example(n=9, k=1, c=Fraction(1, 2), graph_seed=0, shape="tree", data=None)
+def test_window_floor_bounds_every_connected_set(n, k, c, graph_seed, shape, data):
+    g = sample_small_world(GraphSpec(n=max(n, 2 * k + 1), k=k, c=c, seed=graph_seed))
+    if shape == "untagged":
+        g = _untagged(g)
+    elif shape == "tree":
+        g = _tree_with_shortcuts(g, graph_seed)
+    deg = g.degrees.tolist()
+    sets = []
+    for s in oracles.all_connected_subsets(g):
+        mask = sum(1 << v for v in s)
+        sets.append((len(s), *oracles.mask_cut_volume(mask, g)))
+    # every volume pair up to 2m, in halves, and a few sizes of cap
+    if data is None:
+        windows = [(Fraction(lo, 2), Fraction(hi, 2))
+                   for lo in range(1, 4 * g.m + 1) for hi in range(lo, 4 * g.m + 1)]
+        caps = [None, 1, g.n - 1, g.n]
+    else:
+        bound = st.fractions(min_value=Fraction(1, 4), max_value=2 * g.m + 1,
+                             max_denominator=4)
+        windows = [tuple(sorted(data.draw(st.tuples(bound, bound)))) for _ in range(40)]
+        caps = [data.draw(st.one_of(st.none(), st.integers(1, g.n)), label="cap")]
+    for size_cap in caps:
+        least = {}  # volume -> least cut of a set within the cap
+        for size, cut, vol in sets:
+            if size_cap is None or size <= size_cap:
+                least[vol] = min(cut, least.get(vol, cut))
+        for lo, hi in windows:
+            floor = conductance._window_floor(deg, g.ring_k, (lo, hi), size_cap)
+            inside = [Fraction(cut, vol) for vol, cut in least.items() if lo <= vol <= hi]
+            if floor is None:
+                assert not inside, (lo, hi, size_cap)
+            else:
+                assert all(phi >= Fraction(*floor) for phi in inside), (lo, hi, size_cap)
+
+
+def test_local_search_skips_what_cannot_improve(monkeypatch):
+    # Pool graph of seed 0 (n=20, c=3), as in criterion 10: its last window
+    # is [1, 1], below the least degree, and some windows reach their floor.
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
+    calls = []
+    anneal = conductance._anneal_once
+
+    def counted(adj, deg, start, window, *args):
+        calls.append(window)
+        return anneal(adj, deg, start, window, *args)
+
+    monkeypatch.setattr(conductance, "_anneal_once", counted)
+    res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
+    last = res.profile.entries[-1]
+    assert (math.ceil(last.vol_lo), math.floor(last.vol_hi)) == (1, 1)
+    assert last.empty and (last.vol_lo, last.vol_hi) not in calls
+    assert 0 < len(calls) < len(res.profile.entries) * 32
+
+
+@pytest.mark.parametrize("case", ["k2", "expected-volume-capped", "whole-set",
+                                  "untagged", "untagged-whole-set"])
+def test_local_search_stopping_keeps_the_oracle_profile(case):
+    k, c = (2, 2) if case == "k2" else (1, 1)
+    g = sample_small_world(GraphSpec(n=24, k=k, c=c, seed=7))
+    L = num_scales(g.m)
+    windows, size_cap = None, None
+    if case == "expected-volume-capped":
+        windows, size_cap = expected_volume_windows(g.n, c, k, L), 8
+    elif case.endswith("whole-set"):
+        windows = [(Fraction(g.m, 2**i), Fraction(2 * g.m)) for i in range(1, L + 1)]
+    if case.startswith("untagged"):
+        g = _untagged(g)
+    seed = derive_seed(3, 7)
+    res = fr_bound(g, mode="local-search", seed=seed, iterations=150, restarts=12,
+                   size_cap=size_cap, windows=windows)
+    total, per_scale = oracles.local_search_profile(g, seed, 150, 12, size_cap=size_cap,
+                                                    windows=windows)
+    assert [(e.phi, e.witness) for e in res.profile.entries] == [
+        (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
+    ]
+    assert res.total == total
+
+
+def test_local_search_rejects_bad_parameters():
+    g = build_ring(12, 1)
+    for call in (lambda **kw: fr_bound(g, mode="local-search", **kw),
+                 lambda **kw: phi_at_scale(g, Fraction(1, 4), mode="local-search", **kw)):
+        for restarts in (0, -1):
+            with pytest.raises(ValueError, match="restarts must be >= 1"):
+                call(restarts=restarts)
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            call(iterations=-5)
+        call(restarts=1, iterations=0)
 
 
 @pytest.mark.parametrize("g", [build_ring(9, 1), build_ring(11, 2), H12,

@@ -167,6 +167,16 @@ def test_mixing_rejects_starts_that_are_not_integers():
     assert ints.per_start == mixing_time(g, starts=[1, 9]).per_start
 
 
+def test_mixing_mode_counts_distinct_starts():
+    g = build_ring(30, 1)
+    repeated = mixing_time(g, starts=[0] * 30)
+    assert repeated.mode == "sampled-starts"
+    assert repeated.per_start == [repeated.tau] * 30
+    shuffled = mixing_time(g, starts=[*range(29, -1, -1), 0])
+    assert shuffled.mode == "exact-all-starts"
+    assert shuffled.tau == mixing_time(g).tau
+
+
 def test_sample_starts_rejects_a_negative_count():
     for size in (-1, -100):
         with pytest.raises(WalkError, match="start count must be >= 0"):
@@ -244,6 +254,17 @@ def test_escape_time():
         escape_time(g, 0, [0, 16], seed=0)
     with pytest.raises(WalkError, match="region vertex out of range"):
         escape_time(g, 0, [-1, 0], seed=0)
+    # a fractional region vertex is an error, not a truncated vertex
+    for bad in ([0, 1.5], np.array([15.0, 0.0, 1.0]), ["0", "1"]):
+        with pytest.raises(WalkError, match="region vertices must be integers"):
+            escape_time(g, 0, bad, seed=0)
+    ring30 = build_ring(30, 1)
+    with pytest.raises(WalkError, match="region vertices must be integers"):
+        escape_time(ring30, 10, [9.5, 10.2, 11.9], seed=0)
+    # integer arrays of any width walk the same region
+    want = escape_time(ring30, 10, [9, 10, 11], seed=0)
+    for ints in (np.array([9, 10, 11], dtype=np.int32), np.arange(9, 12, dtype=np.uint16)):
+        assert escape_time(ring30, 10, ints, seed=0) == want
     # whole graph: nothing to escape to
     res = escape_time(g, 0, range(16), seed=0, cap=50)
     assert res.censored and res.steps == 50
