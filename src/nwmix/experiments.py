@@ -349,10 +349,11 @@ def run_quiet_arc(config: ExperimentConfig):
             trials = 0
             if arc.length > 0:
                 trials = config.escape_trials
+                region = arc.vertices()
                 steps = []
                 for t in range(trials):
                     res = escape_time(
-                        g, arc.center, arc.vertices(),
+                        g, arc.center, region,
                         seed=derive_seed(config.master_seed, n, rep, 200 + t),
                         cap=config.step_cap,
                     )

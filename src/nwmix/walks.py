@@ -23,9 +23,11 @@ Philox words of the same stream, with the same result bit for bit.  It reads
 a chunk in windows of steps, each window's coin words and its pick words
 from two of this thread's Philox generators, re-keyed and positioned at the
 chunk's coins and picks, so it draws only the coins it reaches as well.  The
-region analysis (range check, inside-mask, shared offsets) is kept for the
-last graph and region, since an experiment's escape trials repeat them; a
-trial's checks and exit tests are then lookups in the mask.
+offsets are signed.  A region that holds every vertex cannot be left, and
+its trials are censored at the cap without walking.  The region analysis
+(range check, inside-mask, shared offsets, whole-graph flag) is kept for
+the last graph and region, since an experiment's escape trials repeat them;
+a trial's checks and exit tests are then lookups in the mask.
 """
 
 from __future__ import annotations
@@ -211,10 +213,13 @@ def mixing_time(
     n-by-s block, stepped by the sparse transposed kernel; a start's column is
     dropped from the block at the step it mixes.  TV monotonicity is checked at every
     step.  ``exact=True`` runs rational arithmetic (intended for n <= 64
-    oracle comparisons).
+    oracle comparisons).  The threshold must be > 0: a walk from one vertex
+    need never reach TV 0.
     """
     if cap < 1:
         raise WalkError("cap must be >= 1")
+    if not threshold > 0:  # NaN too
+        raise WalkError(f"threshold must be > 0, got {threshold!r}")
     if not g.is_connected():
         raise WalkError("mixing time requires a connected graph")
     if isinstance(starts, str) and starts == "all":
@@ -439,12 +444,14 @@ def escape_time(
     plan = _region_plan(g, region.tobytes())
     if plan is None:
         raise WalkError("region vertex out of range")
-    mask, off = plan
+    mask, off, whole = plan
     if not 0 <= start < g.n:
         raise WalkError("start vertex out of range")
     pos = int(start)
     if pos != start or not mask[pos]:
         raise WalkError("start vertex must lie inside the region")
+    if whole:
+        return EscapeResult(steps=cap, censored=True)
     if off is not None:
         return _ring_escape(g.n, off, mask, pos, seed, cap)
     inside = set(region.tolist())
@@ -465,15 +472,16 @@ def escape_time(
 
 @functools.lru_cache(maxsize=1)
 def _region_plan(g: UndirectedGraph, region: bytes):
-    """``(inside, offsets)`` for the int64 vertices in `region`, or None if
-    one of them is not a vertex of g.
+    """``(inside, offsets, whole)`` for the int64 vertices in `region`, or
+    None if one of them is not a vertex of g.
 
-    `inside` is a boolean mask over the vertices of g.  `offsets` are the
-    neighbor offsets that every region vertex shares, for `_ring_escape`, or
-    None if they differ (or the region is empty).  The escape trials of an
-    experiment repeat one graph and region, so the last answer is kept,
-    read-only, as every call shares it.  Graphs hash by identity and are
-    never mutated.
+    `inside` is a boolean mask over the vertices of g, and `whole` says
+    whether it covers every vertex, so that no walk can leave.  `offsets`
+    are the neighbor offsets that every region vertex shares, for
+    `_ring_escape`, or None if they differ (or the region is empty or
+    whole).  The escape trials of an experiment repeat one graph and
+    region, so the last answer is kept, read-only, as every call shares it.
+    Graphs hash by identity and are never mutated.
     """
     vertices = np.frombuffer(region, dtype=np.int64)
     if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
@@ -481,18 +489,21 @@ def _region_plan(g: UndirectedGraph, region: bytes):
     inside = np.zeros(g.n, dtype=bool)
     inside[vertices] = True
     inside.flags.writeable = False
-    off = _shared_offsets(g, vertices) if vertices.size else None
+    whole = bool(inside.all())
+    off = _shared_offsets(g, vertices) if vertices.size and not whole else None
     if off is not None:
         off.flags.writeable = False
-    return inside, off
+    return inside, off, whole
 
 
 def _shared_offsets(g: UndirectedGraph, region: np.ndarray) -> np.ndarray | None:
-    """The offsets ``(u - v) mod n`` of the neighbors u of v, in CSR order,
-    if every vertex v of the (nonempty) region has the same ones; else None.
+    """The offsets ``u - v`` mod n of the neighbors u of v, in CSR order and
+    signed, in (-n/2, n/2], if every vertex v of the (nonempty) region has
+    the same ones; else None.
 
-    On the (n, k)-ring they are shared by the vertices k .. n-1-k; nearer
-    the ends the sorted neighbor lists wrap around and reorder them.
+    On the (n, k)-ring they lie in [-k, k], and they are shared by the
+    vertices k .. n-1-k; nearer the ends the sorted neighbor lists wrap
+    around and reorder them.
     """
     lo = g.indptr[region]
     deg = g.indptr[region + 1] - lo
@@ -502,23 +513,28 @@ def _shared_offsets(g: UndirectedGraph, region: np.ndarray) -> np.ndarray | None
     off = (g.indices[lo[:, None] + np.arange(d)] - region[:, None]) % g.n
     if (off != off[0]).any():
         return None
-    return off[0]
+    return np.where(off[0] > g.n // 2, off[0] - g.n, off[0])
 
 
 def _ring_escape(n, off, inside, pos, seed, cap) -> EscapeResult:
     """escape_time from `pos` in the region masked by `inside`, whose
-    vertices all have the neighbor offsets `off`.
+    vertices all have the signed neighbor offsets `off`.
 
-    A move picking neighbor i adds ``off[i]`` mod n, so the vertices a
-    window visits are one cumulative sum.  The draws are those of
-    `_walk_chunk`, read as raw words of the same Philox stream: per chunk of
-    `take` steps from step t, the `take` coin words from word 2t (a step
-    moves iff its word is >= 2**63, which is ``random() >= 0.5``), then the
-    `take` pick words (with d = len(off), word w picks
-    ``int((w >> 11) * 2**-53 * d)``, which is ``int(random() * d)``).  Both are read in windows of
-    ``_RING_WINDOW`` steps, on two of this thread's generators positioned
-    at the chunk's coin and pick words, so a walk that leaves in its first
-    window draws one window of each, not the whole chunk of coins.
+    A move picking neighbor i adds ``off[i]``, so the positions a window
+    visits are one cumulative sum from `pos`, within the window's moves
+    times max |off| of it, and the gather folds each onto the ring.  It
+    folds by one subtraction (or addition) of n per lap, which is why the
+    offsets are signed rather than taken mod n.
+
+    The draws are those of `_walk_chunk`, read as raw words of the same
+    Philox stream: per chunk of `take` steps from step t, the `take` coin
+    words from word 2t (a step moves iff its word is >= 2**63, which is
+    ``random() >= 0.5``), then the `take` pick words (with d = len(off),
+    word w picks ``int((w >> 11) * 2**-53 * d)``, which is
+    ``int(random() * d)``).  Both are read in windows of ``_RING_WINDOW``
+    steps, on two of this thread's generators positioned at the chunk's coin
+    and pick words, so a walk that leaves in its first window draws one
+    window of each, not the whole chunk of coins.
     """
     # 2**-53 * d is exact, so x * scale rounds as (x * 2**-53) * d does
     scale = 2.0**-53 * off.size
@@ -534,7 +550,7 @@ def _ring_escape(n, off, inside, pos, seed, cap) -> EscapeResult:
             if not moves.size:
                 continue
             picks = ((words[moves] >> 11) * scale).astype(np.int64)
-            path = pos + np.cumsum(off[picks])  # reduced mod n by the gather
+            path = pos + np.cumsum(off[picks])
             stay = inside.take(path, mode="wrap")
             j = int(stay.argmin())
             if not stay[j]:

@@ -37,7 +37,7 @@ from nwmix import (
 )
 from nwmix import walks
 from nwmix.rng import make_rng, thread_philox
-from nwmix.walks import _shared_offsets, _tv_columns, _tv_scratch
+from nwmix.walks import _region_plan, _shared_offsets, _tv_columns, _tv_scratch
 
 import oracles
 
@@ -203,6 +203,19 @@ def test_mixing_threshold_override():
     loose = mixing_time(g, starts="all", threshold=0.5)
     strict = mixing_time(g, starts="all", threshold=0.25)
     assert loose.tau <= strict.tau
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_mixing_rejects_a_threshold_no_tv_can_meet(monkeypatch, exact):
+    g = build_ring(8, 1)
+    with monkeypatch.context() as m:
+        # rejected before either path builds its kernel or stationary law
+        m.setattr(walks, "LazyKernel", _no_loop)
+        m.setattr(walks, "stationary_exact", _no_loop)
+        for bad in (0, 0.0, -1, float("nan"), float("-inf")):
+            with pytest.raises(WalkError, match="threshold must be > 0"):
+                mixing_time(g, threshold=bad, exact=exact)
+    assert mixing_time(g, threshold=2.0, exact=exact).tau == 0
 
 
 def test_sample_starts_deterministic():
@@ -463,6 +476,58 @@ def test_escape_path_follows_the_region(monkeypatch):
         m.setattr(walks, "_ring_escape", _no_loop)
         got = escape_time(g, arc.center, wider, seed=5, cap=4097)
     assert (got.steps, got.censored) == want[1]
+
+
+def _cached_offsets(g, region):
+    return _region_plan(g, np.asarray(region, dtype=np.int64).tobytes())[1]
+
+
+def test_ring_offsets_are_signed():
+    # windows clear of the ends, single end vertices (whose wrapped neighbor
+    # lists no other vertex shares) and the quiet arcs of small worlds
+    for n, k in ((7, 3), (9, 4), (20, 1), (64, 2), (300, 3), (4096, 4)):
+        g = build_ring(n, k)
+        for region in ([0], [n - 1], [k], range(k, n - k), range(n // 3, n // 2)):
+            off = _cached_offsets(g, region)
+            assert off is not None
+            assert off.size == 2 * k and off.all()
+            assert off.min() >= -k and off.max() <= k
+    for gseed in range(20):
+        g = sample_small_world(GraphSpec(n=2048, k=2, c=Fraction(1, 2), seed=gseed))
+        off = _cached_offsets(g, quiet_arc(g).vertices())
+        assert off is not None and off.all() and np.abs(off).max() <= 2
+
+
+def test_ring_escape_past_the_ring_ends(monkeypatch):
+    # a region of all but one vertex: a window's path runs on past vertex 0
+    # and vertex n-1 after the exit, and only the exit is read
+    g = build_ring(20, 1)
+    region = range(1, 19)
+    assert _cached_offsets(g, region) is not None
+    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    for seed in range(6):
+        for cap in _CAPS:
+            got = escape_time(g, 10, region, seed=seed, cap=cap)
+            assert (got.steps, got.censored) == oracles.escape_time(g, 10, region, seed, cap)
+
+
+def test_whole_graph_region_is_censored_without_walking(monkeypatch):
+    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    monkeypatch.setattr(walks, "_ring_escape", _no_loop)
+    small_world = sample_small_world(GraphSpec(n=64, k=1, c=Fraction(2), seed=3))
+    isolated = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
+    for g in (build_ring(64, 1), build_ring(5, 2), small_world, isolated, _one_vertex()):
+        for region in (range(g.n), np.arange(g.n)[::-1], list(range(g.n)) * 2):
+            res = escape_time(g, g.n - 1, region, seed=1, cap=10**12)
+            assert (res.steps, res.censored) == (10**12, True)
+    # the region and start checks still come first
+    g = build_ring(16, 1)
+    with pytest.raises(WalkError, match="start vertex out of range"):
+        escape_time(g, 16, range(16), seed=0)
+    with pytest.raises(WalkError, match="region vertex out of range"):
+        escape_time(g, 0, range(17), seed=0)
+    with pytest.raises(WalkError, match="cap must be >= 1"):
+        escape_time(g, 0, range(16), seed=0, cap=0)
 
 
 def test_escape_time_rejects_cap_below_one():
