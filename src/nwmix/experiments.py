@@ -89,12 +89,17 @@ class ExperimentConfig:
         return cls().overridden(**values)
 
     def overridden(self, **kwargs) -> "ExperimentConfig":
-        """New config with non-None string/typed overrides applied."""
+        """New config with non-None string/typed overrides applied.
+
+        The keys are the CLI flag names ``n``, ``k``, ``c``, ``seed``,
+        ``reps``, ``cap``, ``budget``, ``mode`` and ``out``, and the fields
+        ``name``, ``samples`` and ``escape_trials``; one key per field.
+        """
         updates = {}
         for key, val in kwargs.items():
             if val is None:
                 continue
-            if key in ("n", "n_values"):
+            if key == "n":
                 if isinstance(val, str):
                     val = tuple(int(x) for x in val.replace(",", " ").split())
                 updates["n_values"] = tuple(int(x) for x in val)
@@ -105,11 +110,11 @@ class ExperimentConfig:
                     updates["c"] = Fraction(val)
                 except ZeroDivisionError as exc:  # "1/0"
                     raise ValueError(f"c must be a rational number, got {val!r}") from exc
-            elif key in ("seed", "master_seed"):
+            elif key == "seed":
                 updates["master_seed"] = int(val)
-            elif key in ("cap", "step_cap"):
+            elif key == "cap":
                 updates["step_cap"] = int(val)
-            elif key in ("budget", "enum_budget"):
+            elif key == "budget":
                 updates["enum_budget"] = int(val)
             elif key in ("name", "mode", "out"):
                 updates[key] = str(val)

@@ -14,15 +14,15 @@ kernel (graphs, conductance, subtrees, constants, escape walks), never loads
 scipy.
 
 Trajectories and escape times are Monte Carlo on one Philox stream per seed,
-drawn chunk by chunk (coins, then picks).  Their Python loop visits only the
-steps where the walk moves, on neighbor lists fetched for the vertices it
-visits, and an escape walk draws only the picks it reaches.  An escape walk
-in a region whose vertices all have the same neighbor offsets, such as a
-quiet arc of the ring, makes i.i.d. ring steps: it runs in numpy on the raw
-Philox words of the same stream, with the same result bit for bit.  It reads
-a chunk in windows of steps, each window's coin words and its pick words
-from two of this thread's Philox generators, re-keyed and positioned at the
-chunk's coins and picks, so it draws only the coins it reaches as well.  The
+read chunk by chunk (coins, then picks) by one reader, `_moves`.  It reads
+the raw Philox words of a chunk in windows of steps, from two of this
+thread's Philox generators re-keyed and positioned at the chunk's coins and
+picks, and hands each window's moving steps to the walker, so a walk that
+leaves early draws only the windows it reaches.  The Python loops visit only
+the steps where the walk moves, on neighbor lists fetched for the vertices
+it visits.  An escape walk in a region whose vertices all have the same
+neighbor offsets, such as a quiet arc of the ring, makes i.i.d. ring steps:
+it runs each window in numpy, with the same result bit for bit.  The
 offsets are signed.  A region that holds every vertex cannot be left, and
 its trials are censored at the cap without walking.  The region analysis
 (range check, inside-mask, shared offsets, whole-graph flag) is kept for
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .graphs import UndirectedGraph
-from .rng import derive_seed, make_rng, thread_philox
+from .rng import make_rng, thread_philox
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -333,19 +333,18 @@ def _mixing_one_exact(g, x, cap, threshold) -> int | None:
 
 # -- trajectory simulation ------------------------------------------------------
 #
-# Both walkers draw their randomness chunk by chunk from one Philox stream: a
-# chunk of `take` steps draws `take` coins and then `take` picks.  Step i moves
-# iff coins[i] >= 0.5, to neighbor ``nb[int(picks[i] * len(nb))]`` of the
-# current vertex.  The Python loop visits only the steps that move, and it
-# draws the picks in windows, because ``rng.random(a)`` followed by
-# ``rng.random(b)`` yields ``rng.random(a + b)``: a walk that leaves its region
-# early never draws the rest of its chunk's picks.  The ring walk also draws
-# the coins in windows, on a second generator positioned at the chunk's picks.
+# Every walker reads its randomness through `_moves`.  Per chunk of `take`
+# steps from step t, the stream holds the `take` coin words from word 2t, then
+# the `take` pick words.  Step i moves iff its coin word is >= 2**63, which is
+# ``random() >= 0.5``, and pick word w takes neighbor ``nb[int(u * len(nb))]``
+# with u = (w >> 11) * 2**-53, which is ``random()``.  The escape walks read
+# 512-step windows, so a walk that leaves early draws little past its exit.
+# A trajectory draws every step, and it reads each chunk as one window, which
+# it fills with one ``np.repeat`` (512-step windows were 10-20 % slower).
 
 _ESCAPE_CHUNK = 4096
 _TRAJECTORY_CHUNK = 8192
-_PICK_WINDOW = 256
-_RING_WINDOW = 512  # wider than the loop's: each window costs a dozen numpy calls
+_WINDOW = 512  # wide, as each window costs a dozen numpy calls
 _HALF = np.uint64(1 << 63)  # a raw word w gives random() >= 0.5 iff w >= 2**63
 
 
@@ -365,27 +364,27 @@ class _Neighbors(dict):
         return nb
 
 
-def _walk_chunk(rng, take, nbrs, pos, region=None):
-    """Walk one chunk of `take` lazy steps from `pos`.
+def _moves(seed, steps, chunk, window=_WINDOW):
+    """The moves of `steps` lazy steps on seed's stream, window by window.
 
-    Returns ``(coins, path, left)``: the chunk's coins, the vertex after each
-    step that moved, and whether the last of those left `region` (a set).  A
-    walk that leaves stops there and draws no more picks; otherwise all
-    `take` picks are drawn, so the next chunk starts where it would after
-    ``rng.random(take)``.
+    Yields ``(t, width, moves, picks)`` per window of `width` steps from
+    step t: the in-window offsets of the steps that move, and the
+    ``random()`` values of their pick words.  A chunk of `chunk` steps is
+    read from this thread's `thread_philox` slots 0 and 1, positioned at the
+    chunk's coin and pick words.  The generator holds both slots across its
+    yields: the caller owns them until its next `thread_philox` call.
     """
-    coins = rng.random(take)
-    path = []
-    for a in range(0, take, _PICK_WINDOW):
-        b = min(a + _PICK_WINDOW, take)
-        picks = rng.random(b - a).tolist()
-        for i in np.flatnonzero(coins[a:b] >= 0.5).tolist():
-            nb = nbrs[pos]
-            pos = nb[int(picks[i] * len(nb))]
-            path.append(pos)
-            if region is not None and pos not in region:
-                return coins, path, True
-    return coins, path, False
+    t = 0
+    while t < steps:
+        take = min(chunk, steps - t)
+        coin_words = thread_philox(seed, 2 * t)
+        pick_words = thread_philox(seed, 2 * t + take, slot=1)
+        for a in range(0, take, window):
+            width = min(window, take - a)
+            moves = (coin_words.random_raw(width) >= _HALF).nonzero()[0]
+            words = pick_words.random_raw(width)[moves]
+            yield t + a, width, moves, (words >> 11) * 2.0**-53
+        t += take
 
 
 def simulate_walk(g: UndirectedGraph, start: int, steps: int, seed: int) -> np.ndarray:
@@ -394,21 +393,19 @@ def simulate_walk(g: UndirectedGraph, start: int, steps: int, seed: int) -> np.n
         raise WalkError("start vertex out of range")
     if steps < 0:
         raise WalkError("steps must be >= 0")
-    rng = make_rng(seed)
     nbrs = _Neighbors(g)
     traj = np.empty(steps + 1, dtype=np.int64)
     traj[0] = pos = int(start)
-    i = 0
-    while i < steps:
-        take = min(_TRAJECTORY_CHUNK, steps - i)
-        coins, path, _ = _walk_chunk(rng, take, nbrs, pos)
-        # pos holds until the first move, each path vertex until the next one
-        moves = np.flatnonzero(coins >= 0.5)
-        held = np.diff(moves, prepend=0, append=take)
-        traj[i + 1:i + 1 + take] = np.repeat([pos] + path, held)
-        if path:
-            pos = path[-1]
-        i += take
+    for t, width, moves, picks in _moves(seed, steps, _TRAJECTORY_CHUNK,
+                                         _TRAJECTORY_CHUNK):
+        path = [pos]
+        for u in picks.tolist():
+            nb = nbrs[pos]
+            pos = nb[int(u * len(nb))]
+            path.append(pos)
+        # path[0] holds until the first move, each later vertex until the next
+        held = np.diff(moves, prepend=0, append=width)
+        traj[t + 1:t + 1 + width] = np.repeat(path, held)
     return traj
 
 
@@ -454,19 +451,13 @@ def escape_time(
         return EscapeResult(steps=cap, censored=True)
     if off is not None:
         return _ring_escape(g.n, off, mask, pos, seed, cap)
-    inside = set(region.tolist())
-    rng = make_rng(seed)
     nbrs = _Neighbors(g)
-    t = 0
-    while t < cap:
-        take = min(_ESCAPE_CHUNK, cap - t)
-        coins, path, left = _walk_chunk(rng, take, nbrs, pos, inside)
-        if left:
-            moves = np.flatnonzero(coins >= 0.5)
-            return EscapeResult(steps=t + int(moves[len(path) - 1]) + 1, censored=False)
-        if path:
-            pos = path[-1]
-        t += take
+    for t, _, moves, picks in _moves(seed, cap, _ESCAPE_CHUNK):
+        for i, u in zip(moves.tolist(), picks.tolist()):
+            nb = nbrs[pos]
+            pos = nb[int(u * len(nb))]
+            if not mask[pos]:
+                return EscapeResult(steps=t + i + 1, censored=False)
     return EscapeResult(steps=cap, censored=True)
 
 
@@ -525,36 +516,14 @@ def _ring_escape(n, off, inside, pos, seed, cap) -> EscapeResult:
     times max |off| of it, and the gather folds each onto the ring.  It
     folds by one subtraction (or addition) of n per lap, which is why the
     offsets are signed rather than taken mod n.
-
-    The draws are those of `_walk_chunk`, read as raw words of the same
-    Philox stream: per chunk of `take` steps from step t, the `take` coin
-    words from word 2t (a step moves iff its word is >= 2**63, which is
-    ``random() >= 0.5``), then the `take` pick words (with d = len(off),
-    word w picks ``int((w >> 11) * 2**-53 * d)``, which is
-    ``int(random() * d)``).  Both are read in windows of ``_RING_WINDOW``
-    steps, on two of this thread's generators positioned at the chunk's coin
-    and pick words, so a walk that leaves in its first window draws one
-    window of each, not the whole chunk of coins.
     """
-    # 2**-53 * d is exact, so x * scale rounds as (x * 2**-53) * d does
-    scale = 2.0**-53 * off.size
-    t = 0
-    while t < cap:
-        take = min(_ESCAPE_CHUNK, cap - t)
-        coin_words = thread_philox(seed, 2 * t)
-        pick_words = thread_philox(seed, 2 * t + take, slot=1)
-        for a in range(0, take, _RING_WINDOW):
-            b = min(a + _RING_WINDOW, take)
-            moves = (coin_words.random_raw(b - a) >= _HALF).nonzero()[0]
-            words = pick_words.random_raw(b - a)
-            if not moves.size:
-                continue
-            picks = ((words[moves] >> 11) * scale).astype(np.int64)
-            path = pos + np.cumsum(off[picks])
-            stay = inside.take(path, mode="wrap")
-            j = int(stay.argmin())
-            if not stay[j]:
-                return EscapeResult(steps=t + a + int(moves[j]) + 1, censored=False)
-            pos = int(path[-1]) % n
-        t += take
+    for t, _, moves, picks in _moves(seed, cap, _ESCAPE_CHUNK):
+        if not moves.size:
+            continue
+        path = pos + np.cumsum(off[(picks * off.size).astype(np.int64)])
+        stay = inside.take(path, mode="wrap")
+        j = int(stay.argmin())
+        if not stay[j]:
+            return EscapeResult(steps=t + int(moves[j]) + 1, censored=False)
+        pos = int(path[-1]) % n
     return EscapeResult(steps=cap, censored=True)

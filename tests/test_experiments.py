@@ -47,8 +47,10 @@ def test_config_defaults_and_overrides():
     assert over.c == Fraction(5, 2)
     assert cfg.n_values == (512, 1024, 2048, 4096)  # original untouched
     assert cfg.overridden(k=None).k == cfg.k
-    with pytest.raises(ValueError, match="unknown config key"):
-        cfg.overridden(walrus=1)
+    # one key per field: the field names behind n, seed, cap and budget are not keys
+    for key in ("walrus", "n_values", "master_seed", "step_cap", "enum_budget"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            cfg.overridden(**{key: 1})
 
 
 def test_config_validation():

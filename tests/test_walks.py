@@ -36,7 +36,7 @@ from nwmix import (
     validate_distribution,
 )
 from nwmix import walks
-from nwmix.rng import make_rng, thread_philox
+from nwmix.rng import thread_philox
 from nwmix.walks import _region_plan, _shared_offsets, _tv_columns, _tv_scratch
 
 import oracles
@@ -308,14 +308,6 @@ def test_sampled_starts_match_single_start_runs():
     assert single != sorted(single) and single != sorted(single, reverse=True)
 
 
-def test_rng_windows_concatenate():
-    # the walkers draw a chunk's picks in windows on this property
-    whole = make_rng(9).random(4096 + 700)
-    rng = make_rng(9)
-    parts = [rng.random(4096), rng.random(256), rng.random(256), rng.random(188)]
-    assert np.array_equal(np.concatenate(parts), whole)
-
-
 @pytest.mark.parametrize("n", [5, 1024, 1025, 3000])
 @pytest.mark.parametrize("s", [1, 2, 3, 65])
 def test_tv_columns_bit_identical(n, s):
@@ -336,8 +328,8 @@ def _arc_case(n, k, c, gseed, length):
     return g, region[length // 2], region
 
 
-# the window edges of `_ring_escape`, the chunk edges, and a cap past two chunks
-_W = walks._RING_WINDOW
+# the window edges of `_moves`, the chunk edges, and a cap past two chunks
+_W = walks._WINDOW
 _CAPS = [1, _W - 1, _W, _W + 1, 4095, 4096, 4097, 8193, 9000]
 
 
@@ -424,7 +416,7 @@ def test_ring_escape_matches_oracle_across_chunks(monkeypatch):
     cases = [(build_ring(400, 1), 200, range(150, 250)),
              (build_ring(400, 2), 180, range(100, 260)),
              (arc_graph, arc.center, arc.vertices())]
-    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    monkeypatch.setattr(walks, "_Neighbors", _no_loop)
     late = censored = 0
     for g, start, region in cases:
         for seed in range(8):
@@ -437,7 +429,9 @@ def test_ring_escape_matches_oracle_across_chunks(monkeypatch):
     assert late >= 3 and censored >= 10
 
 
-def test_ring_escape_draws_only_the_windows_it_reaches(monkeypatch):
+def _first_window_escapes(monkeypatch, start, region):
+    """Escapes from `start` that all leave in their first window, each
+    reading the coin words of that window only, not of its whole chunk."""
     handed_out = []
 
     def recorded(*args, **kwargs):
@@ -446,36 +440,67 @@ def test_ring_escape_draws_only_the_windows_it_reaches(monkeypatch):
         return bitgen
 
     monkeypatch.setattr(walks, "thread_philox", recorded)
-    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
     g = build_ring(400, 1)
-    region = range(195, 206)
-    quick = [escape_time(g, 200, region, seed=seed) for seed in range(30)]
+    quick = [escape_time(g, start, region, seed=seed) for seed in range(30)]
     assert all(0 < r.steps <= _W for r in quick)
     coin_words, pick_words = handed_out[-2:]
-    # the coin words of one window, not of the whole 4096-step chunk
     counter = coin_words.state["state"]["counter"]
     assert counter[0] <= -(-_W // 4) and not counter[1:].any()
     assert coin_words is thread_philox(0) and coin_words is not pick_words
 
 
-def test_escape_path_follows_the_region(monkeypatch):
+def test_ring_escape_draws_only_the_windows_it_reaches(monkeypatch):
+    monkeypatch.setattr(walks, "_Neighbors", _no_loop)
+    _first_window_escapes(monkeypatch, 200, range(195, 206))
+
+
+def test_loop_escape_draws_only_the_windows_it_reaches(monkeypatch):
+    # a window across vertex 0, where the neighbor lists wrap, takes the loop
+    monkeypatch.setattr(walks, "_ring_escape", _no_loop)
+    _first_window_escapes(monkeypatch, 0, [395, 396, 397, 398, 399, 0, 1, 2, 3, 4, 5])
+
+
+def _arc_and_loud():
+    """A small world, its quiet arc, and the arc with the next vertex, which
+    has a shortcut, so that its escape walks take the move loop."""
     g = sample_small_world(GraphSpec(n=2048, k=1, c=Fraction(1, 2), seed=3))
     arc = quiet_arc(g)
     assert _interior(g, arc.vertices())
-    # one step past the arc's end is a vertex with a shortcut
     loud = arc.vertices()[-1] + 1
     assert g.degree(loud) > 2
-    wider = np.append(arc.vertices(), loud)
+    return g, arc, np.append(arc.vertices(), loud)
+
+
+def test_escape_path_follows_the_region(monkeypatch):
+    g, arc, wider = _arc_and_loud()
     want = [oracles.escape_time(g, arc.center, r, seed=5, cap=4097)
             for r in (arc.vertices(), wider)]
     with monkeypatch.context() as m:
-        m.setattr(walks, "_walk_chunk", _no_loop)
+        m.setattr(walks, "_Neighbors", _no_loop)
         got = escape_time(g, arc.center, arc.vertices(), seed=5, cap=4097)
     assert (got.steps, got.censored) == want[0]
     with monkeypatch.context() as m:
         m.setattr(walks, "_ring_escape", _no_loop)
         got = escape_time(g, arc.center, wider, seed=5, cap=4097)
     assert (got.steps, got.censored) == want[1]
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a walker built a numpy Generator")
+
+
+def test_walkers_read_raw_words_only(monkeypatch):
+    g, arc, wider = _arc_and_loud()
+    monkeypatch.setattr(walks, "make_rng", _no_generator)
+    monkeypatch.setattr(walks, "_ring_escape", _no_loop)
+    for seed in range(6):
+        for cap in (1, _W, 4097, 9000):
+            got = escape_time(g, arc.center, wider, seed=seed, cap=cap)
+            want = oracles.escape_time(g, arc.center, wider, seed=seed, cap=cap)
+            assert (got.steps, got.censored) == want
+        for steps in (0, 1, 8192, 8193, 20_000):
+            got = simulate_walk(g, arc.center, steps, seed=seed)
+            assert np.array_equal(got, oracles.simulate_walk(g, arc.center, steps, seed))
 
 
 def _cached_offsets(g, region):
@@ -504,7 +529,7 @@ def test_ring_escape_past_the_ring_ends(monkeypatch):
     g = build_ring(20, 1)
     region = range(1, 19)
     assert _cached_offsets(g, region) is not None
-    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    monkeypatch.setattr(walks, "_Neighbors", _no_loop)
     for seed in range(6):
         for cap in _CAPS:
             got = escape_time(g, 10, region, seed=seed, cap=cap)
@@ -512,7 +537,7 @@ def test_ring_escape_past_the_ring_ends(monkeypatch):
 
 
 def test_whole_graph_region_is_censored_without_walking(monkeypatch):
-    monkeypatch.setattr(walks, "_walk_chunk", _no_loop)
+    monkeypatch.setattr(walks, "_Neighbors", _no_loop)
     monkeypatch.setattr(walks, "_ring_escape", _no_loop)
     small_world = sample_small_world(GraphSpec(n=64, k=1, c=Fraction(2), seed=3))
     isolated = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
