@@ -7,11 +7,14 @@ variation distance to pi is non-increasing along the chain, which lets the
 mixing-time search stop each start at its first step under the 1/4 threshold.
 The search evolves all its starts at once, as the columns of one n-by-s block
 multiplied by the sparse transposed kernel, and it evaluates TV in cache-sized
-row blocks with the same summation order as one whole-block sum.  The kernel
-is the module's only use of scipy: ``scipy.sparse`` is imported when the
-first LazyKernel is built, so importing nwmix, and every path that builds no
-kernel (graphs, conductance, subtrees, constants, escape walks), never loads
-scipy.
+row blocks with the same summation order as one whole-block sum.  TV is
+evaluated only at checkpoints 8 steps apart: a column at or near the
+threshold there is replayed step by step from its law at the checkpoint
+before, with the sums of a search that evaluates TV at every step, so every
+start's first mixed step is that search's, bit for bit.  The kernel is the
+module's only use of scipy: ``scipy.sparse`` is imported when the first
+LazyKernel is built, so importing nwmix, and every path that builds no kernel
+(graphs, conductance, subtrees, constants, escape walks), never loads scipy.
 
 Trajectories and escape times are Monte Carlo on one Philox stream per seed,
 read chunk by chunk (coins, then picks) by one reader, `_moves`.  It reads
@@ -51,6 +54,10 @@ MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
 _MASS_TOL = 1e-12
 _TV_ROWS = 1024
+_STRIDE = 8  # steps between the mixing search's TV checkpoints
+_GUARD = 1e-9  # columns this close above the threshold at one are replayed
+_KEEP = 1.25  # a checkpoint copies the columns with TV <= _KEEP * threshold
+_RISE = 1e-12  # the rise in TV that one step's rounding may cause
 
 
 class WalkError(ValueError):
@@ -209,15 +216,17 @@ def mixing_time(
 
     ``starts`` is "all" or a nonempty list of vertices (ints or numpy
     integers), such as a seeded ``sample_starts`` draw; the mode is
-    "exact-all-starts" only if the list covers every vertex.  All starts evolve together as the columns of one
-    n-by-s block, stepped by the sparse transposed kernel; a start's column is
-    dropped from the block at the step it mixes.  TV monotonicity is checked at every
-    step.  ``exact=True`` runs rational arithmetic (intended for n <= 64
-    oracle comparisons).  The threshold must be > 0: a walk from one vertex
-    need never reach TV 0.
+    "exact-all-starts" only if the list covers every vertex.  ``cap`` is an
+    int or numpy integer >= 1.  All starts evolve together as the columns
+    of one n-by-s block, stepped by the sparse transposed kernel, with TV
+    evaluated every 8 steps; a start's column is dropped from the block at
+    the checkpoint after the step it mixes, which a step-by-step replay
+    finds.  TV monotonicity is checked at checkpoints and in replays.
+    ``exact=True`` runs rational arithmetic (intended for n <= 64 oracle
+    comparisons), checked at every step.  The threshold must be > 0: a walk
+    from one vertex need never reach TV 0.
     """
-    if cap < 1:
-        raise WalkError("cap must be >= 1")
+    cap = _step_cap(cap)
     if not threshold > 0:  # NaN too
         raise WalkError(f"threshold must be > 0, got {threshold!r}")
     if not g.is_connected():
@@ -226,7 +235,7 @@ def mixing_time(
         start_list = list(range(g.n))
         mode = "exact-all-starts"
     else:
-        start_list = [_vertex(v) for v in starts]
+        start_list = [_integer(v, "start vertex") for v in starts]
         if not start_list:
             raise WalkError("no start vertices")
         if any(not 0 <= v < g.n for v in start_list):
@@ -246,43 +255,123 @@ def mixing_time(
     )
 
 
-def _vertex(v) -> int:
-    """`v` as a vertex number: an int or numpy integer, never a float that
-    ``int`` would truncate."""
+def _integer(v, what: str) -> int:
+    """`v` as an int: an int or numpy integer, never a float that ``int``
+    would truncate, nor a string."""
     try:
         return operator.index(v)
     except TypeError:
-        raise WalkError(f"start vertex must be an integer, got {v!r}") from None
+        raise WalkError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _step_cap(cap) -> int:
+    cap = _integer(cap, "cap")
+    if cap < 1:
+        raise WalkError("cap must be >= 1")
+    return cap
 
 
 def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
+    """Per-start first steps with TV <= threshold, or None past the cap.
+
+    The starts evolve as the columns of one n-by-s block X, stepped
+    `_STRIDE` times between TV checkpoints (the last stride ends at the
+    cap).  TV does not increase along the chain, so a column above
+    threshold + `_GUARD` at checkpoint c did not mix since the previous
+    checkpoint k, and its rise since k is checked against ``_RISE`` per
+    step.  Every other column is replayed step by step from its law at k
+    (`_replay`), which finds the steps a TV evaluation at every step would.
+    That law is a copy taken at k of the columns with TV <= ``_KEEP *
+    threshold`` there, or else its start's point mass stepped k times.  A
+    column's product does not depend on the other columns, so both are the
+    block's column bit for bit.
+    """
     pt = LazyKernel(g)._PT
     pi = stationary(g)[:, None]
-    # column j of the n-by-s block X is the law of the walk from active[j]
-    active = np.arange(len(start_list))
-    X = np.zeros((g.n, active.size))
-    X[start_list, active] = 1.0
-    buf = _tv_scratch(X)
-    per: list[int | None] = [None] * active.size
-    tv = _tv_columns(X, pi, buf)
+    starts = np.asarray(start_list)
+    per: list[int | None] = [None] * starts.size
+    # column j of X is the law of the walk from starts[active[j]]
+    active = np.arange(starts.size)
+    X = _walk_from(pt, g.n, starts, 0)
+    tv = _tv_columns(X, pi, _tv_scratch(X))
+    for j in np.flatnonzero(tv <= threshold):
+        per[j] = 0
+    keep = tv > threshold
+    X, active, tv = X.compress(keep, axis=1), active[keep], tv[keep]
     k = 0
-    while True:
+    while active.size and k < cap:
+        c = min(k + _STRIDE, cap)
+        # copied after the stride's first product: copied before it, the copy
+        # took the heap space that the products reuse, and peak memory grew
+        X_k, X = X, pt @ X
+        kept = tv <= _KEEP * threshold
+        saved, saved_ids = X_k[:, kept], active[kept]
+        del X_k
+        for _ in range(c - k - 1):
+            X = pt @ X
+        tv_c = _tv_columns(X, pi, _tv_scratch(X))
+        near = tv_c <= threshold + _GUARD
+        if np.any(tv_c[~near] > tv[~near] + (c - k) * _RISE):
+            raise WalkError("TV distance increased along the chain")
+        if near.any():
+            # the columns to replay, those with a copy first, then the rest
+            cols = np.flatnonzero(near)
+            copied = np.isin(active[cols], saved_ids)
+            cols = np.concatenate((cols[copied], cols[~copied]))
+            ids, m = active[cols], int(copied.sum())
+            R = saved[:, np.searchsorted(saved_ids, ids[:m])]
+            del saved
+            if m < ids.size:
+                R = np.hstack((R, _walk_from(pt, g.n, starts[ids[m:]], k)))
+            at, tv_c[cols] = _replay(pt, pi, R, tv[cols], k, c, threshold,
+                                     alone=near.all())
+            for j, t in zip(ids.tolist(), at.tolist()):
+                if t:
+                    per[j] = t
+            keep = np.ones(active.size, dtype=bool)
+            keep[cols[at > 0]] = False
+            X, active, tv_c = X.compress(keep, axis=1), active[keep], tv_c[keep]
+        tv, k = tv_c, c
+    return per
+
+
+def _walk_from(pt, n, starts, steps) -> np.ndarray:
+    """The laws after `steps` steps of the walks from `starts`, as columns."""
+    X = np.zeros((n, len(starts)))
+    X[starts, np.arange(len(starts))] = 1.0
+    for _ in range(steps):
+        X = pt @ X
+    return X
+
+
+def _replay(pt, pi, R, tv, k, c, threshold, alone):
+    """Steps k+1 .. c of the laws R at step k, whose TV there is `tv`, with
+    TV evaluated and checked at every step.
+
+    Returns each column's first step with TV <= threshold (0 for none) and
+    its TV at that step, or at c.  The sums are those of a TV evaluation at
+    every step: there a column is summed pairwise only when no other column
+    is active, so a lone column is summed in a padded block of two unless
+    `alone` says that the replayed columns are the only active ones.
+    """
+    at = np.zeros(R.shape[1], dtype=np.int64)
+    last = tv.copy()
+    cols = np.arange(R.shape[1])
+    for t in range(k + 1, c + 1):
+        R = pt @ R
+        Z = np.repeat(R, 2, axis=1) if cols.size == 1 and not alone else R
+        prev, tv = tv, _tv_columns(Z, pi, _tv_scratch(Z))[:cols.size]
+        if np.any(tv > prev + _RISE):
+            raise WalkError("TV distance increased along the chain")
+        last[cols] = tv
         mixed = tv <= threshold
         if mixed.any():
-            for j in np.flatnonzero(mixed):
-                per[int(active[j])] = k
+            at[cols[mixed]] = t
             keep = ~mixed
-            X = X.compress(keep, axis=1)
-            buf = _tv_scratch(X)
-            active, tv = active[keep], tv[keep]
-        if not active.size or k == cap:
-            return per
-        k += 1
-        X = pt @ X
-        prev_tv = tv
-        tv = _tv_columns(X, pi, buf)
-        if np.any(tv > prev_tv + 1e-12):
-            raise WalkError("TV distance increased along the chain")
+            R, cols, tv = R.compress(keep, axis=1), cols[keep], tv[keep]
+            if not cols.size:
+                break
+    return at, last
 
 
 def _tv_scratch(X) -> np.ndarray:
@@ -430,8 +519,7 @@ def escape_time(
     vertex has the same neighbor offsets, the walk runs as i.i.d. ring steps
     (`_ring_escape`); any other region takes the move loop.
     """
-    if cap < 1:
-        raise WalkError("cap must be >= 1")
+    cap = _step_cap(cap)
     if not isinstance(region, np.ndarray):
         region = list(region)
     region = np.asarray(region)

@@ -93,6 +93,53 @@ def exact_mixing_time(g, threshold=Fraction(1, 4), cap=100_000):
     raise RuntimeError("oracle cap exceeded")
 
 
+def stepwise_per_start(g, starts, cap, threshold):
+    """Per-start first steps with TV <= threshold (None past `cap`), TV
+    evaluated at every step.
+
+    This is the batched float search with none of its shortcuts: the starts
+    evolve as the columns of one block under the sparse transposed kernel,
+    a column leaves the block at its first mixed step, and TV is one numpy
+    sum per step, which adds the rows of two or more columns in order and
+    sums a lone column pairwise.  Its per-start steps are the bits a faster
+    search must match.
+    """
+    from scipy import sparse
+
+    n = g.n
+    deg = g.degrees
+    isolated = deg == 0
+    inv = np.divide(1.0, deg, out=np.zeros(n), where=~isolated)
+    adj_t = sparse.csr_matrix(
+        ((0.5 * inv)[g.indices], g.indices, g.indptr), shape=(n, n)
+    )
+    hold = sparse.diags(np.where(isolated, 1.0, 0.5), format="csr")
+    pt = (hold + adj_t).tocsr()
+    pi = (np.ones(1) if n == 1 else deg / (2.0 * g.m))[:, None]
+    active = np.arange(len(starts))
+    X = np.zeros((n, active.size))
+    X[starts, active] = 1.0
+    per = [None] * active.size
+    tv = 0.5 * np.abs(X - pi).sum(axis=0)
+    k = 0
+    while True:
+        mixed = tv <= threshold
+        if mixed.any():
+            for j in np.flatnonzero(mixed):
+                per[int(active[j])] = k
+            keep = ~mixed
+            X = X.compress(keep, axis=1)
+            active, tv = active[keep], tv[keep]
+        if not active.size or k == cap:
+            return per
+        k += 1
+        X = pt @ X
+        prev_tv = tv
+        tv = 0.5 * np.abs(X - pi).sum(axis=0)
+        if np.any(tv > prev_tv + 1e-12):
+            raise RuntimeError("TV distance increased along the chain")
+
+
 # ---------------------------------------------------------------------------
 # subset scans (n <= 20)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -36,6 +37,7 @@ from nwmix import (
     validate_distribution,
 )
 from nwmix import walks
+from nwmix.experiments import ExperimentConfig, build_graph, scaling_starts
 from nwmix.rng import thread_philox
 from nwmix.walks import _region_plan, _shared_offsets, _tv_columns, _tv_scratch
 
@@ -306,6 +308,170 @@ def test_sampled_starts_match_single_start_runs():
     assert res.per_start == single
     assert len(set(single)) >= 4
     assert single != sorted(single) and single != sorted(single, reverse=True)
+
+
+def _small_world(n, c, seed):
+    return sample_small_world(GraphSpec(n=n, k=1, c=Fraction(c), seed=seed))
+
+
+# at c = 2 TV can fall by more than walks._KEEP within one stride, so some
+# replays start from a start vertex rather than from a checkpoint's copy
+_STEPWISE_GRAPHS = [(64, "1/2", 0), (150, "1/4", 1), (128, "2", 2), (300, "2", 3)]
+
+
+@pytest.mark.parametrize("spec", _STEPWISE_GRAPHS, ids=lambda s: f"n{s[0]}-c{s[1]}")
+@pytest.mark.parametrize("threshold", [0.5, 0.25, 0.01])
+def test_strided_search_matches_the_stepwise_oracle(spec, threshold):
+    g = _small_world(*spec)
+    want = oracles.stepwise_per_start(g, list(range(g.n)), 10**6, threshold)
+    assert mixing_time(g, threshold=threshold).per_start == want
+
+
+@pytest.mark.parametrize("cap", [1, 7, 8, 9, "tau-1", "tau"])
+def test_strided_search_matches_the_stepwise_oracle_at_caps(cap):
+    g = _small_world(300, "1/2", 4)
+    starts = list(range(g.n))
+    tau = max(oracles.stepwise_per_start(g, starts, 10**6, 0.25))
+    cap = {"tau-1": tau - 1, "tau": tau}.get(cap, cap)
+    res = mixing_time(g, cap=cap)
+    assert res.per_start == oracles.stepwise_per_start(g, starts, cap, 0.25)
+    assert res.censored == (cap < tau)
+
+
+def test_strided_search_matches_the_stepwise_oracle_on_scaling_starts():
+    cfg = ExperimentConfig(n_values=(4096,), c=Fraction(1, 2), reps=1)
+    g = build_graph(cfg, 4096, 0)
+    starts = scaling_starts(cfg, g, 0)
+    want = oracles.stepwise_per_start(g, starts, 10**6, 0.25)
+    assert mixing_time(g, starts=starts).per_start == want
+
+
+def test_strided_search_matches_the_stepwise_oracle_on_lone_columns():
+    g = _small_world(300, "1/2", 5)
+    one = [17]
+    assert mixing_time(g, starts=one).per_start == \
+        oracles.stepwise_per_start(g, one, 10**6, 0.25)
+    # a threshold between the step-0 TVs 1 - pi(x) of a hub and a leaf: the
+    # hub mixes at once and the leaf's column is left alone in the block
+    hub, leaf = int(g.degrees.argmax()), int(g.degrees.argmin())
+    pi = stationary(g)
+    threshold = 1 - (pi[hub] + pi[leaf]) / 2
+    res = mixing_time(g, starts=[hub, leaf], threshold=threshold)
+    assert res.per_start[0] == 0 and res.per_start[1] > 0
+    want = oracles.stepwise_per_start(g, [hub, leaf], 10**6, threshold)
+    assert res.per_start == want
+
+
+@pytest.fixture(scope="module")
+def tv_sums():
+    """A graph and its starts' TV at steps 0..160, as rows of starts, summed
+    as a lone column (pairwise) and within a block (rows in order)."""
+    g = _small_world(120, "1/2", 7)
+    pt, pi = LazyKernel(g)._PT, stationary(g)[:, None]
+    X = np.eye(g.n)
+    lone, block = np.empty((2, 161, g.n))
+    for t in range(161):
+        block[t] = 0.5 * np.abs(X - pi).sum(axis=0)
+        lone[t] = [0.5 * np.abs(X[:, [j]] - pi).sum() for j in range(g.n)]
+        X = pt @ X
+    return g, lone, block
+
+
+def _first_at_most(tv, threshold):
+    return int(np.argmax(tv <= threshold))
+
+
+def _tie(g, starts, threshold, want):
+    assert oracles.stepwise_per_start(g, starts, 10**6, threshold) == want
+    assert mixing_time(g, starts=starts, threshold=threshold).per_start == want
+
+
+# Thresholds equal to one of the two sums of a TV, where they differ, so a
+# search that sums in the other order finds the step after.
+def test_strided_search_sums_a_lone_start_pairwise(tv_sums):
+    g, lone, block = tv_sums
+    t = next(t for t in range(1, 161) if block[t, 0] > lone[t, 0])
+    _tie(g, [0], lone[t, 0], [t])
+
+
+def test_strided_search_sums_a_lone_replay_with_others_in_a_block(tv_sums):
+    g, lone, block = tv_sums
+    slow = int(np.argmax([_first_at_most(block[:, a], 0.25) for a in range(g.n)]))
+    fast = int(np.argmin([_first_at_most(block[:, b], 0.25) for b in range(g.n)]))
+    # the slow start is far above the threshold at the next checkpoint, so
+    # the fast one is replayed alone while the slow one is still active
+    t = next(t for t in range(1, 161) if lone[t, fast] > block[t, fast]
+             and block[-(-t // 8) * 8, slow] > block[t, fast] + 1e-3)
+    threshold = block[t, fast]
+    _tie(g, [fast, slow], threshold, [t, _first_at_most(block[:, slow], threshold)])
+
+
+def test_strided_search_replays_a_column_within_the_guard(tv_sums):
+    # b mixes at checkpoint c, alone and so summed pairwise, after a mixed
+    # in the stride before c; the block sums b's TV at c higher
+    g, lone, block = tv_sums
+    for c, b in itertools.product(range(8, 161, 8), range(g.n)):
+        threshold = lone[c, b]
+        if block[c, b] > threshold and block[c - 1, b] > threshold + 1e-6:
+            steps = [_first_at_most(block[:, a], threshold) for a in range(g.n)]
+            a = next((a for a, t in enumerate(steps) if c - 8 < t < c), None)
+            if a is not None:
+                return _tie(g, [a, b], threshold, [steps[a], c])
+    pytest.fail("no tie within the guard")
+
+
+def test_strided_search_replays_from_copies_and_from_starts(monkeypatch):
+    counts = {"replayed": 0, "rebuilt": 0}
+    walk_from, replay = walks._walk_from, walks._replay
+
+    def counted_walk_from(pt, n, starts, steps):
+        if steps:
+            counts["rebuilt"] += len(starts)
+        return walk_from(pt, n, starts, steps)
+
+    def counted_replay(pt, pi, R, *args, **kwargs):
+        counts["replayed"] += R.shape[1]
+        return replay(pt, pi, R, *args, **kwargs)
+
+    monkeypatch.setattr(walks, "_walk_from", counted_walk_from)
+    monkeypatch.setattr(walks, "_replay", counted_replay)
+    for spec in _STEPWISE_GRAPHS:
+        g = _small_world(*spec)
+        want = oracles.stepwise_per_start(g, list(range(g.n)), 10**6, 0.25)
+        assert mixing_time(g).per_start == want
+    assert counts["rebuilt"] >= 1  # from a start vertex
+    assert counts["replayed"] > counts["rebuilt"]  # from a checkpoint's copy
+
+
+@pytest.mark.parametrize("path", ["checkpoint", "replay", "exact"])
+def test_mixing_search_catches_a_tv_rise(monkeypatch, path):
+    # with pi a point mass at vertex 0, TV from vertex 1 is 1 - mu_t(0): it
+    # falls while mass flows into vertex 0, then rises as the mass spreads
+    g = build_ring(32, 1)
+    monkeypatch.setattr(walks, "stationary", lambda g: point_mass(g.n, 0))
+    monkeypatch.setattr(walks, "stationary_exact",
+                        lambda g: [Fraction(int(v == 0)) for v in range(g.n)])
+    if path == "replay":
+        monkeypatch.setattr(walks, "_GUARD", 1.0)  # every column is replayed
+    with pytest.raises(WalkError, match="TV distance increased"):
+        mixing_time(g, starts=[1], cap=200, exact=path == "exact")
+
+
+def test_caps_must_be_integers():
+    g = build_ring(64, 1)
+    for bad in (2.5, 3.0, "3", None):
+        for exact in (False, True):
+            with pytest.raises(WalkError, match="cap must be an integer"):
+                mixing_time(g, starts=[0, 5], cap=bad, exact=exact)
+        for start, region in ((5, range(3, 8)), (0, range(64))):  # both paths
+            with pytest.raises(WalkError, match="cap must be an integer"):
+                escape_time(g, start, region, seed=1, cap=bad)
+    res = mixing_time(g, starts=[0, 5], cap=np.int64(3))
+    assert res.cap == 3 and type(res.cap) is int
+    assert res.censored and res.per_start == [None, None]
+    for region in (range(3, 8), range(64)):
+        esc = escape_time(g, 5, region, seed=1, cap=np.int32(500))
+        assert esc == escape_time(g, 5, region, seed=1, cap=500)
 
 
 @pytest.mark.parametrize("n", [5, 1024, 1025, 3000])
