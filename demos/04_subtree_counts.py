@@ -26,7 +26,7 @@ from nwmix import (
     subset_moments,
     write_mu_table,
 )
-from nwmix import GraphSpec, build_ring, count_connected_sets
+from nwmix import GraphSpec, build_ring, connected_set_counts
 
 J = 12
 
@@ -81,10 +81,10 @@ print(f"\nMC at j=4: {est.mean:.3f} +/- {est.stderr:.3f}"
 
 ring = build_ring(20, 1)
 print(f"\nC20, subtrees through vertex 0: "
-      f"{[count_connected_sets(ring, j, containing=0) for j in range(1, 6)]}")
+      f"{connected_set_counts(ring, 5, containing=0)}")
 g = sample_small_world(GraphSpec(n=20, k=1, c=Fraction(3), seed=2))
 print(f"H(20,1,c=3), same counts:       "
-      f"{[count_connected_sets(g, j, containing=0) for j in range(1, 6)]}")
+      f"{connected_set_counts(g, 5, containing=0)}")
 
 write_mu_table("/tmp/demo_mu.csv", poisson_law(Fraction(2)), 8, bound_C=Fraction(2))
 with open("/tmp/demo_mu.csv", encoding="utf-8") as fh:

@@ -15,7 +15,6 @@ from .conductance import (
     ScaleProfile,
     connected_set_counts,
     connected_sets,
-    count_connected_sets,
     cut_stats,
     fr_bound,
     num_scales,
@@ -44,7 +43,6 @@ from .experiments import (
     quiet_arc,
     quiet_arc_threshold,
     run_conductance,
-    run_constants,
     run_quiet_arc,
     run_scaling,
     run_subtree_verification,
@@ -95,7 +93,6 @@ from .walks import (
     mixing_time,
     point_mass,
     sample_starts,
-    simulate_walk,
     stationary,
     stationary_exact,
     step_exact,

@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 from .conductance import EnumerationBudgetError
+from .constants import constants_for
 from .experiments import (
     QUIET_ARC_HEADER,
     ExperimentConfig,
@@ -25,7 +26,6 @@ from .experiments import (
     conductance_bound,
     mixing_run,
     run_conductance,
-    run_constants,
     run_quiet_arc,
     run_scaling,
     run_subtree_verification,
@@ -129,9 +129,7 @@ def _cmd_constants(args) -> int:
     cfg = _config_from(args)
     if cfg.c <= 0:
         raise ValueError("constants need c > 0")
-    payload = run_constants(cfg.c, cfg.k, out=cfg.out)
-    if not cfg.out:
-        print(payload)
+    _emit(cfg, constants_for(cfg.c, cfg.k).to_json())
     return EXIT_OK
 
 

@@ -239,20 +239,14 @@ def connected_set_counts(g: UndirectedGraph, j_max: int, containing: int | None 
     """[|B_1|, ..., |B_j_max|] (or the |B_{j,v}|) from one enumeration.
 
     That enumeration visits every connected set of at most j_max vertices,
-    so it costs what ``count_connected_sets(g, j_max)`` does and raises
-    EnumerationBudgetError exactly when that does.
+    as ``connected_sets(g, j_max)`` does, and raises EnumerationBudgetError
+    exactly when that does.
     """
     sets = _sets_up_to(g, j_max, containing, budget)  # checks j_max first
     counts = [0] * (j_max + 1)
     for _, size, _, _ in sets:
         counts[size] += 1
     return counts[1:]
-
-
-def count_connected_sets(g: UndirectedGraph, j: int, containing: int | None = None,
-                         budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """|B_j| or |B_{j,v}| without materializing the sets."""
-    return connected_set_counts(g, j, containing, budget)[-1]
 
 
 # -- scale profile ---------------------------------------------------------------

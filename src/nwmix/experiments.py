@@ -570,15 +570,3 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
             "below_crude": mean <= crude,
         })
     return out
-
-
-# -- constants -------------------------------------------------------------------
-
-
-def run_constants(c, k: int, out: str | None = None) -> str:
-    """ConstantSet JSON for (c, k), regime-dispatched."""
-    payload = constants_for(c, k).to_json()
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    return payload

@@ -305,6 +305,8 @@ class BlowUpMap:
 
 def blow_up(g: UndirectedGraph, R: int) -> BlowUpMap:
     """Contract consecutive blocks of R vertices into single vertices."""
+    if R < 1:
+        raise GraphValidationError(f"R={R} must be >= 1")
     if g.n % R != 0:
         raise GraphValidationError(f"R={R} does not divide n={g.n}")
     if R <= g.ring_k:

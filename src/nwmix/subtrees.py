@@ -9,8 +9,8 @@ mu_j = [z^(j-1)] Q(z)^j / j.
 Every value is an exact rational, computed on scaled Python integers: the
 moments and both mu solvers build one Fraction per output entry.  Monte Carlo
 estimators live at the bottom for cross-checking;
-conductance.count_connected_sets(g, j, containing=v) gives the graph-side
-count the tree quantity dominates.
+conductance.connected_set_counts(g, J, containing=v) gives the graph-side
+counts the tree quantities dominate.
 
 The Monte Carlo runs in blocks.  Its trees take their offspring counts from
 one stream, tree after tree in breadth-first order down to depth j-2; the

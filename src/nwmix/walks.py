@@ -16,21 +16,21 @@ module's only use of scipy: ``scipy.sparse`` is imported when the first
 LazyKernel is built, so importing nwmix, and every path that builds no kernel
 (graphs, conductance, subtrees, constants, escape walks), never loads scipy.
 
-Trajectories and escape times are Monte Carlo on one Philox stream per seed,
-read chunk by chunk (coins, then picks) by one reader, `_moves`.  It reads
-the raw Philox words of a chunk in windows of steps, from two of this
-thread's Philox generators re-keyed and positioned at the chunk's coins and
-picks, and hands each window's moving steps to the walker, so a walk that
-leaves early draws only the windows it reaches.  The Python loops visit only
-the steps where the walk moves, on neighbor lists fetched for the vertices
-it visits.  An escape walk in a region whose vertices all have the same
-neighbor offsets, such as a quiet arc of the ring, makes i.i.d. ring steps:
-it runs each window in numpy, with the same result bit for bit.  The
-offsets are signed.  A region that holds every vertex cannot be left, and
-its trials are censored at the cap without walking.  The region analysis
-(range check, inside-mask, shared offsets, whole-graph flag) is kept for
-the last graph and region, since an experiment's escape trials repeat them;
-a trial's checks and exit tests are then lookups in the mask.
+Escape times are Monte Carlo on one Philox stream per seed, read chunk by
+chunk (coins, then picks) by one reader, `_moves`.  It reads the raw Philox
+words of a chunk in windows of steps, from two of this thread's Philox
+generators re-keyed and positioned at the chunk's coins and picks, and hands
+each window's moving steps to the walk, so a walk that leaves early draws
+only the windows it reaches.  The Python loop visits only the steps where
+the walk moves, on neighbor lists fetched for the vertices it visits.  A
+walk in a region whose vertices all have the same neighbor offsets, such as
+a quiet arc of the ring, makes i.i.d. ring steps: it runs each window in
+numpy, with the same result bit for bit.  The offsets are signed.  A region
+that holds every vertex cannot be left, and its trials are censored at the
+cap without walking.  The region analysis (range check, inside-mask, shared
+offsets, whole-graph flag) is kept for the last graph and region, since an
+experiment's escape trials repeat them; a trial's checks and exit tests are
+then lookups in the mask.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
     # column j of X is the law of the walk from starts[active[j]]
     active = np.arange(starts.size)
     X = _walk_from(pt, g.n, starts, 0)
-    tv = _tv_columns(X, pi, _tv_scratch(X))
+    tv = _tv_columns(X, pi)
     for j in np.flatnonzero(tv <= threshold):
         per[j] = 0
     keep = tv > threshold
@@ -309,7 +309,7 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
         del X_k
         for _ in range(c - k - 1):
             X = pt @ X
-        tv_c = _tv_columns(X, pi, _tv_scratch(X))
+        tv_c = _tv_columns(X, pi)
         near = tv_c <= threshold + _GUARD
         if np.any(tv_c[~near] > tv[~near] + (c - k) * _RISE):
             raise WalkError("TV distance increased along the chain")
@@ -360,7 +360,7 @@ def _replay(pt, pi, R, tv, k, c, threshold, alone):
     for t in range(k + 1, c + 1):
         R = pt @ R
         Z = np.repeat(R, 2, axis=1) if cols.size == 1 and not alone else R
-        prev, tv = tv, _tv_columns(Z, pi, _tv_scratch(Z))[:cols.size]
+        prev, tv = tv, _tv_columns(Z, pi)[:cols.size]
         if np.any(tv > prev + _RISE):
             raise WalkError("TV distance increased along the chain")
         last[cols] = tv
@@ -374,23 +374,20 @@ def _replay(pt, pi, R, tv, k, c, threshold, alone):
     return at, last
 
 
-def _tv_scratch(X) -> np.ndarray:
-    return np.empty((min(X.shape[0], _TV_ROWS) + 1, X.shape[1]))
-
-
-def _tv_columns(X, pi, buf) -> np.ndarray:
-    """TV distance of each column of X to pi, using buf as scratch.
+def _tv_columns(X, pi) -> np.ndarray:
+    """TV distance of each column of X to pi.
 
     The rows of |X - pi| are summed in blocks of up to ``_TV_ROWS`` rows held
-    in `buf`, whose row 0 carries in the column sums so far.  numpy adds the
-    rows of a block of two or more columns in strict order, so every sum is
-    bit-identical to one ``sum(axis=0)`` over all of |X - pi|, while the
-    scratch stays in cache.  A single column is summed pairwise, which
-    blocking would change, so it is summed whole.
+    in one scratch buffer, whose row 0 carries in the column sums so far.
+    numpy adds the rows of a block of two or more columns in strict order, so
+    every sum is bit-identical to one ``sum(axis=0)`` over all of |X - pi|,
+    while the scratch stays in cache.  A single column is summed pairwise,
+    which blocking would change, so it is summed whole.
     """
     n, s = X.shape
     if s == 1:
         return 0.5 * np.abs(X - pi).sum(axis=0)
+    buf = np.empty((min(n, _TV_ROWS) + 1, s))
     buf[0] = 0.0
     for a in range(0, n, _TV_ROWS):
         b = min(a + _TV_ROWS, n)
@@ -420,19 +417,16 @@ def _mixing_one_exact(g, x, cap, threshold) -> int | None:
     return None
 
 
-# -- trajectory simulation ------------------------------------------------------
+# -- escape walks ---------------------------------------------------------------
 #
-# Every walker reads its randomness through `_moves`.  Per chunk of `take`
-# steps from step t, the stream holds the `take` coin words from word 2t, then
-# the `take` pick words.  Step i moves iff its coin word is >= 2**63, which is
+# The walks read their randomness through `_moves`.  Per chunk of `take` steps
+# from step t, the stream holds the `take` coin words from word 2t, then the
+# `take` pick words.  Step i moves iff its coin word is >= 2**63, which is
 # ``random() >= 0.5``, and pick word w takes neighbor ``nb[int(u * len(nb))]``
-# with u = (w >> 11) * 2**-53, which is ``random()``.  The escape walks read
+# with u = (w >> 11) * 2**-53, which is ``random()``.  A chunk is read in
 # 512-step windows, so a walk that leaves early draws little past its exit.
-# A trajectory draws every step, and it reads each chunk as one window, which
-# it fills with one ``np.repeat`` (512-step windows were 10-20 % slower).
 
 _ESCAPE_CHUNK = 4096
-_TRAJECTORY_CHUNK = 8192
 _WINDOW = 512  # wide, as each window costs a dozen numpy calls
 _HALF = np.uint64(1 << 63)  # a raw word w gives random() >= 0.5 iff w >= 2**63
 
@@ -453,49 +447,28 @@ class _Neighbors(dict):
         return nb
 
 
-def _moves(seed, steps, chunk, window=_WINDOW):
+def _moves(seed, steps):
     """The moves of `steps` lazy steps on seed's stream, window by window.
 
-    Yields ``(t, width, moves, picks)`` per window of `width` steps from
+    Yields ``(t, moves, picks)`` per window of up to `_WINDOW` steps from
     step t: the in-window offsets of the steps that move, and the
-    ``random()`` values of their pick words.  A chunk of `chunk` steps is
-    read from this thread's `thread_philox` slots 0 and 1, positioned at the
-    chunk's coin and pick words.  The generator holds both slots across its
-    yields: the caller owns them until its next `thread_philox` call.
+    ``random()`` values of their pick words.  A chunk of `_ESCAPE_CHUNK`
+    steps is read from this thread's `thread_philox` slots 0 and 1,
+    positioned at the chunk's coin and pick words.  The generator holds both
+    slots across its yields: the caller owns them until its next
+    `thread_philox` call.
     """
     t = 0
     while t < steps:
-        take = min(chunk, steps - t)
+        take = min(_ESCAPE_CHUNK, steps - t)
         coin_words = thread_philox(seed, 2 * t)
         pick_words = thread_philox(seed, 2 * t + take, slot=1)
-        for a in range(0, take, window):
-            width = min(window, take - a)
+        for a in range(0, take, _WINDOW):
+            width = min(_WINDOW, take - a)
             moves = (coin_words.random_raw(width) >= _HALF).nonzero()[0]
             words = pick_words.random_raw(width)[moves]
-            yield t + a, width, moves, (words >> 11) * 2.0**-53
+            yield t + a, moves, (words >> 11) * 2.0**-53
         t += take
-
-
-def simulate_walk(g: UndirectedGraph, start: int, steps: int, seed: int) -> np.ndarray:
-    """A lazy-walk trajectory of `steps` transitions, deterministic per seed."""
-    if not 0 <= start < g.n:
-        raise WalkError("start vertex out of range")
-    if steps < 0:
-        raise WalkError("steps must be >= 0")
-    nbrs = _Neighbors(g)
-    traj = np.empty(steps + 1, dtype=np.int64)
-    traj[0] = pos = int(start)
-    for t, width, moves, picks in _moves(seed, steps, _TRAJECTORY_CHUNK,
-                                         _TRAJECTORY_CHUNK):
-        path = [pos]
-        for u in picks.tolist():
-            nb = nbrs[pos]
-            pos = nb[int(u * len(nb))]
-            path.append(pos)
-        # path[0] holds until the first move, each later vertex until the next
-        held = np.diff(moves, prepend=0, append=width)
-        traj[t + 1:t + 1 + width] = np.repeat(path, held)
-    return traj
 
 
 @dataclass(frozen=True)
@@ -513,11 +486,11 @@ def escape_time(
 ) -> EscapeResult:
     """First step at which a lazy walk from `start` leaves `region`.
 
-    `start` must lie inside the region, whose vertices must be integers
-    (a float is an error, not a truncated vertex).  A censored result
-    reports the cap instead of pretending the walk escaped.  If every region
-    vertex has the same neighbor offsets, the walk runs as i.i.d. ring steps
-    (`_ring_escape`); any other region takes the move loop.
+    `start` must be an integer vertex inside the region, whose vertices
+    must be integers too (a float is an error, not a truncated vertex).  A
+    censored result reports the cap instead of pretending the walk escaped.
+    If every region vertex has the same neighbor offsets, the walk runs as
+    i.i.d. ring steps (`_ring_escape`); any other region takes the move loop.
     """
     cap = _step_cap(cap)
     if not isinstance(region, np.ndarray):
@@ -530,17 +503,17 @@ def escape_time(
     if plan is None:
         raise WalkError("region vertex out of range")
     mask, off, whole = plan
-    if not 0 <= start < g.n:
+    pos = _integer(start, "start vertex")
+    if not 0 <= pos < g.n:
         raise WalkError("start vertex out of range")
-    pos = int(start)
-    if pos != start or not mask[pos]:
+    if not mask[pos]:
         raise WalkError("start vertex must lie inside the region")
     if whole:
         return EscapeResult(steps=cap, censored=True)
     if off is not None:
         return _ring_escape(g.n, off, mask, pos, seed, cap)
     nbrs = _Neighbors(g)
-    for t, _, moves, picks in _moves(seed, cap, _ESCAPE_CHUNK):
+    for t, moves, picks in _moves(seed, cap):
         for i, u in zip(moves.tolist(), picks.tolist()):
             nb = nbrs[pos]
             pos = nb[int(u * len(nb))]
@@ -605,7 +578,7 @@ def _ring_escape(n, off, inside, pos, seed, cap) -> EscapeResult:
     folds by one subtraction (or addition) of n per lap, which is why the
     offsets are signed rather than taken mod n.
     """
-    for t, _, moves, picks in _moves(seed, cap, _ESCAPE_CHUNK):
+    for t, moves, picks in _moves(seed, cap):
         if not moves.size:
             continue
         path = pos + np.cumsum(off[(picks * off.size).astype(np.int64)])

@@ -578,35 +578,12 @@ def mu_by_lagrange(q, J):
 
 
 # ---------------------------------------------------------------------------
-# lazy-walk trajectories, escape times and the edge-list reader, one step and
-# one line at a time (the library's first versions of these functions)
+# lazy-walk escape times and the edge-list reader, one step and one line at a
+# time (the library's first versions of these functions)
 
 
 def _philox(seed):
     return np.random.Generator(np.random.Philox(key=int(seed) & ((1 << 64) - 1)))
-
-def simulate_walk(g, start, steps, seed):
-    """Trajectory of `steps` lazy steps: per chunk of 8192 steps, the coins
-    and then the picks; step t moves iff coins[t] >= 0.5."""
-    rng = _philox(seed)
-    traj = np.empty(steps + 1, dtype=np.int64)
-    traj[0] = start
-    pos = int(start)
-    indptr, indices = g.indptr, g.indices
-    i = 0
-    chunk = 8192
-    while i < steps:
-        take = min(chunk, steps - i)
-        coins = rng.random(take)
-        picks = rng.random(take)
-        for t in range(take):
-            if coins[t] >= 0.5:
-                lo = indptr[pos]
-                d = indptr[pos + 1] - lo
-                pos = int(indices[lo + int(picks[t] * d)])
-            i += 1
-            traj[i] = pos
-    return traj
 
 def escape_time(g, start, region, seed, cap=1_000_000):
     """(steps, censored) of the first exit from `region`, in chunks of 4096."""

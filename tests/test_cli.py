@@ -137,11 +137,15 @@ def test_subtrees_battery(tmp_path, capsys):
     assert table.read_text().splitlines()[0] == "j,q_j,mu_j,bound_j"
 
 
-def test_constants_json(tmp_path):
+def test_constants_json(tmp_path, capsys):
     out = tmp_path / "consts.json"
     assert main(["constants", "--c", "1", "--k", "1", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == ""
     payload = json.loads(out.read_text())
     assert payload["regime"] == "small-c" and payload["R"] == 22638
+    # without --out the same bytes go to stdout
+    assert main(["constants", "--c", "1", "--k", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == out.read_text()
     assert main(["constants", "--c", "20000", "--k", "1", "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text())["regime"] == "large-c"
 

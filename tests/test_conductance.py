@@ -16,7 +16,6 @@ from nwmix import (
     complete_graph,
     connected_set_counts,
     connected_sets,
-    count_connected_sets,
     cut_stats,
     fr_bound,
     num_scales,
@@ -72,11 +71,12 @@ def test_connected_sets_match_bruteforce(g):
     by_size = {}
     for s in oracles.all_connected_subsets(g):
         by_size.setdefault(len(s), set()).add(s)
+    counts = connected_set_counts(g, g.n)
     for j in range(1, g.n + 1):
         got = list(connected_sets(g, j))
         assert len(got) == len(set(got)), "a set was produced twice"
         assert {frozenset(s) for s in got} == by_size.get(j, set())
-        assert count_connected_sets(g, j) == len(got)
+        assert counts[j - 1] == len(got)
 
 
 def test_connected_sets_containing():
@@ -89,7 +89,7 @@ def test_connected_sets_containing():
         }
         got = {frozenset(s) for s in connected_sets(g, j, containing=v)}
         assert got == expected
-        assert count_connected_sets(g, j, containing=v) == len(expected)
+        assert connected_set_counts(g, j, containing=v)[-1] == len(expected)
 
 
 def test_connected_sets_validation():
@@ -101,15 +101,15 @@ def test_connected_sets_validation():
     with pytest.raises(ValueError, match="containing"):
         list(connected_sets(g, 2, containing=8))
     with pytest.raises(ValueError, match="containing"):
-        count_connected_sets(g, 2, containing=-1)
+        connected_set_counts(g, 2, containing=-1)
 
 
 def test_enumeration_budget():
     g = complete_graph(10)
     with pytest.raises(EnumerationBudgetError):
-        count_connected_sets(g, 10, budget=100)
+        connected_set_counts(g, 10, budget=100)
     # generous budget succeeds: 2^10 - 1 nonempty subsets, all connected
-    assert sum(count_connected_sets(g, j) for j in range(1, 11)) == 2**10 - 1
+    assert sum(connected_set_counts(g, 10)) == 2**10 - 1
 
 
 def test_num_scales():
@@ -237,8 +237,7 @@ def test_budget_is_the_node_count():
     for kwargs, j, nodes in (({}, 5, 378), ({"containing": 3}, 5, 145),
                              ({}, 6, 708), ({"containing": 3}, 4, 52)):
         with pytest.raises(EnumerationBudgetError):
-            count_connected_sets(H12, j, budget=nodes - 1, **kwargs)
-        count_connected_sets(H12, j, budget=nodes, **kwargs)
+            connected_set_counts(H12, j, budget=nodes - 1, **kwargs)
         counts = connected_set_counts(H12, j, budget=nodes, **kwargs)
         assert sum(counts) == nodes
     # exact mode: every connected set below the top window's volume, plus roots
@@ -435,7 +434,7 @@ def test_connected_set_counts_match_single_counts(g):
     for containing in (None, 0, g.n - 1):
         for j_max in (1, 3, min(6, g.n)):
             counts = connected_set_counts(g, j_max, containing=containing)
-            assert counts == [count_connected_sets(g, j, containing=containing)
+            assert counts == [len(list(connected_sets(g, j, containing)))
                               for j in range(1, j_max + 1)]
             # the budget covers every set of at most j_max vertices, no fewer
             total = sum(counts)

@@ -20,7 +20,6 @@ from nwmix import (
     quiet_arc,
     quiet_arc_threshold,
     run_conductance,
-    run_constants,
     run_quiet_arc,
     run_scaling,
     run_subtree_verification,
@@ -305,13 +304,6 @@ def test_connected_set_bound_check_needs_two_reps():
             connected_set_bound_check(n=12, reps=reps, j_max=2)
     out = connected_set_bound_check(n=12, reps=2, j_max=2)
     assert all(math.isfinite(row["stderr"]) for row in out)
-
-
-def test_run_constants(tmp_path):
-    out = tmp_path / "constants.json"
-    payload = json.loads(run_constants(Fraction(1), 1, out=str(out)))
-    assert payload["regime"] == "small-c"
-    assert json.loads(out.read_text()) == payload
 
 
 _CONFIG_KEYS = ["n", "n_values", "k", "c", "seed", "master_seed", "reps", "cap",

@@ -195,6 +195,14 @@ def test_blow_up_validation():
         blow_up(g, 2)  # R must exceed k
 
 
+def test_blow_up_rejects_R_below_one():
+    # R = 0 is rejected before n % R divides by it
+    for g in (build_ring(12, 2), complete_graph(6)):
+        for R in (0, -1, -3):
+            with pytest.raises(GraphValidationError, match="must be >= 1"):
+                blow_up(g, R)
+
+
 def test_blow_up_set():
     bmap = blow_up(build_ring(12, 1), 3)
     blocks, s_plus = blow_up_set(bmap, {0, 5, 7})

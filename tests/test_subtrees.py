@@ -16,7 +16,7 @@ from nwmix import (
     build_ring,
     catalan,
     complete_graph,
-    count_connected_sets,
+    connected_set_counts,
     count_root_embeddings,
     count_root_subtrees,
     derive_seed,
@@ -444,9 +444,9 @@ def test_mc_estimate_within():
 
 def test_count_subtrees_containing():
     ring = build_ring(10, 1)
-    for j in range(1, 10):
-        assert count_connected_sets(ring, j, containing=0) == j
-    assert count_connected_sets(complete_graph(5), 3, containing=2) == math.comb(4, 2)
+    assert connected_set_counts(ring, 9, containing=0) == list(range(1, 10))
+    counts = connected_set_counts(complete_graph(5), 3, containing=2)
+    assert counts[-1] == math.comb(4, 2)
 
 
 def test_write_mu_table(tmp_path):

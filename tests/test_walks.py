@@ -28,7 +28,6 @@ from nwmix import (
     quiet_arc,
     sample_small_world,
     sample_starts,
-    simulate_walk,
     stationary,
     stationary_exact,
     step_exact,
@@ -39,7 +38,7 @@ from nwmix import (
 from nwmix import walks
 from nwmix.experiments import ExperimentConfig, build_graph, scaling_starts
 from nwmix.rng import thread_philox
-from nwmix.walks import _region_plan, _shared_offsets, _tv_columns, _tv_scratch
+from nwmix.walks import _region_plan, _shared_offsets, _tv_columns
 
 import oracles
 
@@ -227,37 +226,6 @@ def test_sample_starts_deterministic():
     assert sample_starts(5, 10, 0) == [0, 1, 2, 3, 4]
 
 
-def test_simulate_walk_trajectory():
-    g = sample_small_world(GraphSpec(n=20, k=1, c=2, seed=4))
-    traj = simulate_walk(g, start=3, steps=200, seed=11)
-    assert traj.shape == (201,) and traj[0] == 3
-    for a, b in zip(traj[:-1], traj[1:]):
-        assert a == b or g.has_edge(int(a), int(b))
-    assert np.array_equal(traj, simulate_walk(g, 3, 200, seed=11))
-    assert not np.array_equal(traj, simulate_walk(g, 3, 200, seed=12))
-    with pytest.raises(WalkError):
-        simulate_walk(g, start=20, steps=1, seed=0)
-    with pytest.raises(WalkError, match="steps"):
-        simulate_walk(g, 0, -1, seed=0)
-    assert simulate_walk(g, 5, 0, seed=0).tolist() == [5]
-
-
-def test_simulate_walk_distribution():
-    # empirical k-step law vs the exact kernel power
-    g = build_ring(8, 1)
-    k, reps = 4, 4000
-    counts = np.zeros(8)
-    for r in range(reps):
-        counts[simulate_walk(g, 0, k, seed=r)[-1]] += 1
-    mu = point_mass(8, 0)
-    kernel = LazyKernel(g)
-    for _ in range(k):
-        mu = kernel.step(mu)
-    for v in range(8):
-        se = math.sqrt(reps * mu[v] * (1 - mu[v]))
-        assert abs(counts[v] - reps * mu[v]) < 5 * se + 1
-
-
 def test_escape_time():
     g = build_ring(16, 1)
     with pytest.raises(WalkError, match="inside"):
@@ -289,6 +257,17 @@ def test_escape_time():
     mean = sum(times) / len(times)
     se = math.sqrt(2.0 / len(times))  # Geometric(1/2) variance = 2
     assert abs(mean - 2.0) < 4 * se
+
+
+def test_escape_time_rejects_non_integer_start():
+    # a float start is an error, as in mixing_time, not a truncated vertex
+    # nor one outside the region
+    g = build_ring(30, 1)
+    for bad in (10.0, 10.5, "3"):
+        with pytest.raises(WalkError, match="start vertex must be an integer"):
+            escape_time(g, bad, range(8, 13), seed=0)
+    want = escape_time(g, 10, range(8, 13), seed=0)
+    assert escape_time(g, np.int64(10), range(8, 13), seed=0) == want
 
 
 def test_mixing_result_is_dataclass():
@@ -483,7 +462,7 @@ def test_tv_columns_bit_identical(n, s):
     pi = rng.random(n)[:, None]
     pi /= pi.sum()
     want = 0.5 * np.abs(X - pi).sum(axis=0)
-    assert np.array_equal(_tv_columns(X, pi, _tv_scratch(X)), want)
+    assert np.array_equal(_tv_columns(X, pi), want)
 
 
 def _arc_case(n, k, c, gseed, length):
@@ -651,6 +630,49 @@ def test_escape_path_follows_the_region(monkeypatch):
     assert (got.steps, got.censored) == want[1]
 
 
+def _survival(g, start, region, horizon):
+    """P(T > t) for t = 0 .. horizon, where T is the first step of the walk
+    from `start` outside `region`: a point mass stepped by the kernel
+    restricted to the region, which kills the mass that leaves."""
+    region = np.asarray(region)
+    Q = oracles.dense_kernel(g)[np.ix_(region, region)]
+    mu = (region == start).astype(float)
+    out = np.empty(horizon + 1)
+    for t in range(horizon + 1):
+        out[t] = mu.sum()
+        mu = mu @ Q
+    return out
+
+
+def _assert_escape_law(g, start, region, seeds=2000, alpha=1e-6):
+    """The empirical CDF of escape_time over `seeds` seeds lies in the DKW
+    band of the exact CDF: P(sup |F_n - F| > eps) <= 2 exp(-2 n eps^2)."""
+    times = np.sort([escape_time(g, start, region, seed=s).steps for s in range(seeds)])
+    assert times[0] >= 1 and times[-1] < 1_000_000  # none censored
+    t = np.arange(times[-1] + 1)
+    empirical = np.searchsorted(times, t, side="right") / seeds
+    exact = 1.0 - _survival(g, start, region, times[-1])
+    eps = math.sqrt(math.log(2 / alpha) / (2 * seeds))
+    assert np.abs(empirical - exact).max() <= eps
+
+
+def test_escape_law_matches_the_killed_chain(monkeypatch):
+    # a bare path takes the i.i.d. ring steps
+    g, region = build_ring(64, 1), np.arange(10, 22)
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_Neighbors", _no_loop)
+        _assert_escape_law(g, 16, region)
+    # its exact mean is 2ab, a and b the start's distances to the exits 9 and 22
+    Q = oracles.dense_kernel(g)[np.ix_(region, region)]
+    mean = np.linalg.solve(np.eye(region.size) - Q, np.ones(region.size))[16 - 10]
+    assert math.isclose(mean, 2 * 7 * 6, rel_tol=1e-12)
+    # a quiet arc and the shortcut vertex past its end take the move loop
+    g, arc, wider = _arc_and_loud()
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_ring_escape", _no_loop)
+        _assert_escape_law(g, arc.center, wider)
+
+
 def _no_generator(*args, **kwargs):
     raise AssertionError("a walker built a numpy Generator")
 
@@ -664,9 +686,6 @@ def test_walkers_read_raw_words_only(monkeypatch):
             got = escape_time(g, arc.center, wider, seed=seed, cap=cap)
             want = oracles.escape_time(g, arc.center, wider, seed=seed, cap=cap)
             assert (got.steps, got.censored) == want
-        for steps in (0, 1, 8192, 8193, 20_000):
-            got = simulate_walk(g, arc.center, steps, seed=seed)
-            assert np.array_equal(got, oracles.simulate_walk(g, arc.center, steps, seed))
 
 
 def _cached_offsets(g, region):
@@ -729,22 +748,8 @@ def test_escape_time_rejects_cap_below_one():
                 escape_time(g, start, region, seed=1, cap=cap)
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(8, 80), c=st.fractions(0, 6, max_denominator=8),
-       gseed=st.integers(0, 10**6), start=st.integers(0, 79),
-       steps=st.one_of(st.sampled_from([0, 1, 8191, 8192, 8193, 16385]),
-                       st.integers(0, 3000)),
-       seed=st.integers(0, 2**64 - 1))
-def test_simulate_walk_matches_oracle(n, c, gseed, start, steps, seed):
-    g = sample_small_world(GraphSpec(n=n, k=1, c=c, seed=gseed))
-    start %= n
-    got = simulate_walk(g, start, steps, seed=seed)
-    assert np.array_equal(got, oracles.simulate_walk(g, start, steps, seed))
-
-
 def test_walk_stays_at_an_isolated_vertex():
     g = UndirectedGraph.from_edges(4, [(0, 1), (1, 2)])
-    assert set(simulate_walk(g, 3, 100, seed=1).tolist()) == {3}
     assert escape_time(g, 3, [3], seed=1, cap=100).censored
 
 
@@ -823,7 +828,8 @@ def test_escape_memo_rejects_bad_input_on_every_call():
     g = build_ring(30, 1)
     region = np.arange(10, 20)
     escape_time(g, 15, region, seed=0)  # the region is memoised now
-    for start, reg, msg in ((5, region, "inside"), (15.5, region, "inside"),
+    for start, reg, msg in ((5, region, "inside"),
+                            (15.5, region, "must be an integer"),
                             (30, region, "start vertex out"),
                             (15, np.append(region, 30), "region vertex out"),
                             (15, np.append(region, -1), "region vertex out"),
