@@ -306,6 +306,18 @@ def test_connected_set_bound_check_needs_two_reps():
     assert all(math.isfinite(row["stderr"]) for row in out)
 
 
+def test_run_constants(tmp_path):
+    # the constants experiment: the payload of constants_for, written through
+    # the CLI's shared emitter, lands in --out unchanged
+    from nwmix.cli import EXIT_OK, main
+
+    out = tmp_path / "constants.json"
+    payload = json.loads(constants_for(Fraction(1), 1).to_json())
+    assert payload["regime"] == "small-c"
+    assert main(["constants", "--c", "1", "--k", "1", "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == payload
+
+
 _CONFIG_KEYS = ["n", "n_values", "k", "c", "seed", "master_seed", "reps", "cap",
                 "step_cap", "budget", "enum_budget", "samples", "escape_trials",
                 "name", "mode", "out"]
