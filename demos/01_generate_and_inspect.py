@@ -6,7 +6,9 @@ Ring edges are a deterministic backbone; the sparse random "shortcuts" on top
 are what the rest of the toolkit studies.
 """
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -54,12 +56,14 @@ print("  resampling with the same seed reproduces the edge list exactly")
 
 # -- file round trip ---------------------------------------------------------------
 
-write_graph(g, "/tmp/demo_graph.txt")
-h = read_graph("/tmp/demo_graph.txt")
-assert np.array_equal(h.edge_array(), g.edge_array())
-with open("/tmp/demo_graph.txt", encoding="utf-8") as fh:
-    head = [next(fh).rstrip() for _ in range(4)]
-print(f"\nwrote /tmp/demo_graph.txt; first lines: {head}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_graph.txt"
+    write_graph(g, path)
+    h = read_graph(path)
+    assert np.array_equal(h.edge_array(), g.edge_array())
+    with open(path, encoding="utf-8") as fh:
+        head = [next(fh).rstrip() for _ in range(4)]
+print(f"\nwrote {path.name}; first lines: {head}")
 
 # -- blow-up: coarse-graining blocks of R consecutive vertices --------------------
 

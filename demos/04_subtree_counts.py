@@ -8,7 +8,9 @@ iterating that equation or by Lagrange inversion.  Everything here is
 Fraction arithmetic, so agreement means equality, not closeness.
 """
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 from nwmix import (
     brute_force_mu,
@@ -86,8 +88,10 @@ g = sample_small_world(GraphSpec(n=20, k=1, c=Fraction(3), seed=2))
 print(f"H(20,1,c=3), same counts:       "
       f"{connected_set_counts(g, 5, containing=0)}")
 
-write_mu_table("/tmp/demo_mu.csv", poisson_law(Fraction(2)), 8, bound_C=Fraction(2))
-with open("/tmp/demo_mu.csv", encoding="utf-8") as fh:
-    print("\nmu table (/tmp/demo_mu.csv):")
-    for line in list(fh)[:5]:
-        print("  " + line.rstrip())
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_mu.csv"
+    write_mu_table(path, poisson_law(Fraction(2)), 8, bound_C=Fraction(2))
+    with open(path, encoding="utf-8") as fh:
+        print(f"\nmu table ({path.name}):")
+        for line in list(fh)[:5]:
+            print("  " + line.rstrip())

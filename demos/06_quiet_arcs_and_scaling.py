@@ -10,7 +10,7 @@ the primary outputs stay byte-identical across reruns.
 """
 
 import filecmp
-import shutil
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,31 +55,30 @@ print("  (escape needs time roughly quadratic in the arc length)")
 
 # -- the scaling harness -------------------------------------------------------------
 
-out = Path("/tmp/demo_scaling")
-shutil.rmtree(out, ignore_errors=True)
-out.mkdir()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "demo_scaling"
+    out.mkdir()
 
-config = ExperimentConfig(
-    name="demo",
-    n_values=(64, 128, 256),
-    k=1,
-    c=Fraction(5),
-    reps=3,
-    master_seed=0,
-    out=str(out / "scaling.csv"),
-)
-run_scaling(config)
-print(f"\nwrote {sorted(p.name for p in out.iterdir())}")
-lines = (out / "scaling.csv").read_text().splitlines()
-print("scaling.csv:")
-for line in lines[:5] + ["..."] + lines[-2:]:
-    print("  " + line)
+    config = ExperimentConfig(
+        name="demo",
+        n_values=(64, 128, 256),
+        k=1,
+        c=Fraction(5),
+        reps=3,
+        master_seed=0,
+        out=str(out / "scaling.csv"),
+    )
+    run_scaling(config)
+    print(f"\nwrote {sorted(p.name for p in out.iterdir())}")
+    lines = (out / "scaling.csv").read_text().splitlines()
+    print("scaling.csv:")
+    for line in lines[:5] + ["..."] + lines[-2:]:
+        print("  " + line)
 
-# Rerun into a second directory: every primary output matches byte for byte.
-out2 = Path("/tmp/demo_scaling2")
-shutil.rmtree(out2, ignore_errors=True)
-out2.mkdir()
-run_scaling(config.overridden(out=str(out2 / "scaling.csv")))
-same = filecmp.cmp(out / "scaling.csv", out2 / "scaling.csv", shallow=False)
+    # Rerun into a second directory: every primary output matches byte for byte.
+    out2 = Path(tmp) / "demo_scaling2"
+    out2.mkdir()
+    run_scaling(config.overridden(out=str(out2 / "scaling.csv")))
+    same = filecmp.cmp(out / "scaling.csv", out2 / "scaling.csv", shallow=False)
 print(f"\nrerun produces byte-identical scaling.csv: {same}")
 print("(wall-clock times live in the .timing.csv sidecar, which may differ)")

@@ -15,6 +15,7 @@ in bulk and any other layout line by line.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,7 +305,14 @@ class BlowUpMap:
 
 
 def blow_up(g: UndirectedGraph, R: int) -> BlowUpMap:
-    """Contract consecutive blocks of R vertices into single vertices."""
+    """Contract consecutive blocks of R vertices into single vertices.
+
+    R is an int or numpy integer, never a float, even one that divides n.
+    """
+    try:
+        R = operator.index(R)
+    except TypeError:
+        raise GraphValidationError(f"R must be an integer, got {R!r}") from None
     if R < 1:
         raise GraphValidationError(f"R={R} must be >= 1")
     if g.n % R != 0:

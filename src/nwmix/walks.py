@@ -11,7 +11,10 @@ row blocks with the same summation order as one whole-block sum.  TV is
 evaluated only at checkpoints 8 steps apart: a column at or near the
 threshold there is replayed step by step from its law at the checkpoint
 before, with the sums of a search that evaluates TV at every step, so every
-start's first mixed step is that search's, bit for bit.  The kernel is the
+start's first mixed step is that search's, bit for bit.  The columns that
+cross the threshold wait in a queue, which is replayed as one wide block,
+each column over its own stride, as a wide product costs less per column
+than a narrow one.  The kernel is the
 module's only use of scipy: ``scipy.sparse`` is imported when the first
 LazyKernel is built, so importing nwmix, and every path that builds no kernel
 (graphs, conductance, subtrees, constants, escape walks), never loads scipy.
@@ -58,6 +61,7 @@ _STRIDE = 8  # steps between the mixing search's TV checkpoints
 _GUARD = 1e-9  # columns this close above the threshold at one are replayed
 _KEEP = 1.25  # a checkpoint copies the columns with TV <= _KEEP * threshold
 _RISE = 1e-12  # the rise in TV that one step's rounding may cause
+_FLUSH = 16  # the mixing search replays its queue once it holds this many columns
 
 
 class WalkError(ValueError):
@@ -285,11 +289,35 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
     threshold`` there, or else its start's point mass stepped k times.  A
     column's product does not depend on the other columns, so both are the
     block's column bit for bit.
+
+    A column at or below the threshold at the end of a whole stride, while
+    some column is still above threshold + `_GUARD`, leaves the block, and
+    its law at k waits in a queue.  The queue is replayed as one block, each
+    column over its own stride, once it holds ``_FLUSH`` columns and at the
+    end of the search.  Those columns had company at every step of their
+    stride, so their TVs are summed in row order, as in a block of two or
+    more.  Columns within the guard band, a stride cut short by the cap,
+    and a checkpoint whose columns are all near the threshold are replayed
+    at once.
     """
     pt = LazyKernel(g)._PT
     pi = stationary(g)[:, None]
     starts = np.asarray(start_list)
     per: list[int | None] = [None] * starts.size
+
+    def record(ids, at):
+        for j, t in zip(ids.tolist(), at.tolist()):
+            if t:
+                per[j] = t
+
+    queue: list[tuple] = []  # (laws at k, start ids, k, TV at k)
+
+    def flush():
+        ids, k0, tv0 = (np.concatenate([q[i] for q in queue]) for i in (1, 2, 3))
+        R = np.hstack([q[0] for q in queue])
+        queue.clear()
+        record(ids, _replay(pt, pi, R, tv0, k0, _STRIDE, threshold, alone=False)[0])
+
     # column j of X is the law of the walk from starts[active[j]]
     active = np.arange(starts.size)
     X = _walk_from(pt, g.n, starts, 0)
@@ -314,6 +342,7 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
         if np.any(tv_c[~near] > tv[~near] + (c - k) * _RISE):
             raise WalkError("TV distance increased along the chain")
         if near.any():
+            alone = near.all()
             # the columns to replay, those with a copy first, then the rest
             cols = np.flatnonzero(near)
             copied = np.isin(active[cols], saved_ids)
@@ -323,15 +352,27 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
             del saved
             if m < ids.size:
                 R = np.hstack((R, _walk_from(pt, g.n, starts[ids[m:]], k)))
-            at, tv_c[cols] = _replay(pt, pi, R, tv[cols], k, c, threshold,
-                                     alone=near.all())
-            for j, t in zip(ids.tolist(), at.tolist()):
-                if t:
-                    per[j] = t
-            keep = np.ones(active.size, dtype=bool)
-            keep[cols[at > 0]] = False
+            gone = np.zeros(active.size, dtype=bool)
+            # a whole stride's crossers wait in the queue while others stay
+            crossed = tv_c[cols] <= threshold
+            if c - k == _STRIDE and not alone and crossed.any():
+                queue.append((R[:, crossed], ids[crossed],
+                              np.full(int(crossed.sum()), k), tv[cols[crossed]]))
+                gone[cols[crossed]] = True
+                now = ~crossed
+                R, cols, ids = R[:, now], cols[now], ids[now]
+            if cols.size:
+                at, tv_c[cols] = _replay(pt, pi, R, tv[cols], k, c - k, threshold,
+                                         alone=alone)
+                record(ids, at)
+                gone[cols[at > 0]] = True
+            keep = ~gone
             X, active, tv_c = X.compress(keep, axis=1), active[keep], tv_c[keep]
+            if sum(q[1].size for q in queue) >= _FLUSH:
+                flush()
         tv, k = tv_c, c
+    if queue:
+        flush()
     return per
 
 
@@ -344,20 +385,23 @@ def _walk_from(pt, n, starts, steps) -> np.ndarray:
     return X
 
 
-def _replay(pt, pi, R, tv, k, c, threshold, alone):
-    """Steps k+1 .. c of the laws R at step k, whose TV there is `tv`, with
-    TV evaluated and checked at every step.
+def _replay(pt, pi, R, tv, k, steps, threshold, alone):
+    """`steps` steps of the laws R, column j at step k[j] (or k, one step
+    for all) with TV tv[j] there, with TV evaluated and checked at every
+    step.
 
     Returns each column's first step with TV <= threshold (0 for none) and
-    its TV at that step, or at c.  The sums are those of a TV evaluation at
-    every step: there a column is summed pairwise only when no other column
-    is active, so a lone column is summed in a padded block of two unless
-    `alone` says that the replayed columns are the only active ones.
+    its TV at that step, or at its last.  The sums are those of a TV
+    evaluation at every step: there a column is summed pairwise only when
+    no other column is active, so a lone column is summed in a padded block
+    of two unless `alone` says that the replayed columns are the only
+    active ones.
     """
     at = np.zeros(R.shape[1], dtype=np.int64)
+    k = np.broadcast_to(k, at.shape)
     last = tv.copy()
     cols = np.arange(R.shape[1])
-    for t in range(k + 1, c + 1):
+    for t in range(1, steps + 1):
         R = pt @ R
         Z = np.repeat(R, 2, axis=1) if cols.size == 1 and not alone else R
         prev, tv = tv, _tv_columns(Z, pi)[:cols.size]
@@ -366,7 +410,7 @@ def _replay(pt, pi, R, tv, k, c, threshold, alone):
         last[cols] = tv
         mixed = tv <= threshold
         if mixed.any():
-            at[cols[mixed]] = t
+            at[cols[mixed]] = k[cols[mixed]] + t
             keep = ~mixed
             R, cols, tv = R.compress(keep, axis=1), cols[keep], tv[keep]
             if not cols.size:

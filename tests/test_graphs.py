@@ -203,6 +203,17 @@ def test_blow_up_rejects_R_below_one():
                 blow_up(g, R)
 
 
+def test_blow_up_rejects_R_that_is_not_an_integer():
+    # a float that divides n is an error too, not a block size
+    g = build_ring(12, 1)
+    for R in (3.0, 1.5, np.float64(4.0), "3", None):
+        with pytest.raises(GraphValidationError, match="R must be an integer"):
+            blow_up(g, R)
+    bmap = blow_up(g, np.int32(3))
+    assert bmap.R == 3 and type(bmap.R) is int
+    assert np.array_equal(bmap.auxiliary.edge_array(), blow_up(g, 3).auxiliary.edge_array())
+
+
 def test_blow_up_set():
     bmap = blow_up(build_ring(12, 1), 3)
     blocks, s_plus = blow_up_set(bmap, {0, 5, 7})

@@ -7,6 +7,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -422,6 +423,116 @@ def test_strided_search_replays_from_copies_and_from_starts(monkeypatch):
     assert counts["replayed"] > counts["rebuilt"]  # from a checkpoint's copy
 
 
+def _recorded_replays(monkeypatch):
+    """The mixing search's `_replay` calls, in order.  Each records whether
+    it replayed the queue, which passes one start step per column, the
+    columns' start steps, its number of steps, its `alone` flag, and which
+    columns mixed."""
+    calls = []
+    replay = walks._replay
+
+    def recorded(pt, pi, R, tv, k, steps, threshold, alone):
+        at, last = replay(pt, pi, R, tv, k, steps, threshold, alone)
+        calls.append(SimpleNamespace(
+            queued=np.ndim(k) == 1, k=np.broadcast_to(k, at.shape).copy(),
+            steps=steps, alone=bool(alone), mixed=at > 0))
+        return at, last
+
+    monkeypatch.setattr(walks, "_replay", recorded)
+    return calls
+
+
+def test_queued_replays_merge_checkpoints_and_flush(monkeypatch):
+    calls = _recorded_replays(monkeypatch)
+    g = _small_world(300, "1/2", 4)
+    want = oracles.stepwise_per_start(g, list(range(g.n)), 10**6, 0.25)
+    assert mixing_time(g).per_start == want
+    queued = [r for r in calls if r.queued]
+    # each queued column replays its whole stride, in company, and mixes
+    assert all(r.steps == walks._STRIDE and not r.alone and r.mixed.all() for r in queued)
+    # the crossers of two or more checkpoints share one replay
+    assert any(np.unique(r.k).size >= 2 for r in queued)
+    # flushed in mid-run once `_FLUSH` columns wait, and, shorter, at the
+    # end, after the last columns are replayed alone
+    assert sum(r.k.size >= walks._FLUSH for r in queued[:-1]) >= 2
+    assert calls[-2].alone and not calls[-2].queued
+    assert calls[-1].queued and calls[-1].k.size < walks._FLUSH
+
+
+def test_queued_replays_match_the_stepwise_oracle_at_any_width(monkeypatch):
+    # a flush at every crossing, after a few crossers, and only at the end
+    for spec in _STEPWISE_GRAPHS:
+        g = _small_world(*spec)
+        want = oracles.stepwise_per_start(g, list(range(g.n)), 10**6, 0.25)
+        for flush in (1, 3, 10**9):
+            monkeypatch.setattr(walks, "_FLUSH", flush)
+            assert mixing_time(g).per_start == want
+
+
+def test_a_queued_lone_column_is_summed_in_a_block(monkeypatch, tv_sums):
+    # the fast start crosses at a checkpoint while the slow one is far above
+    # the threshold, so it waits in the queue alone; its TV ties the
+    # threshold in row order, not summed pairwise
+    g, lone, block = tv_sums
+    slow = int(np.argmax([_first_at_most(block[:, a], 0.2) for a in range(g.n)]))
+    fast = int(np.argmin([_first_at_most(block[:, b], 0.2) for b in range(g.n)]))
+    t = next(t for t in range(1, 161) if lone[t, fast] > block[t, fast]
+             and block[-(-t // 8) * 8, slow] > block[t, fast] + 1e-3)
+    threshold = block[t, fast]
+    calls = _recorded_replays(monkeypatch)
+    _tie(g, [fast, slow], threshold, [t, _first_at_most(block[:, slow], threshold)])
+    assert [r.k.tolist() for r in calls if r.queued] == [[-(-t // 8) * 8 - 8]]
+
+
+def test_queued_replays_before_a_stride_cut_short_by_the_cap(monkeypatch):
+    calls = _recorded_replays(monkeypatch)
+    g = _small_world(300, "1/2", 4)
+    cap = 189  # 5 steps past the checkpoint at 184, short of tau = 197
+    res = mixing_time(g, cap=cap)
+    assert res.censored
+    assert res.per_start == oracles.stepwise_per_start(g, list(range(g.n)), cap, 0.25)
+    # the short stride is replayed at once; the queue waits for the end
+    cut = calls[-2]
+    assert not cut.queued and cut.steps == cap - 184 and cut.k.tolist() == [184]
+    assert calls[-1].queued and calls[-1].k.max() < 184
+
+
+def test_a_guard_band_column_is_replayed_at_once(monkeypatch, tv_sums):
+    # b sits one ulp above the threshold at checkpoint c, within the guard,
+    # while a crosses in the stride before c and s is far above
+    g, lone, block = tv_sums
+    for c, b in itertools.product(range(16, 161, 8), range(g.n)):
+        threshold = np.nextafter(block[c, b], 0.0)
+        if block[c - 1, b] <= threshold + 1e-6:
+            continue
+        steps = [_first_at_most(block[:, v], threshold) for v in range(g.n)]
+        a = next((v for v, t in enumerate(steps) if c - 8 < t <= c), None)
+        s = next((v for v in range(g.n) if block[c, v] > threshold + 1e-3
+                  and block[-1, v] <= threshold), None)
+        if a is not None and s is not None:
+            break
+    else:
+        pytest.fail("no column within the guard")
+    calls = _recorded_replays(monkeypatch)
+    _tie(g, [a, b, s], threshold, [steps[a], steps[b], steps[s]])
+    assert steps[b] > c
+    guard = next(r for r in calls if not r.queued)
+    assert guard.k.tolist() == [c - 8] and not guard.mixed.any() and not guard.alone
+    assert any(r.queued and r.k.tolist() == [c - 8] for r in calls)
+
+
+def test_queued_replays_are_few_on_scaling_starts(monkeypatch):
+    cfg = ExperimentConfig(n_values=(4096,), c=Fraction(1, 2), reps=1)
+    g = build_graph(cfg, 4096, 0)
+    starts = scaling_starts(cfg, g, 0)
+    calls = _recorded_replays(monkeypatch)
+    want = oracles.stepwise_per_start(g, starts, 10**6, 0.25)
+    assert mixing_time(g, starts=starts).per_start == want
+    # the strides with a crossing, one replay each when replayed at once
+    strides = {int(k) for r in calls for k in r.k}
+    assert len(calls) <= 6 < len(strides)
+
+
 @pytest.mark.parametrize("path", ["checkpoint", "replay", "exact"])
 def test_mixing_search_catches_a_tv_rise(monkeypatch, path):
     # with pi a point mass at vertex 0, TV from vertex 1 is 1 - mu_t(0): it
@@ -666,6 +777,12 @@ def test_escape_law_matches_the_killed_chain(monkeypatch):
     Q = oracles.dense_kernel(g)[np.ix_(region, region)]
     mean = np.linalg.solve(np.eye(region.size) - Q, np.ones(region.size))[16 - 10]
     assert math.isclose(mean, 2 * 7 * 6, rel_tol=1e-12)
+    # a k = 2 ring window clear of the ends takes them with four offsets
+    g, region = build_ring(64, 2), np.arange(20, 36)
+    assert _cached_offsets(g, region).size == 4
+    with monkeypatch.context() as m:
+        m.setattr(walks, "_Neighbors", _no_loop)
+        _assert_escape_law(g, 27, region)
     # a quiet arc and the shortcut vertex past its end take the move loop
     g, arc, wider = _arc_and_loud()
     with monkeypatch.context() as m:
