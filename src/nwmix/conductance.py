@@ -11,16 +11,19 @@ One bitmask core serves every set search: a vertex set, and each adjacency
 row, is a Python int with bit v set for member v, so a link count is
 ``(adj[w] & S).bit_count()`` and a neighbourhood is an OR of rows (the masks
 take about n^2/8 bytes).  ``_connected_masks`` enumerates each connected set
-once by Wernicke's ESU canonical extension, carrying volume and cut along;
-``connected_sets``, ``connected_set_counts`` (one count per size from one
-pass) and the exact window minima are visitors over it.  Windows become
-integer volume bounds, ratios cut/volume are compared by integer
-cross-multiplication (ties go to the lexicographically smallest sorted
-witness), and only results become Fractions.  Past the enumeration budget,
-simulated annealing over the same masks gives certified=False upper bounds.  The annealer draws one scalar at a time from
-``rng.philox_draws``, which reads raw Philox words and returns exactly the
-draws of a ``Generator`` on the same key, bit for bit, at a fraction of
-numpy's per-call cost.
+once by Wernicke's ESU canonical extension, carrying volume and cut along
+and pushing no frame that could yield nothing; ``connected_sets``,
+``connected_set_counts`` (one count per size from one pass) and the exact
+window minima are visitors over it.  Windows become integer volume bounds,
+ratios cut/volume are compared by integer cross-multiplication (ties go to
+the lexicographically smallest sorted witness), and only results become
+Fractions.  Past the enumeration budget, simulated annealing over the same
+masks gives certified=False upper bounds.  Its move loop tests window and
+size cap inline, and it checks a drop's connectivity by a search that stops
+once it has joined the dropped vertex's neighbours, remembered per run.
+The annealer draws one scalar at a time from ``rng.philox_draws``, which
+reads raw Philox words and returns exactly the draws of a ``Generator`` on
+the same key, bit for bit, at a fraction of numpy's per-call cost.
 
 Local search stops where no better set can exist.  A window's floor is the
 least cut/volume a connected set in it can have: a proper subset has cut at
@@ -108,30 +111,28 @@ def _members(S: int) -> tuple:
     return tuple(v for v in range(S.bit_length()) if S >> v & 1)
 
 
-def _kth_member(S: int, k: int) -> int:
-    """The k-th smallest vertex of mask S, counting from 0."""
-    for _ in range(k):
-        S &= S - 1
-    return (S & -S).bit_length() - 1
+def _joined(adj, S: int, targets: int) -> bool:
+    """Whether the vertices of the nonempty submask `targets` of S lie in one
+    component of the subgraph that S induces.
 
-
-def _neighborhood(adj, S: int) -> int:
-    """OR of the adjacency rows of the vertices of S."""
-    out = 0
-    while S:
-        low = S & -S
-        out |= adj[low.bit_length() - 1]
-        S ^= low
-    return out
-
-
-def _spans(adj, S: int) -> bool:
-    """Whether the nonempty mask S induces a connected subgraph."""
-    reach = frontier = S & -S
-    while frontier:
-        frontier = _neighborhood(adj, frontier) & S & ~reach
+    The search spreads from the lowest target one layer at a time and stops
+    as soon as it has reached every target.  With S ∪ {w} connected and
+    `targets` the neighbours of w in S, this says whether S is connected.
+    """
+    missing = targets & (targets - 1)
+    reach = frontier = targets ^ missing
+    while missing:
+        spread = 0
+        while frontier:
+            low = frontier & -frontier
+            spread |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = spread & S & ~reach
+        if not frontier:
+            return False
         reach |= frontier
-    return reach == S
+        missing &= ~frontier
+    return True
 
 
 def _lex_less(a: int, b: int) -> bool:
@@ -169,8 +170,16 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
     vertices and skips vertices that would lift the volume past max_volume;
     the roots are visited whatever their volume.  Every visited set costs
     one unit of budget, so the work is the number of such sets.
+
+    A set gets a frame of its own only if that frame could yield: its
+    extension is nonempty, it has fewer than max_size vertices, and its
+    volume plus the least degree is at most max_volume.  A set whose
+    remaining extension is empty is not resumed either.  Such frames would
+    be popped and yield nothing, so skipping them leaves the sets, their
+    order and the budget count as they are.
     """
     left = budget
+    room = max_volume - min(deg)  # the most volume a set with children has
     roots = range(len(adj)) if containing is None else (containing,)
     for root in roots:
         bit = 1 << root
@@ -180,14 +189,13 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
         if left < 0:
             raise EnumerationBudgetError(_EXHAUSTED)
         yield bit, 1, d, d
-        if max_size <= 1:
+        ext = adj[root] & ~banned
+        if max_size <= 1 or not ext or d > room:
             continue
-        # frames (S, extension, exclusion, volume, cut); a frame's set has
-        # len(stack) + 1 vertices while its children are generated
-        stack = [(bit, adj[root] & ~banned, adj[root] | banned, d, d)]
+        # frames (S, extension, exclusion, volume, cut, size of S's children)
+        stack = [(bit, ext, adj[root] | banned, d, d, 2)]
         while stack:
-            S, ext, excl, vol, cut = stack.pop()
-            size = len(stack) + 2
+            S, ext, excl, vol, cut, size = stack.pop()
             while ext:
                 low = ext & -ext
                 ext ^= low
@@ -202,11 +210,14 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
                 child = S | low
                 cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
                 yield child, size, vol2, cut2
-                if size < max_size:
+                if size < max_size and vol2 <= room:
                     fresh = adj[w] & ~excl
-                    stack.append((S, ext, excl, vol, cut))
-                    stack.append((child, ext | fresh, excl | fresh, vol2, cut2))
-                    break
+                    if ext or fresh:
+                        if ext:
+                            stack.append((S, ext, excl, vol, cut, size))
+                        stack.append((child, ext | fresh, excl | fresh, vol2, cut2,
+                                      size + 1))
+                        break
 
 
 def _sets_up_to(g, j, containing, budget):
@@ -366,10 +377,17 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
 
     ``draws`` is a ``philox_draws`` pair.  Moves add a uniform boundary
     vertex or drop a uniform vertex of S (kept only if S stays connected),
-    both drawn from the ascending vertex order.  Dropping a vertex with one
-    link into the rest keeps S connected, so only other drops pay for the
-    connectivity search.  The neighborhood of S is kept across moves, and an
+    both drawn from the ascending vertex order.  The objective is cut/volume
+    for a set that fits the window and the size cap, plus penalties for one
+    that does not.  The neighborhood of S is kept across moves, and an
     accepted drop updates it in place (`_drop_neighbors`).
+
+    S is connected, so S - {w} is connected exactly when the neighbours of w
+    in it lie in one component (`_joined`, a search that stops once it has
+    reached them all); a drop of w with one such neighbour needs no search.
+    The answer depends on S - {w} alone, and runs revisit sets, so it is
+    kept per run in a dict keyed by that mask, which holds at most
+    ``iterations`` entries.
 
     The run returns as soon as its best meets ``floor``, the window's
     `_window_floor`: the best is replaced only by a strictly smaller ratio,
@@ -379,12 +397,12 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
     lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    cap = len(adj) if size_cap is None else size_cap  # no set has more than n vertices
+    floor_cut, floor_vol = floor
     random, integers = draws
+    exp = math.exp
 
-    def fits(vol, size):
-        return vlo <= vol <= vhi and (size_cap is None or size <= size_cap)
-
-    def objective(cut, vol, size):
+    def penalty(vol, size):
         # window penalties are (lo - vol)/lo and (vol - hi)/hi, in int true
         # division, which rounds exactly as float() of the Fraction does
         pen = 0.0
@@ -392,9 +410,9 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
             pen += (lo_p - vol * lo_q) / lo_p
         elif vol > vhi:
             pen += (vol * hi_q - hi_p) / hi_p
-        if size_cap is not None and size > size_cap:
-            pen += (size - size_cap) / size_cap
-        return cut / vol + 2.0 * pen
+        if size > cap:
+            pen += (size - cap) / cap
+        return 2.0 * pen
 
     # seed: grow from the start vertex until the window floor
     S, nbr, size = 1 << start, adj[start], 1
@@ -403,50 +421,67 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
         boundary = nbr & ~S
         if not boundary:
             break
-        w = _kth_member(boundary, integers(boundary.bit_count()))
+        for _ in range(integers(boundary.bit_count())):
+            boundary &= boundary - 1
+        w = (boundary & -boundary).bit_length() - 1
         cut += deg[w] - 2 * (adj[w] & S).bit_count()
         S |= 1 << w
         nbr |= adj[w]
         volume += deg[w]
         size += 1
-    best = (cut, volume, S) if fits(volume, size) else None
-    floor_cut, floor_vol = floor
-    if best is not None and cut * floor_vol <= floor_cut * volume:
-        return best
+    best = None
+    if vlo <= volume <= vhi and size <= cap:
+        best = (cut, volume, S)
+        if cut * floor_vol <= floor_cut * volume:
+            return best
 
-    cur_obj = objective(cut, volume, size)
-    temp = 0.25
+    cur_obj = cut / volume + penalty(volume, size)
+    joined = {}  # S - {w} -> whether it is connected, for drops with 2+ links
+    temp = 0.25  # never below about 0.25 * 0.004 while in use
     cooling = 0.99 if iterations < 500 else math.exp(math.log(0.004) / iterations)
     for _ in range(iterations):
         # bias move choice toward re-entering the volume window
         grow_p = 0.5 if vlo <= volume <= vhi else (0.8 if volume < vlo else 0.2)
         grow = random() < grow_p or size <= 1
         if grow:
-            boundary = nbr & ~S
-            if not boundary:
+            low = nbr & ~S
+            if not low:
                 grow = False
             else:
-                w = _kth_member(boundary, integers(boundary.bit_count()))
-                S2, size2 = S | 1 << w, size + 1
-                vol2 = volume + deg[w]
-                cut2 = cut + deg[w] - 2 * (adj[w] & S).bit_count()
+                for _ in range(integers(low.bit_count())):
+                    low &= low - 1
+                low &= -low
+                w = low.bit_length() - 1
+                S2, size2, dw = S | low, size + 1, deg[w]
+                vol2 = volume + dw
+                cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
         if not grow:
-            w = _kth_member(S, integers(size))
-            S2, size2 = S ^ 1 << w, size - 1
-            links = (adj[w] & S2).bit_count()
-            if not S2 or (links != 1 and not _spans(adj, S2)):
-                temp *= cooling
-                continue
-            vol2 = volume - deg[w]
-            cut2 = cut - deg[w] + 2 * links
-        obj2 = objective(cut2, vol2, size2)
-        if obj2 <= cur_obj or random() < math.exp((cur_obj - obj2) / max(temp, 1e-9)):
+            low = S
+            for _ in range(integers(size)):
+                low &= low - 1
+            low &= -low
+            w = low.bit_length() - 1
+            S2, size2, dw = S ^ low, size - 1, deg[w]
+            touch = adj[w] & S2
+            links = touch.bit_count()
+            if links != 1:
+                ok = joined.get(S2)
+                if ok is None:
+                    ok = joined[S2] = links > 0 and _joined(adj, S2, touch)
+                if not ok:
+                    temp *= cooling
+                    continue
+            vol2 = volume - dw
+            cut2 = cut - dw + 2 * links
+        fits = vlo <= vol2 <= vhi and size2 <= cap
+        obj2 = cut2 / vol2 if fits else cut2 / vol2 + penalty(vol2, size2)
+        if obj2 <= cur_obj or random() < exp((cur_obj - obj2) / temp):
             S, size, volume, cut, cur_obj = S2, size2, vol2, cut2, obj2
             if grow:
                 nbr |= adj[w]
             else:
                 nbr = _drop_neighbors(adj, nbr, w, S)
-            if fits(volume, size) and (best is None or cut * best[1] < best[0] * volume):
+            if fits and (best is None or cut * best[1] < best[0] * volume):
                 best = (cut, volume, S)
                 if cut * floor_vol <= floor_cut * volume:
                     return best
@@ -487,6 +522,8 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
 def _window_minima(g, windows, mode, size_cap, seed, iterations, restarts, budget):
     """Per (vol_lo, vol_hi) window, (phi, witness) or None when no set was
     found, and whether the minima are certified (exact mode)."""
+    if size_cap is not None and size_cap < 1:
+        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
     adj, deg = _adjacency_masks(g), g.degrees.tolist()
     if mode == "exact":
         got = _exact_minima(adj, deg, windows, size_cap, budget)
@@ -579,6 +616,8 @@ def fr_bound(
 
     ``windows`` overrides the per-scale volume windows (same length as the
     scale count) for profile variants; the default is [2^-i m, 2^(1-i) m].
+    Its bounds may be ints, floats or Fractions, and are taken exactly.
+    ``size_cap``, if given, bounds the witness size and must be >= 1.
     """
     if not g.is_connected():
         raise ValueError("scale profile requires a connected graph")
@@ -586,6 +625,8 @@ def fr_bound(
     xs = [Fraction(1, 2**i) for i in range(1, L + 1)]
     if windows is None:
         windows = [(x * g.m, 2 * x * g.m) for x in xs]
+    else:  # Fraction() keeps ints and floats exact
+        windows = [(Fraction(lo), Fraction(hi)) for lo, hi in windows]
     if len(windows) != L:
         raise ValueError("need one window per scale")
     got, certified = _window_minima(g, windows, mode, size_cap, seed, iterations,

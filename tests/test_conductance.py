@@ -371,6 +371,28 @@ def test_window_floor_bounds_every_connected_set(n, k, c, graph_seed, shape, dat
                 assert all(phi >= Fraction(*floor) for phi in inside), (lo, hi, size_cap)
 
 
+@pytest.mark.parametrize("g", [H12, _tree_with_shortcuts(
+    sample_small_world(GraphSpec(n=14, k=1, c=2, seed=3)), 3)], ids=["H12", "tree14"])
+def test_drop_connectivity_matches_oracle(g):
+    # every connected S and every w in S: S - {w} is connected exactly when
+    # the neighbours of w in it are joined in it
+    adj, nbr = conductance._adjacency_masks(g), oracles.neighbor_masks(g)
+    cuts = 0
+    for s in oracles.all_connected_subsets(g):
+        S = sum(1 << v for v in s)
+        for w in s:
+            rest = S ^ 1 << w
+            touch = adj[w] & rest
+            if not rest:
+                assert not touch
+                continue
+            assert touch, "a connected S left a vertex without links"
+            got = conductance._joined(adj, rest, touch)
+            assert got == oracles.mask_connected(rest, nbr), (s, w)
+            cuts += not got
+    assert cuts > 0
+
+
 def test_local_search_skips_what_cannot_improve(monkeypatch):
     # Pool graph of seed 0 (n=20, c=3), as in criterion 10: its last window
     # is [1, 1], below the least degree, and some windows reach their floor.
@@ -391,10 +413,14 @@ def test_local_search_skips_what_cannot_improve(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["k2", "expected-volume-capped", "whole-set",
-                                  "untagged", "untagged-whole-set"])
+                                  "untagged", "untagged-whole-set", "n96"])
 def test_local_search_stopping_keeps_the_oracle_profile(case):
-    k, c = (2, 2) if case == "k2" else (1, 1)
-    g = sample_small_world(GraphSpec(n=24, k=k, c=c, seed=7))
+    # n96 anneals on masks wider than one 64-bit word
+    n, k, c, iterations, restarts = {
+        "k2": (24, 2, 2, 150, 12),
+        "n96": (96, 1, Fraction(1, 2), 120, 4),
+    }.get(case, (24, 1, 1, 150, 12))
+    g = sample_small_world(GraphSpec(n=n, k=k, c=c, seed=7))
     L = num_scales(g.m)
     windows, size_cap = None, None
     if case == "expected-volume-capped":
@@ -404,10 +430,10 @@ def test_local_search_stopping_keeps_the_oracle_profile(case):
     if case.startswith("untagged"):
         g = _untagged(g)
     seed = derive_seed(3, 7)
-    res = fr_bound(g, mode="local-search", seed=seed, iterations=150, restarts=12,
-                   size_cap=size_cap, windows=windows)
-    total, per_scale = oracles.local_search_profile(g, seed, 150, 12, size_cap=size_cap,
-                                                    windows=windows)
+    res = fr_bound(g, mode="local-search", seed=seed, iterations=iterations,
+                   restarts=restarts, size_cap=size_cap, windows=windows)
+    total, per_scale = oracles.local_search_profile(g, seed, iterations, restarts,
+                                                    size_cap=size_cap, windows=windows)
     assert [(e.phi, e.witness) for e in res.profile.entries] == [
         (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
     ]
@@ -424,6 +450,29 @@ def test_local_search_rejects_bad_parameters():
         with pytest.raises(ValueError, match="iterations must be >= 0"):
             call(iterations=-5)
         call(restarts=1, iterations=0)
+
+
+def test_fr_bound_rejects_size_cap_below_one():
+    g = build_ring(12, 1)
+    for mode in ("exact", "local-search"):
+        for size_cap in (0, -1):
+            with pytest.raises(ValueError, match="size_cap must be >= 1"):
+                fr_bound(g, mode=mode, size_cap=size_cap)
+        assert all(len(e.witness) == 1
+                   for e in fr_bound(g, mode=mode, size_cap=1).profile.entries
+                   if e.witness is not None)
+
+
+def test_fr_bound_takes_int_and_float_windows():
+    L = num_scales(H12.m)
+    halves = [(Fraction(2 * i + 3, 2), Fraction(4 * i + 6)) for i in range(L)]
+    wholes = [(Fraction(i + 1), Fraction(4 * i + 6)) for i in range(L)]
+    for mode in ("exact", "local-search"):
+        for windows, same in ((halves, [(float(lo), float(hi)) for lo, hi in halves]),
+                              (wholes, [(int(lo), int(hi)) for lo, hi in wholes])):
+            want, got = (fr_bound(H12, mode=mode, windows=w) for w in (windows, same))
+            assert got.total == want.total
+            assert got.profile.entries == want.profile.entries
 
 
 @pytest.mark.parametrize("g", [build_ring(9, 1), build_ring(11, 2), H12,
