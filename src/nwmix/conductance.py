@@ -616,7 +616,8 @@ def fr_bound(
 
     ``windows`` overrides the per-scale volume windows (same length as the
     scale count) for profile variants; the default is [2^-i m, 2^(1-i) m].
-    Its bounds may be ints, floats or Fractions, and are taken exactly.
+    Its bounds may be ints, floats or Fractions, and are taken exactly; a
+    window's lower bound must not exceed its upper bound.
     ``size_cap``, if given, bounds the witness size and must be >= 1.
     """
     if not g.is_connected():
@@ -629,6 +630,10 @@ def fr_bound(
         windows = [(Fraction(lo), Fraction(hi)) for lo, hi in windows]
     if len(windows) != L:
         raise ValueError("need one window per scale")
+    for i, (lo, hi) in enumerate(windows, start=1):
+        if lo > hi:
+            raise ValueError(f"window {i} is inverted: lower bound {lo} > "
+                             f"upper bound {hi}")
     got, certified = _window_minima(g, windows, mode, size_cap, seed, iterations,
                                     restarts, budget)
     profile = ScaleProfile(n=g.n, m=g.m, mode=mode)

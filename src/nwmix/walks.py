@@ -5,16 +5,17 @@ neighbor, so the transition kernel is P = (I + D^-1 A) / 2.  For a connected
 graph the stationary distribution is pi(x) = deg(x) / (2m) and the total
 variation distance to pi is non-increasing along the chain, which lets the
 mixing-time search stop each start at its first step under the 1/4 threshold.
+TV has one rule: 0.5 * sum_v |mu(v) - pi(v)|, added over v in vertex order,
+for one distribution or any block of them (`_tv_columns`), so a start's TV,
+and its mixing step, depend on that start alone.
 The search evolves all its starts at once, as the columns of one n-by-s block
-multiplied by the sparse transposed kernel, and it evaluates TV in cache-sized
-row blocks with the same summation order as one whole-block sum.  TV is
-evaluated only at checkpoints 8 steps apart: a column at or near the
-threshold there is replayed step by step from its law at the checkpoint
-before, with the sums of a search that evaluates TV at every step, so every
-start's first mixed step is that search's, bit for bit.  The columns that
-cross the threshold wait in a queue, which is replayed as one wide block,
-each column over its own stride, as a wide product costs less per column
-than a narrow one.  The kernel is the
+multiplied by the sparse transposed kernel.  TV is evaluated only at
+checkpoints 8 steps apart: a column at or near the threshold there is
+replayed step by step from its law at the checkpoint before, so every
+start's first mixed step is that of a TV evaluation at every step, bit for
+bit.  The columns that cross the threshold wait in a queue, which is
+replayed as one wide block, each column over its own stride, as a wide
+product costs less per column than a narrow one.  The kernel is the
 module's only use of scipy: ``scipy.sparse`` is imported when the first
 LazyKernel is built, so importing nwmix, and every path that builds no kernel
 (graphs, conductance, subtrees, constants, escape walks), never loads scipy.
@@ -72,6 +73,8 @@ def validate_distribution(mu: np.ndarray, tol: float = _MASS_TOL) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     if mu.ndim != 1:
         raise WalkError("distribution must be a 1-d array")
+    if not np.isfinite(mu).all():
+        raise WalkError("distribution has a non-finite entry")
     if np.any(mu < 0):
         raise WalkError("distribution has negative mass")
     drift = abs(float(mu.sum()) - 1.0)
@@ -81,6 +84,9 @@ def validate_distribution(mu: np.ndarray, tol: float = _MASS_TOL) -> np.ndarray:
 
 
 def point_mass(n: int, x: int) -> np.ndarray:
+    x = _integer(x, "vertex")
+    if not 0 <= x < n:
+        raise WalkError(f"vertex {x} out of range for n = {n}")
     mu = np.zeros(n)
     mu[x] = 1.0
     return mu
@@ -158,12 +164,13 @@ def step_exact(g: UndirectedGraph, mu: list[Fraction]) -> list[Fraction]:
 
 
 def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
-    """Half the L1 distance between two distributions on the same vertex set."""
+    """Half the L1 distance between two distributions on the same vertex
+    set, summed as `_tv_columns` sums a column."""
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
     if mu.shape != nu.shape:
         raise WalkError(f"length mismatch: {mu.shape} vs {nu.shape}")
-    return 0.5 * float(np.abs(mu - nu).sum())
+    return float(_tv_columns(mu.reshape(-1, 1), nu.reshape(-1, 1))[0])
 
 
 def tv_distance_exact(mu: list[Fraction], nu: list[Fraction]) -> Fraction:
@@ -218,6 +225,8 @@ def mixing_time(
 ) -> MixingResult:
     """Per-start first step with TV(mu_k, pi) <= threshold; tau is the max.
 
+    ``per_start[j]`` is the first t with ``tv_distance(P^t delta_x, pi) <=
+    threshold`` for x = starts[j], a step that depends on x alone.
     ``starts`` is "all" or a nonempty list of vertices (ints or numpy
     integers), such as a seeded ``sample_starts`` draw; the mode is
     "exact-all-starts" only if the list covers every vertex.  ``cap`` is an
@@ -290,15 +299,11 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
     column's product does not depend on the other columns, so both are the
     block's column bit for bit.
 
-    A column at or below the threshold at the end of a whole stride, while
-    some column is still above threshold + `_GUARD`, leaves the block, and
-    its law at k waits in a queue.  The queue is replayed as one block, each
-    column over its own stride, once it holds ``_FLUSH`` columns and at the
-    end of the search.  Those columns had company at every step of their
-    stride, so their TVs are summed in row order, as in a block of two or
-    more.  Columns within the guard band, a stride cut short by the cap,
-    and a checkpoint whose columns are all near the threshold are replayed
-    at once.
+    A column at or below the threshold at the end of a whole stride leaves
+    the block, and its law at k waits in a queue.  The queue is replayed as
+    one block, each column over its own stride, once it holds ``_FLUSH``
+    columns and at the end of the search.  Columns within the guard band,
+    and a stride cut short by the cap, are replayed at once.
     """
     pt = LazyKernel(g)._PT
     pi = stationary(g)[:, None]
@@ -316,7 +321,7 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
         ids, k0, tv0 = (np.concatenate([q[i] for q in queue]) for i in (1, 2, 3))
         R = np.hstack([q[0] for q in queue])
         queue.clear()
-        record(ids, _replay(pt, pi, R, tv0, k0, _STRIDE, threshold, alone=False)[0])
+        record(ids, _replay(pt, pi, R, tv0, k0, _STRIDE, threshold)[0])
 
     # column j of X is the law of the walk from starts[active[j]]
     active = np.arange(starts.size)
@@ -342,7 +347,6 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
         if np.any(tv_c[~near] > tv[~near] + (c - k) * _RISE):
             raise WalkError("TV distance increased along the chain")
         if near.any():
-            alone = near.all()
             # the columns to replay, those with a copy first, then the rest
             cols = np.flatnonzero(near)
             copied = np.isin(active[cols], saved_ids)
@@ -353,17 +357,16 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
             if m < ids.size:
                 R = np.hstack((R, _walk_from(pt, g.n, starts[ids[m:]], k)))
             gone = np.zeros(active.size, dtype=bool)
-            # a whole stride's crossers wait in the queue while others stay
+            # a whole stride's crossers wait in the queue
             crossed = tv_c[cols] <= threshold
-            if c - k == _STRIDE and not alone and crossed.any():
+            if c - k == _STRIDE and crossed.any():
                 queue.append((R[:, crossed], ids[crossed],
                               np.full(int(crossed.sum()), k), tv[cols[crossed]]))
                 gone[cols[crossed]] = True
                 now = ~crossed
                 R, cols, ids = R[:, now], cols[now], ids[now]
             if cols.size:
-                at, tv_c[cols] = _replay(pt, pi, R, tv[cols], k, c - k, threshold,
-                                         alone=alone)
+                at, tv_c[cols] = _replay(pt, pi, R, tv[cols], k, c - k, threshold)
                 record(ids, at)
                 gone[cols[at > 0]] = True
             keep = ~gone
@@ -385,17 +388,13 @@ def _walk_from(pt, n, starts, steps) -> np.ndarray:
     return X
 
 
-def _replay(pt, pi, R, tv, k, steps, threshold, alone):
+def _replay(pt, pi, R, tv, k, steps, threshold):
     """`steps` steps of the laws R, column j at step k[j] (or k, one step
     for all) with TV tv[j] there, with TV evaluated and checked at every
     step.
 
     Returns each column's first step with TV <= threshold (0 for none) and
-    its TV at that step, or at its last.  The sums are those of a TV
-    evaluation at every step: there a column is summed pairwise only when
-    no other column is active, so a lone column is summed in a padded block
-    of two unless `alone` says that the replayed columns are the only
-    active ones.
+    its TV at that step, or at its last.
     """
     at = np.zeros(R.shape[1], dtype=np.int64)
     k = np.broadcast_to(k, at.shape)
@@ -403,8 +402,7 @@ def _replay(pt, pi, R, tv, k, steps, threshold, alone):
     cols = np.arange(R.shape[1])
     for t in range(1, steps + 1):
         R = pt @ R
-        Z = np.repeat(R, 2, axis=1) if cols.size == 1 and not alone else R
-        prev, tv = tv, _tv_columns(Z, pi)[:cols.size]
+        prev, tv = tv, _tv_columns(R, pi)
         if np.any(tv > prev + _RISE):
             raise WalkError("TV distance increased along the chain")
         last[cols] = tv
@@ -419,18 +417,16 @@ def _replay(pt, pi, R, tv, k, steps, threshold, alone):
 
 
 def _tv_columns(X, pi) -> np.ndarray:
-    """TV distance of each column of X to pi.
+    """TV distance of each column of X to pi, by the module's one rule:
+    0.5 * sum_v |X[v, j] - pi[v]|, added over v in vertex order.
 
     The rows of |X - pi| are summed in blocks of up to ``_TV_ROWS`` rows held
-    in one scratch buffer, whose row 0 carries in the column sums so far.
-    numpy adds the rows of a block of two or more columns in strict order, so
-    every sum is bit-identical to one ``sum(axis=0)`` over all of |X - pi|,
-    while the scratch stays in cache.  A single column is summed pairwise,
-    which blocking would change, so it is summed whole.
+    in one scratch buffer, whose row 0 carries in the column sums so far, so
+    the scratch stays in cache.  numpy adds the rows of two or more columns
+    in order, but one column pairwise, so one column is added by a running
+    sum.
     """
     n, s = X.shape
-    if s == 1:
-        return 0.5 * np.abs(X - pi).sum(axis=0)
     buf = np.empty((min(n, _TV_ROWS) + 1, s))
     buf[0] = 0.0
     for a in range(0, n, _TV_ROWS):
@@ -438,7 +434,8 @@ def _tv_columns(X, pi) -> np.ndarray:
         blk = buf[1:b - a + 1]
         np.subtract(X[a:b], pi[a:b], out=blk)
         np.abs(blk, out=blk)
-        buf[0] = buf[:b - a + 1].sum(axis=0)
+        rows = buf[:b - a + 1]
+        buf[0] = rows.sum(axis=0) if s > 1 else rows.cumsum(axis=0)[-1]
     return 0.5 * buf[0]
 
 

@@ -99,10 +99,9 @@ def stepwise_per_start(g, starts, cap, threshold):
 
     This is the batched float search with none of its shortcuts: the starts
     evolve as the columns of one block under the sparse transposed kernel,
-    a column leaves the block at its first mixed step, and TV is one numpy
-    sum per step, which adds the rows of two or more columns in order and
-    sums a lone column pairwise.  Its per-start steps are the bits a faster
-    search must match.
+    a column leaves the block at its first mixed step, and TV adds each
+    column's rows in vertex order, as a running sum, at every step.  Its
+    per-start steps are the bits a faster search must match.
     """
     from scipy import sparse
 
@@ -120,7 +119,7 @@ def stepwise_per_start(g, starts, cap, threshold):
     X = np.zeros((n, active.size))
     X[starts, active] = 1.0
     per = [None] * active.size
-    tv = 0.5 * np.abs(X - pi).sum(axis=0)
+    tv = 0.5 * np.cumsum(np.abs(X - pi), axis=0)[-1]
     k = 0
     while True:
         mixed = tv <= threshold
@@ -135,7 +134,7 @@ def stepwise_per_start(g, starts, cap, threshold):
         k += 1
         X = pt @ X
         prev_tv = tv
-        tv = 0.5 * np.abs(X - pi).sum(axis=0)
+        tv = 0.5 * np.cumsum(np.abs(X - pi), axis=0)[-1]
         if np.any(tv > prev_tv + 1e-12):
             raise RuntimeError("TV distance increased along the chain")
 

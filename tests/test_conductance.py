@@ -475,6 +475,17 @@ def test_fr_bound_takes_int_and_float_windows():
             assert got.profile.entries == want.profile.entries
 
 
+@pytest.mark.parametrize("mode", ["exact", "local-search"])
+def test_fr_bound_rejects_inverted_windows(mode):
+    g = build_ring(12, 1)
+    L = num_scales(g.m)
+    with pytest.raises(ValueError, match=r"window 1 is inverted: .* 10 > .* 1$"):
+        fr_bound(g, mode=mode, windows=[(10, 1)] * L)
+    windows = [(1, 2), (3, 3), (5, 4.5)] + [(1, 2)] * (L - 3)
+    with pytest.raises(ValueError, match=r"window 3 is inverted: .* 5 > .* 9/2$"):
+        fr_bound(g, mode=mode, windows=windows)
+
+
 @pytest.mark.parametrize("g", [build_ring(9, 1), build_ring(11, 2), H12,
                                complete_graph(7),
                                sample_small_world(GraphSpec(n=16, k=1, c=3, seed=4))],

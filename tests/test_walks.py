@@ -94,6 +94,23 @@ def test_distribution_validation():
         validate_distribution(np.eye(2))
     with pytest.raises(WalkError, match="drifted"):
         validate_distribution(np.array([0.6, 0.6]))
+    kernel = LazyKernel(build_ring(4, 1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(WalkError, match="non-finite"):
+            validate_distribution(np.array([bad, 1.0]))
+        with pytest.raises(WalkError, match="non-finite"):
+            kernel.step(np.array([bad, 1.0, 0.0, 0.0]))
+
+
+def test_point_mass_checks_its_vertex():
+    assert point_mass(5, 4).tolist() == [0, 0, 0, 0, 1]
+    assert point_mass(5, np.int64(0)).tolist() == [1, 0, 0, 0, 0]
+    for bad in (-1, 5):
+        with pytest.raises(WalkError, match="out of range"):
+            point_mass(5, bad)
+    for bad in (2.0, "2", None):
+        with pytest.raises(WalkError, match="must be an integer"):
+            point_mass(5, bad)
 
 
 def test_tv_distance_values():
@@ -345,7 +362,8 @@ def test_strided_search_matches_the_stepwise_oracle_on_lone_columns():
 @pytest.fixture(scope="module")
 def tv_sums():
     """A graph and its starts' TV at steps 0..160, as rows of starts, summed
-    as a lone column (pairwise) and within a block (rows in order)."""
+    as numpy sums a lone column (pairwise) and as `_tv_columns` sums every
+    column (rows in order)."""
     g = _small_world(120, "1/2", 7)
     pt, pi = LazyKernel(g)._PT, stationary(g)[:, None]
     X = np.eye(g.n)
@@ -367,11 +385,34 @@ def _tie(g, starts, threshold, want):
 
 
 # Thresholds equal to one of the two sums of a TV, where they differ, so a
-# search that sums in the other order finds the step after.
-def test_strided_search_sums_a_lone_start_pairwise(tv_sums):
+# search that sums in the other order finds another step.
+def test_a_starts_mixing_step_does_not_depend_on_its_company(tv_sums):
+    # x's pairwise TV ties the threshold at t and its in-order TV is higher,
+    # so a lone x summed pairwise would mix at t, and in company later
     g, lone, block = tv_sums
-    t = next(t for t in range(1, 161) if block[t, 0] > lone[t, 0])
-    _tie(g, [0], lone[t, 0], [t])
+    x = 0
+    t = next(t for t in range(1, 161) if block[t, x] > lone[t, x])
+    threshold = lone[t, x]
+    steps = [_first_at_most(block[:, v], threshold) for v in range(g.n)]
+    slow = int(np.argmax(steps))
+    assert steps[x] > t and steps[slow] > steps[x] + 8
+    alone = mixing_time(g, [x], threshold=threshold).per_start
+    both = mixing_time(g, [x, slow], threshold=threshold).per_start
+    assert alone == both[:1] == [steps[x]]
+    assert both[1] == steps[slow]
+
+
+def test_tv_distance_sums_as_the_blocks_columns():
+    g = _small_world(3000, "1/2", 8)
+    pt, pi = LazyKernel(g)._PT, stationary(g)
+    X = np.zeros((g.n, 9))
+    X[sample_starts(g.n, 9, 2), np.arange(9)] = 1.0
+    for _ in range(120):
+        tv = _tv_columns(X, pi[:, None])
+        for j in range(9):
+            assert tv_distance(X[:, j], pi) == tv[j]
+            assert _tv_columns(X[:, [j]], pi[:, None])[0] == tv[j]
+        X = pt @ X
 
 
 def test_strided_search_sums_a_lone_replay_with_others_in_a_block(tv_sums):
@@ -379,7 +420,7 @@ def test_strided_search_sums_a_lone_replay_with_others_in_a_block(tv_sums):
     slow = int(np.argmax([_first_at_most(block[:, a], 0.25) for a in range(g.n)]))
     fast = int(np.argmin([_first_at_most(block[:, b], 0.25) for b in range(g.n)]))
     # the slow start is far above the threshold at the next checkpoint, so
-    # the fast one is replayed alone while the slow one is still active
+    # the fast one leaves the block alone while the slow one is still active
     t = next(t for t in range(1, 161) if lone[t, fast] > block[t, fast]
              and block[-(-t // 8) * 8, slow] > block[t, fast] + 1e-3)
     threshold = block[t, fast]
@@ -387,12 +428,12 @@ def test_strided_search_sums_a_lone_replay_with_others_in_a_block(tv_sums):
 
 
 def test_strided_search_replays_a_column_within_the_guard(tv_sums):
-    # b mixes at checkpoint c, alone and so summed pairwise, after a mixed
-    # in the stride before c; the block sums b's TV at c higher
+    # b's TV ties the threshold at checkpoint c, after a mixed in the
+    # stride before c
     g, lone, block = tv_sums
     for c, b in itertools.product(range(8, 161, 8), range(g.n)):
-        threshold = lone[c, b]
-        if block[c, b] > threshold and block[c - 1, b] > threshold + 1e-6:
+        threshold = block[c, b]
+        if block[c - 1, b] > threshold + 1e-6:
             steps = [_first_at_most(block[:, a], threshold) for a in range(g.n)]
             a = next((a for a, t in enumerate(steps) if c - 8 < t < c), None)
             if a is not None:
@@ -426,16 +467,15 @@ def test_strided_search_replays_from_copies_and_from_starts(monkeypatch):
 def _recorded_replays(monkeypatch):
     """The mixing search's `_replay` calls, in order.  Each records whether
     it replayed the queue, which passes one start step per column, the
-    columns' start steps, its number of steps, its `alone` flag, and which
-    columns mixed."""
+    columns' start steps, its number of steps, and which columns mixed."""
     calls = []
     replay = walks._replay
 
-    def recorded(pt, pi, R, tv, k, steps, threshold, alone):
-        at, last = replay(pt, pi, R, tv, k, steps, threshold, alone)
+    def recorded(pt, pi, R, tv, k, steps, threshold):
+        at, last = replay(pt, pi, R, tv, k, steps, threshold)
         calls.append(SimpleNamespace(
             queued=np.ndim(k) == 1, k=np.broadcast_to(k, at.shape).copy(),
-            steps=steps, alone=bool(alone), mixed=at > 0))
+            steps=steps, mixed=at > 0))
         return at, last
 
     monkeypatch.setattr(walks, "_replay", recorded)
@@ -449,14 +489,14 @@ def test_queued_replays_merge_checkpoints_and_flush(monkeypatch):
     assert mixing_time(g).per_start == want
     queued = [r for r in calls if r.queued]
     # each queued column replays its whole stride, in company, and mixes
-    assert all(r.steps == walks._STRIDE and not r.alone and r.mixed.all() for r in queued)
+    assert all(r.steps == walks._STRIDE and r.mixed.all() for r in queued)
     # the crossers of two or more checkpoints share one replay
     assert any(np.unique(r.k).size >= 2 for r in queued)
     # flushed in mid-run once `_FLUSH` columns wait, and, shorter, at the
-    # end, after the last columns are replayed alone
+    # end, with the crossers of the last stride
     assert sum(r.k.size >= walks._FLUSH for r in queued[:-1]) >= 2
-    assert calls[-2].alone and not calls[-2].queued
     assert calls[-1].queued and calls[-1].k.size < walks._FLUSH
+    assert calls[-1].k.max() == (max(want) - 1) // walks._STRIDE * walks._STRIDE
 
 
 def test_queued_replays_match_the_stepwise_oracle_at_any_width(monkeypatch):
@@ -471,17 +511,20 @@ def test_queued_replays_match_the_stepwise_oracle_at_any_width(monkeypatch):
 
 def test_a_queued_lone_column_is_summed_in_a_block(monkeypatch, tv_sums):
     # the fast start crosses at a checkpoint while the slow one is far above
-    # the threshold, so it waits in the queue alone; its TV ties the
-    # threshold in row order, not summed pairwise
+    # the threshold, so it waits in the queue alone, and the slow one joins
+    # it at its own crossing; the fast one's TV ties the threshold in row
+    # order, not summed pairwise
     g, lone, block = tv_sums
     slow = int(np.argmax([_first_at_most(block[:, a], 0.2) for a in range(g.n)]))
     fast = int(np.argmin([_first_at_most(block[:, b], 0.2) for b in range(g.n)]))
     t = next(t for t in range(1, 161) if lone[t, fast] > block[t, fast]
              and block[-(-t // 8) * 8, slow] > block[t, fast] + 1e-3)
     threshold = block[t, fast]
+    t_slow = _first_at_most(block[:, slow], threshold)
     calls = _recorded_replays(monkeypatch)
-    _tie(g, [fast, slow], threshold, [t, _first_at_most(block[:, slow], threshold)])
-    assert [r.k.tolist() for r in calls if r.queued] == [[-(-t // 8) * 8 - 8]]
+    _tie(g, [fast, slow], threshold, [t, t_slow])
+    assert [r.k.tolist() for r in calls if r.queued] == \
+        [[(t - 1) // 8 * 8, (t_slow - 1) // 8 * 8]]
 
 
 def test_queued_replays_before_a_stride_cut_short_by_the_cap(monkeypatch):
@@ -517,8 +560,10 @@ def test_a_guard_band_column_is_replayed_at_once(monkeypatch, tv_sums):
     _tie(g, [a, b, s], threshold, [steps[a], steps[b], steps[s]])
     assert steps[b] > c
     guard = next(r for r in calls if not r.queued)
-    assert guard.k.tolist() == [c - 8] and not guard.mixed.any() and not guard.alone
-    assert any(r.queued and r.k.tolist() == [c - 8] for r in calls)
+    assert guard.k.tolist() == [c - 8] and not guard.mixed.any()
+    # a waits in the queue, and b and s join it at the strides they cross in
+    stride = [(steps[v] - 1) // 8 * 8 for v in (a, b, s)]
+    assert [sorted(r.k.tolist()) for r in calls if r.queued] == [sorted(stride)]
 
 
 def test_queued_replays_are_few_on_scaling_starts(monkeypatch):
@@ -572,8 +617,10 @@ def test_tv_columns_bit_identical(n, s):
     X /= X.sum(axis=0)
     pi = rng.random(n)[:, None]
     pi /= pi.sum()
-    want = 0.5 * np.abs(X - pi).sum(axis=0)
-    assert np.array_equal(_tv_columns(X, pi), want)
+    total = np.zeros(s)
+    for row in np.abs(X - pi):  # strictly in vertex order
+        total = total + row
+    assert np.array_equal(_tv_columns(X, pi), 0.5 * total)
 
 
 def _arc_case(n, k, c, gseed, length):
