@@ -21,9 +21,11 @@ Fractions.  Past the enumeration budget, simulated annealing over the same
 masks gives certified=False upper bounds.  Its move loop tests window and
 size cap inline, and it checks a drop's connectivity by a search that stops
 once it has joined the dropped vertex's neighbours, remembered per run.
-The annealer draws one scalar at a time from ``rng.philox_draws``, which
-reads raw Philox words and returns exactly the draws of a ``Generator`` on
-the same key, bit for bit, at a fraction of numpy's per-call cost.
+The annealer reads raw Philox words from ``rng.philox_words`` and applies
+numpy's draw rules inline, so its coins and picks are exactly those of a
+``Generator`` on the same key, bit for bit, without a call per draw; its
+penalties for leaving the window or the size cap are tables by volume and
+by size, built once per window.
 
 Local search stops where no better set can exist.  A window's floor is the
 least cut/volume a connected set in it can have: a proper subset has cut at
@@ -41,15 +43,20 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .graphs import UndirectedGraph
-from .rng import derive_seed, philox_draws
+from .rng import derive_seed, philox_words
 
 DEFAULT_ENUM_BUDGET = 10_000_000
+# Generator.random() < p, for the annealer's grow probabilities inside,
+# below and above the window, as a bound on the raw word
+_GROW_IN, _GROW_BELOW, _GROW_ABOVE = (math.ceil(p * 2.0**53) << 11
+                                      for p in (0.5, 0.8, 0.2))
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -372,15 +379,63 @@ def _window_floor(deg, ring_k, window, size_cap):
     return floor
 
 
-def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
+def _window_penalties(deg, window, size_cap):
+    """(by_volume, by_size): twice the annealer's penalty for a volume
+    outside the window, by volume 0..2m, and for a size past the cap, by
+    size 0..n; 0.0 inside.
+
+    The window penalties are (lo - vol)/lo and (vol - hi)/hi, in int true
+    division, which rounds exactly as float() of the Fraction does, and the
+    cap's is (size - cap)/cap.  Doubling is exact, so by_volume[vol] +
+    by_size[size] is twice the float sum of the two.
+    """
+    lo, hi = window
+    vlo, vhi = math.ceil(lo), math.floor(hi)
+    lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    by_volume = [2.0 * ((lo_p - v * lo_q) / lo_p) if v < vlo else
+                 2.0 * ((v * hi_q - hi_p) / hi_p) if v > vhi else 0.0
+                 for v in range(sum(deg) + 1)]
+    cap = len(deg) if size_cap is None else size_cap
+    by_size = [2.0 * ((s - cap) / cap) if s > cap else 0.0 for s in range(len(deg) + 1)]
+    return by_volume, by_size
+
+
+def _repick(word, k, m, high):
+    """numpy's rejection loop for a pick in range(k): while the low 32 bits
+    of m = u * k fall below 2**32 mod k, draw the next 32-bit u.  Returns
+    (m, high), high being the waiting half word as in `_anneal_once`."""
+    reject = (1 << 32) % k
+    while m & 0xFFFFFFFF < reject:
+        if high is None:
+            u = word()
+            high = u >> 32
+            u &= 0xFFFFFFFF
+        else:
+            u, high = high, None
+        m = u * k
+    return m, high
+
+
+def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, penalties):
     """One annealing run; returns (cut, volume, S) for the best valid set seen.
 
-    ``draws`` is a ``philox_draws`` pair.  Moves add a uniform boundary
+    ``words`` is a ``philox_words`` stream.  Moves add a uniform boundary
     vertex or drop a uniform vertex of S (kept only if S stays connected),
     both drawn from the ascending vertex order.  The objective is cut/volume
-    for a set that fits the window and the size cap, plus penalties for one
-    that does not.  The neighborhood of S is kept across moves, and an
-    accepted drop updates it in place (`_drop_neighbors`).
+    for a set that fits the window and the size cap, plus the window's
+    `_window_penalties` for one that does not.  The neighborhood of S is
+    kept across moves, and an accepted drop updates it in place
+    (`_drop_neighbors`).
+
+    The draws are those of a numpy ``Generator`` on the same stream, read
+    from the raw words inline.  ``Generator.random()`` is a word's top 53
+    bits times 2**-53, so ``random() < p`` is ``word() < ceil(p * 2**53)
+    << 11`` and the acceptance test compares ``word() >> 11`` with the
+    probability times 2**53, both exact.  ``Generator.integers(k)`` is
+    Lemire's 32-bit multiply-and-reject draw (`_repick` takes the rare
+    rejection), on 32-bit halves that take a word's low half first and keep
+    its high half waiting for the next pick, across coins; k = 1 draws
+    nothing.
 
     S is connected, so S - {w} is connected exactly when the neighbours of w
     in it lie in one component (`_joined`, a search that stops once it has
@@ -396,23 +451,13 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
-    lo_p, lo_q, hi_p, hi_q = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     cap = len(adj) if size_cap is None else size_cap  # no set has more than n vertices
     floor_cut, floor_vol = floor
-    random, integers = draws
+    by_volume, by_size = penalties
+    word = words.__next__
+    grow_in, grow_below, grow_above = _GROW_IN, _GROW_BELOW, _GROW_ABOVE
+    high = None  # the waiting high half of the last word split for a pick
     exp = math.exp
-
-    def penalty(vol, size):
-        # window penalties are (lo - vol)/lo and (vol - hi)/hi, in int true
-        # division, which rounds exactly as float() of the Fraction does
-        pen = 0.0
-        if vol < vlo:
-            pen += (lo_p - vol * lo_q) / lo_p
-        elif vol > vhi:
-            pen += (vol * hi_q - hi_p) / hi_p
-        if size > cap:
-            pen += (size - cap) / cap
-        return 2.0 * pen
 
     # seed: grow from the start vertex until the window floor
     S, nbr, size = 1 << start, adj[start], 1
@@ -421,8 +466,19 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
         boundary = nbr & ~S
         if not boundary:
             break
-        for _ in range(integers(boundary.bit_count())):
-            boundary &= boundary - 1
+        k = boundary.bit_count()
+        if k > 1:
+            if high is None:
+                u = word()
+                high = u >> 32
+                u &= 0xFFFFFFFF
+            else:
+                u, high = high, None
+            m = u * k
+            if m & 0xFFFFFFFF < k:
+                m, high = _repick(word, k, m, high)
+            for _ in range(m >> 32):
+                boundary &= boundary - 1
         w = (boundary & -boundary).bit_length() - 1
         cut += deg[w] - 2 * (adj[w] & S).bit_count()
         S |= 1 << w
@@ -435,21 +491,33 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
         if cut * floor_vol <= floor_cut * volume:
             return best
 
-    cur_obj = cut / volume + penalty(volume, size)
+    cur_obj = cut / volume + (by_volume[volume] + by_size[size])
     joined = {}  # S - {w} -> whether it is connected, for drops with 2+ links
     temp = 0.25  # never below about 0.25 * 0.004 while in use
     cooling = 0.99 if iterations < 500 else math.exp(math.log(0.004) / iterations)
     for _ in range(iterations):
         # bias move choice toward re-entering the volume window
-        grow_p = 0.5 if vlo <= volume <= vhi else (0.8 if volume < vlo else 0.2)
-        grow = random() < grow_p or size <= 1
+        coin = grow_in if vlo <= volume <= vhi else (
+            grow_below if volume < vlo else grow_above)
+        grow = word() < coin or size <= 1
         if grow:
             low = nbr & ~S
             if not low:
                 grow = False
             else:
-                for _ in range(integers(low.bit_count())):
-                    low &= low - 1
+                k = low.bit_count()
+                if k > 1:
+                    if high is None:
+                        u = word()
+                        high = u >> 32
+                        u &= 0xFFFFFFFF
+                    else:
+                        u, high = high, None
+                    m = u * k
+                    if m & 0xFFFFFFFF < k:
+                        m, high = _repick(word, k, m, high)
+                    for _ in range(m >> 32):
+                        low &= low - 1
                 low &= -low
                 w = low.bit_length() - 1
                 S2, size2, dw = S | low, size + 1, deg[w]
@@ -457,8 +525,18 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
                 cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
         if not grow:
             low = S
-            for _ in range(integers(size)):
-                low &= low - 1
+            if size > 1:
+                if high is None:
+                    u = word()
+                    high = u >> 32
+                    u &= 0xFFFFFFFF
+                else:
+                    u, high = high, None
+                m = u * size
+                if m & 0xFFFFFFFF < size:
+                    m, high = _repick(word, size, m, high)
+                for _ in range(m >> 32):
+                    low &= low - 1
             low &= -low
             w = low.bit_length() - 1
             S2, size2, dw = S ^ low, size - 1, deg[w]
@@ -474,8 +552,8 @@ def _anneal_once(adj, deg, start, window, size_cap, draws, iterations, floor):
             vol2 = volume - dw
             cut2 = cut - dw + 2 * links
         fits = vlo <= vol2 <= vhi and size2 <= cap
-        obj2 = cut2 / vol2 if fits else cut2 / vol2 + penalty(vol2, size2)
-        if obj2 <= cur_obj or random() < exp((cur_obj - obj2) / temp):
+        obj2 = cut2 / vol2 if fits else cut2 / vol2 + (by_volume[vol2] + by_size[size2])
+        if obj2 <= cur_obj or word() >> 11 < exp((cur_obj - obj2) / temp) * 2.0**53:
             S, size, volume, cut, cur_obj = S2, size2, vol2, cut2, obj2
             if grow:
                 nbr |= adj[w]
@@ -506,11 +584,12 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
         if floor is None:
             results.append(None)
             continue
+        penalties = _window_penalties(deg, window, size_cap)
         best = None
         for r in range(restarts):
-            draws = philox_draws(derive_seed(seed, w, r))
-            got = _anneal_once(adj, deg, r % len(adj), window, size_cap, draws,
-                               iterations, floor)
+            words = philox_words(derive_seed(seed, w, r))
+            got = _anneal_once(adj, deg, r % len(adj), window, size_cap, words,
+                               iterations, floor, penalties)
             if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
                 best = got
                 if got[0] * floor[1] <= floor[0] * got[1]:
@@ -602,6 +681,16 @@ class FRBound:
         return json.dumps(payload)
 
 
+def _window_bound(bound, i: int) -> Fraction:
+    """Bound of window `i` as an exact Fraction; ValueError unless it is a
+    finite real number (a str such as "1/2" is not)."""
+    if isinstance(bound, numbers.Rational):
+        return Fraction(bound)
+    if isinstance(bound, numbers.Real) and math.isfinite(bound):
+        return Fraction(float(bound))  # exact
+    raise ValueError(f"window {i} has bound {bound!r}; bounds must be finite numbers")
+
+
 def fr_bound(
     g: UndirectedGraph,
     mode: str = "exact",
@@ -616,8 +705,9 @@ def fr_bound(
 
     ``windows`` overrides the per-scale volume windows (same length as the
     scale count) for profile variants; the default is [2^-i m, 2^(1-i) m].
-    Its bounds may be ints, floats or Fractions, and are taken exactly; a
-    window's lower bound must not exceed its upper bound.
+    Its bounds may be ints, finite floats or Fractions, and are taken
+    exactly; a window's lower bound must not exceed its upper bound.  Other
+    bounds raise ValueError.
     ``size_cap``, if given, bounds the witness size and must be >= 1.
     """
     if not g.is_connected():
@@ -626,8 +716,9 @@ def fr_bound(
     xs = [Fraction(1, 2**i) for i in range(1, L + 1)]
     if windows is None:
         windows = [(x * g.m, 2 * x * g.m) for x in xs]
-    else:  # Fraction() keeps ints and floats exact
-        windows = [(Fraction(lo), Fraction(hi)) for lo, hi in windows]
+    else:
+        windows = [(_window_bound(lo, i), _window_bound(hi, i))
+                   for i, (lo, hi) in enumerate(windows, start=1)]
     if len(windows) != L:
         raise ValueError("need one window per scale")
     for i, (lo, hi) in enumerate(windows, start=1):

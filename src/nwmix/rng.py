@@ -4,14 +4,15 @@ All randomness in the package flows through counter-based Philox streams so
 that results are reproducible from a single master seed, regardless of how
 work is split into replications, starts, or restarts.
 
-``philox_draws`` serves loops that draw one scalar at a time (the annealer
-in ``conductance``): it reads the raw 64-bit Philox words directly and turns
-them into the same floats and bounded integers a ``Generator`` would, bit
-for bit, without numpy's per-call cost.  ``thread_philox`` serves callers
-that key thousands of short streams (the escape walks in ``walks``): it
-re-keys a generator kept per thread and slot instead of building a new one,
-and it can position the stream at any raw-word offset, so a caller reads
-only the stretches of a stream it uses, on as many cursors as it has slots.
+``philox_words`` serves loops that draw one scalar at a time (the annealer
+in ``conductance``): it yields the raw 64-bit Philox words as Python ints,
+and the loop turns them into the same floats and bounded integers a
+``Generator`` would, bit for bit, without numpy's per-call cost.
+``thread_philox`` serves callers that key thousands of short streams (the
+escape walks in ``walks``): it re-keys a generator kept per thread and slot
+instead of building a new one, and it can position the stream at any
+raw-word offset, so a caller reads only the stretches of a stream it uses,
+on as many cursors as it has slots.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from itertools import chain, repeat
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
-_WORDS = 512  # raw words fetched per refill in philox_draws
+_WORDS = 512  # raw words fetched per refill in philox_words
 _ZEROS4 = [0, 0, 0, 0]
 _THREAD = threading.local()  # .bitgens: the generators thread_philox re-keys
 
@@ -82,41 +82,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(philox(seed))
 
 
-def philox_draws(seed: int):
-    """(random, integers): scalar draws equal to those of make_rng(seed).
+def philox_words(seed: int):
+    """The raw 64-bit words of ``philox(seed)``, as Python ints.
 
-    ``random()`` equals ``Generator.random()`` and ``integers(k)`` equals
-    ``Generator.integers(k)`` for 1 <= k <= 2**32, in any interleaving of
-    calls.  Both read raw 64-bit Philox words, fetched in blocks as they are
-    used up, and copy numpy's rules: a double is the word's top 53 bits
-    times 2**-53; a bounded integer is Lemire's 32-bit multiply-and-reject
-    draw, fed by 32-bit halves that take a word's low half first and keep
-    its high half for the next 32-bit draw (double draws leave that half
-    waiting); k = 1 draws nothing.
+    An iterator over ``philox(seed).random_raw``'s stream, fetched in blocks
+    as it is used up, for loops that read one word at a time (the annealer
+    in ``conductance``) without numpy's per-call cost.
     """
-    bitgen = philox(seed)
-    blocks = map(bitgen.random_raw, repeat(_WORDS))  # fetched as consumed
-    word = chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
-    high = None  # the waiting high half of the last word split for 32 bits
-
-    def random() -> float:
-        return (word() >> 11) * 2.0**-53
-
-    def integers(k: int) -> int:
-        nonlocal high
-        if not 1 <= k <= 1 << 32:
-            raise ValueError(f"integers(k) needs 1 <= k <= 2**32, got {k}")
-        if k == 1:
-            return 0
-        floor = (1 << 32) % k  # numpy's rejection threshold
-        while True:
-            if high is None:
-                w = word()
-                u, high = w & _MASK32, w >> 32
-            else:
-                u, high = high, None
-            m = u * k
-            if m & _MASK32 >= floor:
-                return m >> 32
-
-    return random, integers
+    blocks = map(philox(seed).random_raw, repeat(_WORDS))
+    return chain.from_iterable(map(np.ndarray.tolist, blocks))

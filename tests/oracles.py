@@ -231,6 +231,57 @@ def fr_sum_bruteforce(g, size_cap=None):
 
 
 # ---------------------------------------------------------------------------
+# numpy Generator draws made from raw 64-bit words
+
+
+class WordDraws:
+    """``random()`` and ``integers(k)`` for 1 <= k <= 2**32 of a numpy
+    Generator, made from any iterator of raw 64-bit words by numpy's rules,
+    one C routine at a time.
+
+    next_double: the word's top 53 bits times 2**-53.  next_uint32: the low
+    half of a fresh word, whose high half is kept for the next call; doubles
+    take whole words and leave that half waiting.  integers(k): no draw for
+    k = 1, one next_uint32 for k = 2**32, else Lemire's multiply-and-reject
+    on next_uint32 with threshold (2**32 - k) mod k, checked only when the
+    low 32 bits of the product fall below k.
+    """
+
+    def __init__(self, words):
+        self._next = iter(words).__next__
+        self._has_uint32 = False
+        self._uinteger = 0
+
+    def _next_uint32(self):
+        if self._has_uint32:
+            self._has_uint32 = False
+            return self._uinteger
+        word = self._next()
+        self._has_uint32, self._uinteger = True, word >> 32
+        return word & 0xFFFFFFFF
+
+    def random(self):
+        return (self._next() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, k):
+        if not 1 <= k <= 2**32:
+            raise ValueError(f"integers(k) needs 1 <= k <= 2**32, got {k}")
+        rng = k - 1
+        if rng == 0:
+            return 0
+        if rng == 0xFFFFFFFF:
+            return self._next_uint32()
+        m = self._next_uint32() * k
+        leftover = m & 0xFFFFFFFF
+        if leftover < k:
+            threshold = (0xFFFFFFFF - rng) % k
+            while leftover < threshold:
+                m = self._next_uint32() * k
+                leftover = m & 0xFFFFFFFF
+        return m >> 32
+
+
+# ---------------------------------------------------------------------------
 # simulated annealing on numpy Generators (the library's annealer before it
 # read raw Philox words)
 
@@ -254,7 +305,8 @@ def _mask_neighborhood(nbr, S):
 
 def anneal_once(nbr, deg, start, window, size_cap, rng, iterations):
     """One annealing run, drawing each scalar with rng.random() and
-    rng.integers(k); (cut, volume, S) of the best valid set seen, or None."""
+    rng.integers(k), its only calls on rng; (cut, volume, S) of the best
+    valid set seen, or None."""
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
 

@@ -25,7 +25,7 @@ from nwmix import (
 
 from nwmix import conductance
 from nwmix.experiments import expected_volume_windows
-from nwmix.rng import derive_seed
+from nwmix.rng import derive_seed, philox
 
 import oracles
 
@@ -484,6 +484,59 @@ def test_fr_bound_rejects_inverted_windows(mode):
     windows = [(1, 2), (3, 3), (5, 4.5)] + [(1, 2)] * (L - 3)
     with pytest.raises(ValueError, match=r"window 3 is inverted: .* 5 > .* 9/2$"):
         fr_bound(g, mode=mode, windows=windows)
+
+
+@pytest.mark.parametrize("mode", ["exact", "local-search"])
+def test_fr_bound_rejects_bounds_that_are_not_finite_numbers(mode):
+    g = build_ring(12, 1)
+    L = num_scales(g.m)
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.inf), "1/2", "2", None):
+        for windows, i in (([(bad, 2)] + [(1, 2)] * (L - 1), 1),
+                           ([(1, 2), (3, bad)] + [(1, 2)] * (L - 2), 2)):
+            with pytest.raises(ValueError, match=f"^window {i} has bound "):
+                fr_bound(g, mode=mode, windows=windows)
+    # numpy scalars are numbers, taken exactly
+    want = fr_bound(g, mode=mode, windows=[(Fraction(7, 2), 8)] * L)
+    got = fr_bound(g, mode=mode, windows=[(np.float64(3.5), np.int64(8))] * L)
+    assert got.profile.entries == want.profile.entries
+
+
+def test_anneal_picks_reject_as_numpy_does(monkeypatch):
+    # A real stream almost never rejects a pick, (2**32 mod k) / 2**32 <
+    # 2**-26 for k <= 64, so the words are crafted: a zero low half rejects
+    # every k that is not a power of two (2**32 mod 3 = 1), and a zero word
+    # rejects again from its waiting high half.  The annealer must agree
+    # with the oracle's annealer drawing by numpy's rules from the same words.
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
+    adj, deg = conductance._adjacency_masks(g), g.degrees.tolist()
+    nbr = oracles.neighbor_masks(g)
+    words = philox(5).random_raw(8000).tolist()
+    for i in range(0, len(words), 5):
+        words[i] &= ~0xFFFFFFFF
+    for i in range(3, len(words), 11):
+        words[i] = 0
+    rejected = []
+    repick = conductance._repick
+
+    def counted(word, k, m, high):
+        if m & 0xFFFFFFFF < (1 << 32) % k:
+            rejected.append(k)
+        return repick(word, k, m, high)
+
+    monkeypatch.setattr(conductance, "_repick", counted)
+    unmet = (-1, 1)  # a floor no set meets, so every run goes to the end
+    windows = [(Fraction(g.m, 4), Fraction(g.m, 2)), (Fraction(g.m, 2), Fraction(g.m)),
+               (Fraction(1), Fraction(8))]
+    for window in windows:
+        for size_cap in (None, 4):
+            penalties = conductance._window_penalties(deg, window, size_cap)
+            for start in (0, 7):
+                got = conductance._anneal_once(adj, deg, start, window, size_cap,
+                                               iter(words), 400, unmet, penalties)
+                want = oracles.anneal_once(nbr, deg, start, window, size_cap,
+                                           oracles.WordDraws(words), 400)
+                assert got == want, (window, size_cap, start)
+    assert 3 in rejected and len(set(rejected)) > 3
 
 
 @pytest.mark.parametrize("g", [build_ring(9, 1), build_ring(11, 2), H12,

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nwmix.rng import make_rng, philox, philox_draws, thread_philox
+from nwmix.rng import make_rng, philox, philox_words, thread_philox
+
+import oracles
 
 # k = 1 draws nothing, 2**32 - 1 and 2**32 are numpy's edge ranges, and
 # 2**31 + 11 rejects about half its draws
@@ -24,23 +26,33 @@ _RUNS = st.lists(st.tuples(st.sampled_from(["random", "integers"]), _K,
 @example(7, [("integers", 2**32, 1023), ("integers", 1, 5), ("random", 1, 2),
              ("integers", 2**31 + 11, 600)])
 def test_philox_draws_match_generator(seed, runs):
-    random, integers = philox_draws(seed)
+    # numpy's draw rules as the tests state them, on the raw-word stream
+    draws = oracles.WordDraws(philox_words(seed))
     rng = make_rng(seed)
     for call, k, repeats in runs:
         for _ in range(repeats):
             if call == "random":
-                got, want = random(), rng.random()
+                got, want = draws.random(), rng.random()
             else:
-                got, want = integers(k), rng.integers(k)
+                got, want = draws.integers(k), rng.integers(k)
                 assert type(got) is int
             assert got == want, (call, k)
 
 
 def test_philox_draws_range():
-    _, integers = philox_draws(3)
+    draws = oracles.WordDraws(philox_words(3))
     for k in (0, -1, 2**32 + 1):
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            integers(k)
+            draws.integers(k)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 5, -3])
+def test_philox_words_are_the_raw_stream(seed):
+    # across several 512-word refills, as Python ints
+    words = philox_words(seed)
+    got = [next(words) for _ in range(1500)]
+    assert all(type(w) is int for w in got)
+    assert got == philox(seed).random_raw(1500).tolist()
 
 
 def test_thread_philox_restarts_the_stream():
