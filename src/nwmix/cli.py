@@ -22,6 +22,7 @@ from .experiments import (
     QUIET_ARC_HEADER,
     ExperimentConfig,
     VerificationError,
+    battery_text,
     build_graph,
     conductance_bound,
     mixing_run,
@@ -56,7 +57,7 @@ def _config_from(args) -> ExperimentConfig:
     return cfg.overridden(
         n=args.n, k=args.k, c=args.c, seed=args.seed, reps=args.reps,
         out=args.out, budget=args.budget, cap=args.cap,
-        mode=getattr(args, "mode", None),
+        mode=getattr(args, "mode", None), samples=getattr(args, "mc_samples", None),
     )
 
 
@@ -113,14 +114,12 @@ def _cmd_fr_bound(args) -> int:
 
 def _cmd_subtrees(args) -> int:
     cfg = _config_from(args)
-    report = run_subtree_verification(cfg, J=args.max_j,
-                                      mc_samples=args.mc_samples)
+    report = run_subtree_verification(cfg, J=args.max_j)
     if args.table:
         c = cfg.c if cfg.c > 0 else Fraction(1)
         write_mu_table(args.table, poisson_law(c), args.max_j, bound_C=c)
     if not cfg.out:
-        for name, ok, detail in report:
-            print(f"{'PASS' if ok else 'FAIL'} {name} {detail}".rstrip())
+        sys.stdout.write(battery_text(report))
     failed = [name for name, ok, _ in report if not ok]
     return EXIT_OK if not failed else 1
 

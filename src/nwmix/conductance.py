@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import UndirectedGraph
+from .graphs import UndirectedGraph, _integer
 from .rng import derive_seed, philox_words
 
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -83,7 +83,7 @@ class CutStats:
 
 def cut_stats(g: UndirectedGraph, S) -> CutStats:
     """Count internal and leaving edges of S by scanning adjacency rows."""
-    S = sorted(int(v) for v in S)
+    S = sorted(_integer(v, "set vertex", ValueError) for v in S)
     if not S:
         raise ValueError("conductance of the empty set is undefined")
     if S[0] < 0 or S[-1] >= g.n:
@@ -229,10 +229,11 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
 
 def _sets_up_to(g, j, containing, budget):
     """The core's stream of connected sets of at most j vertices."""
+    j = _integer(j, "size j", ValueError)
     if not 1 <= j <= g.n:
         raise ValueError(f"size j must be in [1, n], got {j}")
     if containing is not None:
-        containing = int(containing)
+        containing = _integer(containing, "containing vertex", ValueError)
         if not 0 <= containing < g.n:
             raise ValueError("containing vertex out of range")
     return _connected_masks(_adjacency_masks(g), g.degrees.tolist(), j, 2 * g.m,

@@ -332,17 +332,6 @@ def cycle_subset_count(n: int, m: int) -> int:
     return 2 * n * math.comb(n + 2 * m - 1, 2 * m - 1)
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(a)
-    out = np.zeros(a.shape, dtype=np.int64)
-    v = a.copy()
-    while v.any():
-        out += (v & 1).astype(np.int64)
-        v >>= 1
-    return out
-
-
 def cycle_component_counts(n: int) -> np.ndarray:
     """components[s] = number of cyclic runs of the subset with bitmask s.
 
@@ -357,7 +346,7 @@ def cycle_component_counts(n: int) -> np.ndarray:
     mask = (1 << n) - 1
     s = np.arange(1 << n, dtype=np.uint64)
     rot = ((s << np.uint64(1)) | (s >> np.uint64(n - 1))) & np.uint64(mask)
-    comps = _popcount(s & ~rot)
+    comps = np.bitwise_count(s & ~rot)
     comps[mask] = 1
     return comps
 

@@ -453,12 +453,13 @@ def _battery_laws(c):
     ]
 
 
-def run_subtree_verification(config: ExperimentConfig, J: int = 30,
-                             mc_samples: int | None = None):
+def run_subtree_verification(config: ExperimentConfig, J: int = 30):
     """Battery of exact and Monte Carlo checks on the subtree counters.
 
-    Exactness failures raise VerificationError; Monte Carlo legs report
-    pass/fail without raising.  Returns the list of (check, ok, detail).
+    Exactness failures raise VerificationError; Monte Carlo legs, of
+    ``config.samples`` samples each, report pass/fail without raising.
+    Returns the list of (check, ok, detail), and writes it to
+    ``config.out``, if set, as `battery_text`.
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
@@ -514,19 +515,24 @@ def run_subtree_verification(config: ExperimentConfig, J: int = 30,
         ok = ok and st.mu_upper_bound(C, 1) <= st.mu_upper_bound_weak(C, 1)
         exact(f"bound chain {label}", ok)
 
-    samples = mc_samples if mc_samples is not None else config.samples
     exact_mu = [st.mu_poisson_closed_form(1, j) for j in range(1, 6)]
     for j in range(1, 6):
-        est = st.brute_force_mu(st.poisson_law(1), j, samples,
+        est = st.brute_force_mu(st.poisson_law(1), j, config.samples,
                                 derive_seed(config.master_seed, 42, j))
         ok = est.within(exact_mu[j - 1], sigmas=3.0)
         soft(f"mc poisson(1) j={j}", ok,
              f"est={est.mean:.4f}+-{est.stderr:.4f} exact={float(exact_mu[j-1]):.4f}")
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
-            for name, ok, detail in report:
-                fh.write(f"{'PASS' if ok else 'FAIL'} {name} {detail}".rstrip() + "\n")
+            fh.write(battery_text(report))
     return report
+
+
+def battery_text(report) -> str:
+    """A battery report as text, one ``PASS|FAIL check detail`` line per
+    check."""
+    return "".join(f"{'PASS' if ok else 'FAIL'} {name} {detail}".rstrip() + "\n"
+                   for name, ok, detail in report)
 
 
 def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),

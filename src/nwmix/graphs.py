@@ -28,6 +28,26 @@ class GraphValidationError(ValueError):
     """Raised when graph data violates a structural invariant."""
 
 
+def _integer(v, what: str, error=GraphValidationError) -> int:
+    """`v` as an int: an int or numpy integer, never a float that ``int``
+    would truncate, nor a string, which raise `error` (the calling module's
+    ValueError)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {v!r}") from None
+
+
+def _integers(a, what: str, error=GraphValidationError) -> np.ndarray:
+    """`a` as an int64 array; an empty one may have any dtype, a nonempty
+    one must have an integer dtype (not float, bool, string or object), or
+    `error` is raised."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class GraphSpec:
     """Parameters (n, k, c, seed) of a small-world sample; p = c/n."""
@@ -77,11 +97,12 @@ class UndirectedGraph:
     def from_edges(cls, n: int, edges: np.ndarray, ring_k: int = 0) -> "UndirectedGraph":
         """Build from an array of undirected edges given as (u, v) pairs.
 
-        Validates simplicity: endpoints in range, no self-loops, no duplicate
-        edges (regardless of orientation).  A ring-tagged graph is checked to
-        hold its ring, and so is known to be connected without a search.
+        Validates simplicity: integer endpoints in range, no self-loops, no
+        duplicate edges (regardless of orientation).  A ring-tagged graph is
+        checked to hold its ring, and so is known to be connected without a
+        search.
         """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        edges = _integers(edges, "edge endpoints").reshape(-1, 2)
         if edges.size:
             if edges.min() < 0 or edges.max() >= n:
                 raise GraphValidationError("edge endpoint out of range")
@@ -121,6 +142,9 @@ class UndirectedGraph:
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = _integer(u, "vertex"), _integer(v, "vertex")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise GraphValidationError("vertex out of range")
         row = self.neighbors(u)
         i = np.searchsorted(row, v)
         return bool(i < row.shape[0] and row[i] == v)
@@ -128,8 +152,8 @@ class UndirectedGraph:
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Edge membership for parallel vertex arrays u, v: one binary search
         over the CSR entries keyed ``row * n + col``, which are ascending."""
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
+        u = _integers(u, "vertices")
+        v = _integers(v, "vertices")
         if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= self.n):
             raise GraphValidationError("vertex out of range")
         keys = self._rows() * self.n + self.indices
@@ -309,10 +333,7 @@ def blow_up(g: UndirectedGraph, R: int) -> BlowUpMap:
 
     R is an int or numpy integer, never a float, even one that divides n.
     """
-    try:
-        R = operator.index(R)
-    except TypeError:
-        raise GraphValidationError(f"R must be an integer, got {R!r}") from None
+    R = _integer(R, "R")
     if R < 1:
         raise GraphValidationError(f"R={R} must be >= 1")
     if g.n % R != 0:

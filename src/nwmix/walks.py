@@ -10,12 +10,12 @@ for one distribution or any block of them (`_tv_columns`), so a start's TV,
 and its mixing step, depend on that start alone.
 The search evolves all its starts at once, as the columns of one n-by-s block
 multiplied by the sparse transposed kernel.  TV is evaluated only at
-checkpoints 8 steps apart: a column at or near the threshold there is
-replayed step by step from its law at the checkpoint before, so every
-start's first mixed step is that of a TV evaluation at every step, bit for
-bit.  The columns that cross the threshold wait in a queue, which is
-replayed as one wide block, each column over its own stride, as a wide
-product costs less per column than a narrow one.  The kernel is the
+checkpoints 8 steps apart: a column at or near the threshold there leaves
+the block, and its law at the checkpoint before waits in a queue.  The
+queue is replayed step by step as one wide block, each column from its own
+checkpoint until it mixes or reaches the cap, as a wide product costs less
+per column than a narrow one, so every start's first mixed step is that of
+a TV evaluation at every step, bit for bit.  The kernel is the
 module's only use of scipy: ``scipy.sparse`` is imported when the first
 LazyKernel is built, so importing nwmix, and every path that builds no kernel
 (graphs, conductance, subtrees, constants, escape walks), never loads scipy.
@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import UndirectedGraph
+from .graphs import UndirectedGraph, _integer, _integers
 from .rng import make_rng, thread_philox
 
 if TYPE_CHECKING:
@@ -59,7 +58,7 @@ DEFAULT_STEP_CAP = 10_000_000
 _MASS_TOL = 1e-12
 _TV_ROWS = 1024
 _STRIDE = 8  # steps between the mixing search's TV checkpoints
-_GUARD = 1e-9  # columns this close above the threshold at one are replayed
+_GUARD = 1e-9  # columns this close above the threshold at one are queued
 _KEEP = 1.25  # a checkpoint copies the columns with TV <= _KEEP * threshold
 _RISE = 1e-12  # the rise in TV that one step's rounding may cause
 _FLUSH = 16  # the mixing search replays its queue once it holds this many columns
@@ -84,7 +83,7 @@ def validate_distribution(mu: np.ndarray, tol: float = _MASS_TOL) -> np.ndarray:
 
 
 def point_mass(n: int, x: int) -> np.ndarray:
-    x = _integer(x, "vertex")
+    x = _integer(x, "vertex", WalkError)
     if not 0 <= x < n:
         raise WalkError(f"vertex {x} out of range for n = {n}")
     mu = np.zeros(n)
@@ -209,6 +208,7 @@ class MixingResult:
 
 
 def sample_starts(n: int, size: int, seed: int) -> list[int]:
+    size = _integer(size, "start count", WalkError)
     if size < 0:
         raise WalkError(f"start count must be >= 0, got {size}")
     rng = make_rng(seed)
@@ -248,7 +248,7 @@ def mixing_time(
         start_list = list(range(g.n))
         mode = "exact-all-starts"
     else:
-        start_list = [_integer(v, "start vertex") for v in starts]
+        start_list = [_integer(v, "start vertex", WalkError) for v in starts]
         if not start_list:
             raise WalkError("no start vertices")
         if any(not 0 <= v < g.n for v in start_list):
@@ -268,17 +268,8 @@ def mixing_time(
     )
 
 
-def _integer(v, what: str) -> int:
-    """`v` as an int: an int or numpy integer, never a float that ``int``
-    would truncate, nor a string."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise WalkError(f"{what} must be an integer, got {v!r}") from None
-
-
 def _step_cap(cap) -> int:
-    cap = _integer(cap, "cap")
+    cap = _integer(cap, "cap", WalkError)
     if cap < 1:
         raise WalkError("cap must be >= 1")
     return cap
@@ -292,28 +283,21 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
     cap).  TV does not increase along the chain, so a column above
     threshold + `_GUARD` at checkpoint c did not mix since the previous
     checkpoint k, and its rise since k is checked against ``_RISE`` per
-    step.  Every other column is replayed step by step from its law at k
-    (`_replay`), which finds the steps a TV evaluation at every step would.
-    That law is a copy taken at k of the columns with TV <= ``_KEEP *
-    threshold`` there, or else its start's point mass stepped k times.  A
+    step.  Every other column leaves the block, and its law at k waits in a
+    queue.  That law is a copy taken at k of the columns with TV <= ``_KEEP
+    * threshold`` there, or else its start's point mass stepped k times.  A
     column's product does not depend on the other columns, so both are the
     block's column bit for bit.
 
-    A column at or below the threshold at the end of a whole stride leaves
-    the block, and its law at k waits in a queue.  The queue is replayed as
-    one block, each column over its own stride, once it holds ``_FLUSH``
-    columns and at the end of the search.  Columns within the guard band,
-    and a stride cut short by the cap, are replayed at once.
+    The queue is replayed as one block (`_replay`), each column from its own
+    checkpoint until it mixes or reaches the cap, once it holds ``_FLUSH``
+    columns and at the end of the search.  This finds the steps a TV
+    evaluation at every step would.
     """
     pt = LazyKernel(g)._PT
     pi = stationary(g)[:, None]
     starts = np.asarray(start_list)
     per: list[int | None] = [None] * starts.size
-
-    def record(ids, at):
-        for j, t in zip(ids.tolist(), at.tolist()):
-            if t:
-                per[j] = t
 
     queue: list[tuple] = []  # (laws at k, start ids, k, TV at k)
 
@@ -321,7 +305,10 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
         ids, k0, tv0 = (np.concatenate([q[i] for q in queue]) for i in (1, 2, 3))
         R = np.hstack([q[0] for q in queue])
         queue.clear()
-        record(ids, _replay(pt, pi, R, tv0, k0, _STRIDE, threshold)[0])
+        at = _replay(pt, pi, R, tv0, k0, cap, threshold)
+        for j, t in zip(ids.tolist(), at.tolist()):
+            if t:
+                per[j] = t
 
     # column j of X is the law of the walk from starts[active[j]]
     active = np.arange(starts.size)
@@ -347,7 +334,8 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
         if np.any(tv_c[~near] > tv[~near] + (c - k) * _RISE):
             raise WalkError("TV distance increased along the chain")
         if near.any():
-            # the columns to replay, those with a copy first, then the rest
+            # the near columns' laws at k join the queue, those with a copy
+            # first, then the rest
             cols = np.flatnonzero(near)
             copied = np.isin(active[cols], saved_ids)
             cols = np.concatenate((cols[copied], cols[~copied]))
@@ -356,20 +344,8 @@ def _mixing_batched(g, start_list, cap, threshold) -> list[int | None]:
             del saved
             if m < ids.size:
                 R = np.hstack((R, _walk_from(pt, g.n, starts[ids[m:]], k)))
-            gone = np.zeros(active.size, dtype=bool)
-            # a whole stride's crossers wait in the queue
-            crossed = tv_c[cols] <= threshold
-            if c - k == _STRIDE and crossed.any():
-                queue.append((R[:, crossed], ids[crossed],
-                              np.full(int(crossed.sum()), k), tv[cols[crossed]]))
-                gone[cols[crossed]] = True
-                now = ~crossed
-                R, cols, ids = R[:, now], cols[now], ids[now]
-            if cols.size:
-                at, tv_c[cols] = _replay(pt, pi, R, tv[cols], k, c - k, threshold)
-                record(ids, at)
-                gone[cols[at > 0]] = True
-            keep = ~gone
+            queue.append((R, ids, np.full(ids.size, k), tv[cols]))
+            keep = ~near
             X, active, tv_c = X.compress(keep, axis=1), active[keep], tv_c[keep]
             if sum(q[1].size for q in queue) >= _FLUSH:
                 flush()
@@ -388,32 +364,28 @@ def _walk_from(pt, n, starts, steps) -> np.ndarray:
     return X
 
 
-def _replay(pt, pi, R, tv, k, steps, threshold):
-    """`steps` steps of the laws R, column j at step k[j] (or k, one step
-    for all) with TV tv[j] there, with TV evaluated and checked at every
-    step.
+def _replay(pt, pi, R, tv, k, cap, threshold) -> np.ndarray:
+    """Step the laws R, column j from step k[j] with TV tv[j] there, with TV
+    evaluated and checked at every step, until each column mixes or reaches
+    the cap.
 
-    Returns each column's first step with TV <= threshold (0 for none) and
-    its TV at that step, or at its last.
+    Returns each column's first step with TV <= threshold, or 0 for none.
     """
     at = np.zeros(R.shape[1], dtype=np.int64)
-    k = np.broadcast_to(k, at.shape)
-    last = tv.copy()
     cols = np.arange(R.shape[1])
-    for t in range(1, steps + 1):
+    t = 0
+    while cols.size:
+        t += 1
         R = pt @ R
         prev, tv = tv, _tv_columns(R, pi)
         if np.any(tv > prev + _RISE):
             raise WalkError("TV distance increased along the chain")
-        last[cols] = tv
         mixed = tv <= threshold
-        if mixed.any():
-            at[cols[mixed]] = k[cols[mixed]] + t
-            keep = ~mixed
-            R, cols, tv = R.compress(keep, axis=1), cols[keep], tv[keep]
-            if not cols.size:
-                break
-    return at, last
+        at[cols[mixed]] = k[mixed] + t
+        keep = ~mixed & (k + t < cap)
+        if not keep.all():
+            R, cols, tv, k = R.compress(keep, axis=1), cols[keep], tv[keep], k[keep]
+    return at
 
 
 def _tv_columns(X, pi) -> np.ndarray:
@@ -536,15 +508,12 @@ def escape_time(
     cap = _step_cap(cap)
     if not isinstance(region, np.ndarray):
         region = list(region)
-    region = np.asarray(region)
-    if region.size and region.dtype.kind not in "iu":
-        raise WalkError(f"region vertices must be integers, got dtype {region.dtype}")
-    region = region.astype(np.int64, copy=False)
+    region = _integers(region, "region vertices", WalkError)
     plan = _region_plan(g, region.tobytes())
     if plan is None:
         raise WalkError("region vertex out of range")
     mask, off, whole = plan
-    pos = _integer(start, "start vertex")
+    pos = _integer(start, "start vertex", WalkError)
     if not 0 <= pos < g.n:
         raise WalkError("start vertex out of range")
     if not mask[pos]:

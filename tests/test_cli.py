@@ -137,6 +137,28 @@ def test_subtrees_battery(tmp_path, capsys):
     assert table.read_text().splitlines()[0] == "j,q_j,mu_j,bound_j"
 
 
+def test_subtrees_mc_samples_flag_sets_the_config_samples(tmp_path, capsys):
+    # one route: the flag overrides the config's `samples` key, as any flag
+    # overrides its key, and the stdout and --out reports are the same text
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 300\n")
+    argv = ["subtrees", "--c", "2", "--max-j", "4"]
+    assert main(argv + ["--config", str(cfg)]) == EXIT_OK
+    from_file = capsys.readouterr().out
+    assert main(argv + ["--mc-samples", "300"]) == EXIT_OK
+    assert capsys.readouterr().out == from_file
+    cfg.write_text("samples = 50\n")
+    assert main(argv + ["--config", str(cfg), "--mc-samples", "300"]) == EXIT_OK
+    assert capsys.readouterr().out == from_file
+    assert main(argv + ["--mc-samples", "50"]) == EXIT_OK
+    assert capsys.readouterr().out != from_file
+    out = tmp_path / "battery.txt"
+    assert main(argv + ["--mc-samples", "300", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "" and out.read_text() == from_file
+    assert main(argv + ["--mc-samples", "0"]) == EXIT_VALIDATION
+    assert "samples" in capsys.readouterr().err
+
+
 def test_constants_json(tmp_path, capsys):
     out = tmp_path / "consts.json"
     assert main(["constants", "--c", "1", "--k", "1", "--out", str(out)]) == EXIT_OK

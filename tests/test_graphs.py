@@ -22,6 +22,8 @@ from nwmix import (
     write_graph,
 )
 from nwmix import graphs
+from nwmix.conductance import connected_set_counts, cut_stats
+from nwmix.walks import WalkError, sample_starts
 
 import oracles
 
@@ -212,6 +214,48 @@ def test_blow_up_rejects_R_that_is_not_an_integer():
     bmap = blow_up(g, np.int32(3))
     assert bmap.R == 3 and type(bmap.R) is int
     assert np.array_equal(bmap.auxiliary.edge_array(), blow_up(g, 3).auxiliary.edge_array())
+
+
+_RING8 = build_ring(8, 1)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cut_stats(_RING8, [0.5, 1.7]), ValueError),
+    (lambda: cut_stats(_RING8, np.array([1.0, 2.0])), ValueError),
+    (lambda: cut_stats(_RING8, ["1", "2"]), ValueError),
+    (lambda: connected_set_counts(_RING8, 3, containing=1.5), ValueError),
+    (lambda: connected_set_counts(_RING8, 3, containing="3"), ValueError),
+    (lambda: connected_set_counts(_RING8, 2.5), ValueError),
+    (lambda: UndirectedGraph.from_edges(4, [(0.5, 1.7), (2, 3)]), GraphValidationError),
+    (lambda: UndirectedGraph.from_edges(4, np.array([[0, 1]], dtype=bool)),
+     GraphValidationError),
+    (lambda: _RING8.has_edges([0.9], [1.2]), GraphValidationError),
+    (lambda: _RING8.has_edge(0.0, 1), GraphValidationError),
+    (lambda: _RING8.has_edge(1, "2"), GraphValidationError),
+    (lambda: sample_starts(10, 3.5, 1), WalkError),
+], ids=["cut-floats", "cut-float-array", "cut-strings", "containing-float",
+        "containing-string", "j-float", "edges-floats", "edges-bools",
+        "has-edges-floats", "has-edge-float", "has-edge-string", "start-count-float"])
+def test_non_integer_vertices_are_rejected(call, error):
+    # floats are not truncated and strings not parsed: each module raises
+    # its own ValueError, naming the integer it wanted
+    with pytest.raises(error, match="must be (an )?integer"):
+        call()
+
+
+def test_integer_vertices_of_any_type_are_accepted():
+    g = _RING8
+    assert cut_stats(g, np.array([1, 2], dtype=np.int8)) == cut_stats(g, [1, 2])
+    assert connected_set_counts(g, np.int64(3), containing=np.int32(1)) == \
+        connected_set_counts(g, 3, containing=1)
+    assert g.has_edge(np.int64(0), np.uint8(1)) and not g.has_edge(0, 2)
+    assert g.has_edges(np.array([0, 0], dtype=np.uint16), [1, 2]).tolist() == [True, False]
+    assert UndirectedGraph.from_edges(3, []).m == 0
+    h = UndirectedGraph.from_edges(4, np.array([[0, 1], [2, 3]], dtype=np.int32))
+    assert h.edge_array().tolist() == [[0, 1], [2, 3]]
+    assert sample_starts(10, np.int64(3), 1) == sample_starts(10, 3, 1)
+    with pytest.raises(GraphValidationError, match="out of range"):
+        g.has_edge(8, 1)
 
 
 def test_blow_up_set():

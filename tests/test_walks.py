@@ -465,18 +465,15 @@ def test_strided_search_replays_from_copies_and_from_starts(monkeypatch):
 
 
 def _recorded_replays(monkeypatch):
-    """The mixing search's `_replay` calls, in order.  Each records whether
-    it replayed the queue, which passes one start step per column, the
-    columns' start steps, its number of steps, and which columns mixed."""
+    """The mixing search's `_replay` calls, in order.  Each records its
+    columns' start steps, the cap and the steps it returns (0 for none)."""
     calls = []
     replay = walks._replay
 
-    def recorded(pt, pi, R, tv, k, steps, threshold):
-        at, last = replay(pt, pi, R, tv, k, steps, threshold)
-        calls.append(SimpleNamespace(
-            queued=np.ndim(k) == 1, k=np.broadcast_to(k, at.shape).copy(),
-            steps=steps, mixed=at > 0))
-        return at, last
+    def recorded(pt, pi, R, tv, k, cap, threshold):
+        at = replay(pt, pi, R, tv, k, cap, threshold)
+        calls.append(SimpleNamespace(k=k.copy(), cap=cap, at=at.copy()))
+        return at
 
     monkeypatch.setattr(walks, "_replay", recorded)
     return calls
@@ -487,26 +484,27 @@ def test_queued_replays_merge_checkpoints_and_flush(monkeypatch):
     g = _small_world(300, "1/2", 4)
     want = oracles.stepwise_per_start(g, list(range(g.n)), 10**6, 0.25)
     assert mixing_time(g).per_start == want
-    queued = [r for r in calls if r.queued]
-    # each queued column replays its whole stride, in company, and mixes
-    assert all(r.steps == walks._STRIDE and r.mixed.all() for r in queued)
+    # each queued column mixes within its own stride, in company
+    assert all(((r.at > r.k) & (r.at <= r.k + walks._STRIDE)).all() for r in calls)
     # the crossers of two or more checkpoints share one replay
-    assert any(np.unique(r.k).size >= 2 for r in queued)
+    assert any(np.unique(r.k).size >= 2 for r in calls)
     # flushed in mid-run once `_FLUSH` columns wait, and, shorter, at the
     # end, with the crossers of the last stride
-    assert sum(r.k.size >= walks._FLUSH for r in queued[:-1]) >= 2
-    assert calls[-1].queued and calls[-1].k.size < walks._FLUSH
+    assert sum(r.k.size >= walks._FLUSH for r in calls[:-1]) >= 2
+    assert calls[-1].k.size < walks._FLUSH
     assert calls[-1].k.max() == (max(want) - 1) // walks._STRIDE * walks._STRIDE
 
 
 def test_queued_replays_match_the_stepwise_oracle_at_any_width(monkeypatch):
-    # a flush at every crossing, after a few crossers, and only at the end
-    for spec in _STEPWISE_GRAPHS:
+    # a flush at every crossing, after a few crossers, and only at the end;
+    # caps 9 and 189 cut a stride short, and the queue stops at the cap
+    for spec, threshold in itertools.product(_STEPWISE_GRAPHS, (0.25, 0.01, 1e-6)):
         g = _small_world(*spec)
-        want = oracles.stepwise_per_start(g, list(range(g.n)), 10**6, 0.25)
-        for flush in (1, 3, 10**9):
-            monkeypatch.setattr(walks, "_FLUSH", flush)
-            assert mixing_time(g).per_start == want
+        for cap in (10**6, 9, 189):
+            want = oracles.stepwise_per_start(g, list(range(g.n)), cap, threshold)
+            for flush in (1, 3, 10**9):
+                monkeypatch.setattr(walks, "_FLUSH", flush)
+                assert mixing_time(g, cap=cap, threshold=threshold).per_start == want
 
 
 def test_a_queued_lone_column_is_summed_in_a_block(monkeypatch, tv_sums):
@@ -523,8 +521,7 @@ def test_a_queued_lone_column_is_summed_in_a_block(monkeypatch, tv_sums):
     t_slow = _first_at_most(block[:, slow], threshold)
     calls = _recorded_replays(monkeypatch)
     _tie(g, [fast, slow], threshold, [t, t_slow])
-    assert [r.k.tolist() for r in calls if r.queued] == \
-        [[(t - 1) // 8 * 8, (t_slow - 1) // 8 * 8]]
+    assert [r.k.tolist() for r in calls] == [[(t - 1) // 8 * 8, (t_slow - 1) // 8 * 8]]
 
 
 def test_queued_replays_before_a_stride_cut_short_by_the_cap(monkeypatch):
@@ -534,13 +531,15 @@ def test_queued_replays_before_a_stride_cut_short_by_the_cap(monkeypatch):
     res = mixing_time(g, cap=cap)
     assert res.censored
     assert res.per_start == oracles.stepwise_per_start(g, list(range(g.n)), cap, 0.25)
-    # the short stride is replayed at once; the queue waits for the end
-    cut = calls[-2]
-    assert not cut.queued and cut.steps == cap - 184 and cut.k.tolist() == [184]
-    assert calls[-1].queued and calls[-1].k.max() < 184
+    # the short stride's crossers wait in the queue too, with k = 184, and
+    # the end's flush records no step past the cap
+    last = calls[-1]
+    assert last.cap == cap and last.k.max() == 184
+    assert (last.at[last.k == 184] > 184).all()
+    assert all((r.at <= cap).all() for r in calls)
 
 
-def test_a_guard_band_column_is_replayed_at_once(monkeypatch, tv_sums):
+def test_a_guard_band_column_waits_in_the_queue(monkeypatch, tv_sums):
     # b sits one ulp above the threshold at checkpoint c, within the guard,
     # while a crosses in the stride before c and s is far above
     g, lone, block = tv_sums
@@ -559,11 +558,17 @@ def test_a_guard_band_column_is_replayed_at_once(monkeypatch, tv_sums):
     calls = _recorded_replays(monkeypatch)
     _tie(g, [a, b, s], threshold, [steps[a], steps[b], steps[s]])
     assert steps[b] > c
-    guard = next(r for r in calls if not r.queued)
-    assert guard.k.tolist() == [c - 8] and not guard.mixed.any()
-    # a waits in the queue, and b and s join it at the strides they cross in
-    stride = [(steps[v] - 1) // 8 * 8 for v in (a, b, s)]
-    assert [sorted(r.k.tolist()) for r in calls if r.queued] == [sorted(stride)]
+    # a and b join the queue at c, b unmixed, and s at the stride it crosses
+    # in; b's replay runs past c to its own step
+    (only,) = calls
+    assert sorted(zip(only.k.tolist(), only.at.tolist())) == sorted(
+        [(c - 8, steps[a]), (c - 8, steps[b]), ((steps[s] - 1) // 8 * 8, steps[s])])
+    # with a cap between c and b's step, the queue stops b at the cap
+    cap = steps[b] - 1
+    calls.clear()
+    res = mixing_time(g, starts=[a, b, s], cap=cap, threshold=threshold)
+    assert res.per_start == oracles.stepwise_per_start(g, [a, b, s], cap, threshold)
+    assert res.per_start[1] is None and (calls[-1].at <= cap).all()
 
 
 def test_queued_replays_are_few_on_scaling_starts(monkeypatch):
@@ -573,7 +578,7 @@ def test_queued_replays_are_few_on_scaling_starts(monkeypatch):
     calls = _recorded_replays(monkeypatch)
     want = oracles.stepwise_per_start(g, starts, 10**6, 0.25)
     assert mixing_time(g, starts=starts).per_start == want
-    # the strides with a crossing, one replay each when replayed at once
+    # the queue makes fewer replays than there are strides with a crossing
     strides = {int(k) for r in calls for k in r.k}
     assert len(calls) <= 6 < len(strides)
 
@@ -587,7 +592,7 @@ def test_mixing_search_catches_a_tv_rise(monkeypatch, path):
     monkeypatch.setattr(walks, "stationary_exact",
                         lambda g: [Fraction(int(v == 0)) for v in range(g.n)])
     if path == "replay":
-        monkeypatch.setattr(walks, "_GUARD", 1.0)  # every column is replayed
+        monkeypatch.setattr(walks, "_GUARD", 1.0)  # every column is queued
     with pytest.raises(WalkError, match="TV distance increased"):
         mixing_time(g, starts=[1], cap=200, exact=path == "exact")
 
