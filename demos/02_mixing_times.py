@@ -1,4 +1,4 @@
-"""Lazy-random-walk mixing times, exactly and at scale.
+"""Lazy-random-walk mixing times, on small graphs and at scale.
 
 The walk stays put with probability 1/2 and otherwise moves to a uniform
 neighbor.  mixing_time evolves the distribution from every start at once and
@@ -35,11 +35,6 @@ for t in range(1, 26):
 
 res = mixing_time(g)
 print(f"  mixing time (max over all starts): tau = {res.tau}, mode={res.mode!r}")
-
-# Exact rational arithmetic gives the same answer on small graphs.
-res_exact = mixing_time(g, exact=True)
-assert res_exact.tau == res.tau
-print(f"  exact-fraction evolution agrees: tau = {res_exact.tau}")
 
 # -- diffusive growth on cycles ----------------------------------------------------
 

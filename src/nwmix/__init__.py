@@ -1,8 +1,8 @@
 """Simulation and verification toolkit for small-world random graph mixing.
 
 Generate Newman-Watts graphs (a ring plus sparse random shortcuts), measure
-lazy-random-walk mixing times exactly, profile connected-set conductance
-across dyadic volume scales, count branching-process root subtrees in exact
+lazy-random-walk mixing times, profile connected-set conductance across
+dyadic volume scales, count branching-process root subtrees in exact
 rationals, and evaluate the explicit constants used in conductance-based
 mixing bounds.
 """
@@ -94,10 +94,7 @@ from .walks import (
     point_mass,
     sample_starts,
     stationary,
-    stationary_exact,
-    step_exact,
     tv_distance,
-    tv_distance_exact,
     validate_distribution,
 )
 

@@ -501,46 +501,31 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
         coin = grow_in if vlo <= volume <= vhi else (
             grow_below if volume < vlo else grow_above)
         grow = word() < coin or size <= 1
-        if grow:
-            low = nbr & ~S
-            if not low:
-                grow = False
+        pool = nbr & ~S if grow else 0
+        if pool:
+            k = pool.bit_count()
+        else:  # a drop, or a grow with no boundary
+            grow, pool, k = False, S, size
+        if k > 1:
+            if high is None:
+                u = word()
+                high = u >> 32
+                u &= 0xFFFFFFFF
             else:
-                k = low.bit_count()
-                if k > 1:
-                    if high is None:
-                        u = word()
-                        high = u >> 32
-                        u &= 0xFFFFFFFF
-                    else:
-                        u, high = high, None
-                    m = u * k
-                    if m & 0xFFFFFFFF < k:
-                        m, high = _repick(word, k, m, high)
-                    for _ in range(m >> 32):
-                        low &= low - 1
-                low &= -low
-                w = low.bit_length() - 1
-                S2, size2, dw = S | low, size + 1, deg[w]
-                vol2 = volume + dw
-                cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
-        if not grow:
-            low = S
-            if size > 1:
-                if high is None:
-                    u = word()
-                    high = u >> 32
-                    u &= 0xFFFFFFFF
-                else:
-                    u, high = high, None
-                m = u * size
-                if m & 0xFFFFFFFF < size:
-                    m, high = _repick(word, size, m, high)
-                for _ in range(m >> 32):
-                    low &= low - 1
-            low &= -low
-            w = low.bit_length() - 1
-            S2, size2, dw = S ^ low, size - 1, deg[w]
+                u, high = high, None
+            m = u * k
+            if m & 0xFFFFFFFF < k:
+                m, high = _repick(word, k, m, high)
+            for _ in range(m >> 32):
+                pool &= pool - 1
+        low = pool & -pool
+        w = low.bit_length() - 1
+        dw = deg[w]
+        if grow:
+            S2, size2, vol2 = S | low, size + 1, volume + dw
+            cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
+        else:
+            S2, size2 = S ^ low, size - 1
             touch = adj[w] & S2
             links = touch.bit_count()
             if links != 1:

@@ -135,17 +135,22 @@ class UndirectedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    def _vertex(self, v) -> int:
+        v = _integer(v, "vertex")
+        if not 0 <= v < self.n:
+            raise GraphValidationError(f"vertex {v} out of range for n = {self.n}")
+        return v
+
     def neighbors(self, v: int) -> np.ndarray:
+        v = self._vertex(v)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
+        v = self._vertex(v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = _integer(u, "vertex"), _integer(v, "vertex")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise GraphValidationError("vertex out of range")
-        row = self.neighbors(u)
+        row, v = self.neighbors(u), self._vertex(v)
         i = np.searchsorted(row, v)
         return bool(i < row.shape[0] and row[i] == v)
 
@@ -357,7 +362,7 @@ def blow_up_set(bmap: BlowUpMap, S) -> tuple[np.ndarray, np.ndarray]:
     Returns (S_blocks, S_plus); |S_plus| = R * |S_blocks| and S is contained
     in S_plus.
     """
-    S = np.asarray(sorted(S), dtype=np.int64)
+    S = _integers(list(S), "set vertices")
     if S.size and (S.min() < 0 or S.max() >= bmap.base_n):
         raise GraphValidationError("set contains a vertex outside the base graph")
     blocks = np.unique(S // bmap.R)

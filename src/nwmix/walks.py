@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -101,14 +100,6 @@ def stationary(g: UndirectedGraph) -> np.ndarray:
     return g.degrees / (2.0 * g.m)
 
 
-def stationary_exact(g: UndirectedGraph) -> list[Fraction]:
-    if not g.is_connected():
-        raise WalkError("stationary distribution requires a connected graph")
-    if g.n == 1:
-        return [Fraction(1)]
-    return [Fraction(int(d), 2 * g.m) for d in g.degrees]
-
-
 class LazyKernel:
     """Sparse lazy transition kernel of a graph.
 
@@ -143,25 +134,6 @@ class LazyKernel:
         return self._PT @ mu
 
 
-def step_exact(g: UndirectedGraph, mu: list[Fraction]) -> list[Fraction]:
-    """Exact-rational kernel application for small graphs."""
-    if len(mu) != g.n:
-        raise WalkError("length mismatch")
-    deg = g.degrees
-    out = [m / 2 for m in mu]
-    half = Fraction(1, 2)
-    for x in range(g.n):
-        if mu[x] == 0:
-            continue
-        if deg[x] == 0:
-            out[x] = mu[x]  # an isolated vertex keeps its mass
-            continue
-        share = half * mu[x] / int(deg[x])
-        for y in g.neighbors(x):
-            out[y] += share
-    return out
-
-
 def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     """Half the L1 distance between two distributions on the same vertex
     set, summed as `_tv_columns` sums a column."""
@@ -170,12 +142,6 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     if mu.shape != nu.shape:
         raise WalkError(f"length mismatch: {mu.shape} vs {nu.shape}")
     return float(_tv_columns(mu.reshape(-1, 1), nu.reshape(-1, 1))[0])
-
-
-def tv_distance_exact(mu: list[Fraction], nu: list[Fraction]) -> Fraction:
-    if len(mu) != len(nu):
-        raise WalkError("length mismatch")
-    return sum(abs(a - b) for a, b in zip(mu, nu)) / 2
 
 
 @dataclass
@@ -220,7 +186,6 @@ def mixing_time(
     g: UndirectedGraph,
     starts="all",
     cap: int = DEFAULT_STEP_CAP,
-    exact: bool = False,
     threshold: float = MIXING_THRESHOLD,
 ) -> MixingResult:
     """Per-start first step with TV(mu_k, pi) <= threshold; tau is the max.
@@ -234,10 +199,8 @@ def mixing_time(
     of one n-by-s block, stepped by the sparse transposed kernel, with TV
     evaluated every 8 steps; a start's column is dropped from the block at
     the checkpoint after the step it mixes, which a step-by-step replay
-    finds.  TV monotonicity is checked at checkpoints and in replays.
-    ``exact=True`` runs rational arithmetic (intended for n <= 64 oracle
-    comparisons), checked at every step.  The threshold must be > 0: a walk
-    from one vertex need never reach TV 0.
+    finds.  TV monotonicity is checked at checkpoints and in replays.  The
+    threshold must be > 0: a walk from one vertex need never reach TV 0.
     """
     cap = _step_cap(cap)
     if not threshold > 0:  # NaN too
@@ -255,11 +218,7 @@ def mixing_time(
             raise WalkError("start vertex out of range")
         mode = "sampled-starts" if len(set(start_list)) < g.n else "exact-all-starts"
 
-    if exact:
-        per = [_mixing_one_exact(g, x, cap, threshold) for x in start_list]
-    else:
-        per = _mixing_batched(g, start_list, cap, threshold)
-
+    per = _mixing_batched(g, start_list, cap, threshold)
     censored = any(t is None for t in per)
     tau = None if censored else max(per)
     return MixingResult(
@@ -409,25 +368,6 @@ def _tv_columns(X, pi) -> np.ndarray:
         rows = buf[:b - a + 1]
         buf[0] = rows.sum(axis=0) if s > 1 else rows.cumsum(axis=0)[-1]
     return 0.5 * buf[0]
-
-
-def _mixing_one_exact(g, x, cap, threshold) -> int | None:
-    thr = Fraction(threshold)
-    pi = stationary_exact(g)
-    mu = [Fraction(0)] * g.n
-    mu[x] = Fraction(1)
-    prev = tv_distance_exact(mu, pi)
-    if prev <= thr:
-        return 0
-    for k in range(1, cap + 1):
-        mu = step_exact(g, mu)
-        tv = tv_distance_exact(mu, pi)
-        if tv > prev:
-            raise WalkError("TV distance increased along the chain")
-        prev = tv
-        if tv <= thr:
-            return k
-    return None
 
 
 # -- escape walks ---------------------------------------------------------------

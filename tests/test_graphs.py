@@ -243,6 +243,29 @@ def test_non_integer_vertices_are_rejected(call, error):
         call()
 
 
+_BMAP8 = blow_up(_RING8, 2)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: _RING8.neighbors(-1), "out of range"),
+    (lambda: _RING8.neighbors(8), "out of range"),
+    (lambda: _RING8.neighbors(1.0), "must be an integer"),
+    (lambda: _RING8.degree(-1), "out of range"),
+    (lambda: _RING8.degree(8), "out of range"),
+    (lambda: _RING8.degree("1"), "must be an integer"),
+    (lambda: blow_up_set(_BMAP8, [0.5, 1.7]), "must be integers"),
+    (lambda: blow_up_set(_BMAP8, ["1", "2"]), "must be integers"),
+    (lambda: blow_up_set(_BMAP8, np.array([1.0, 2.0])), "must be integers"),
+], ids=["neighbors-negative", "neighbors-past-n", "neighbors-float", "degree-negative",
+        "degree-past-n", "degree-string", "blow-up-set-floats", "blow-up-set-strings",
+        "blow-up-set-float-array"])
+def test_bad_vertices_raise_instead_of_wrapping_or_truncating(call, match):
+    # a negative vertex no longer wraps to the end of the CSR arrays, nor a
+    # float or string set vertex truncates or parses to a block
+    with pytest.raises(GraphValidationError, match=match):
+        call()
+
+
 def test_integer_vertices_of_any_type_are_accepted():
     g = _RING8
     assert cut_stats(g, np.array([1, 2], dtype=np.int8)) == cut_stats(g, [1, 2])
@@ -256,6 +279,9 @@ def test_integer_vertices_of_any_type_are_accepted():
     assert sample_starts(10, np.int64(3), 1) == sample_starts(10, 3, 1)
     with pytest.raises(GraphValidationError, match="out of range"):
         g.has_edge(8, 1)
+    assert g.neighbors(np.uint8(7)).tolist() == [0, 6] and g.degree(np.int64(0)) == 2
+    blocks, s_plus = blow_up_set(_BMAP8, np.array([1, 6], dtype=np.int16))
+    assert blocks.tolist() == [0, 3] and s_plus.tolist() == [0, 1, 6, 7]
 
 
 def test_blow_up_set():

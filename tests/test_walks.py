@@ -30,10 +30,7 @@ from nwmix import (
     sample_small_world,
     sample_starts,
     stationary,
-    stationary_exact,
-    step_exact,
     tv_distance,
-    tv_distance_exact,
     validate_distribution,
 )
 from nwmix import walks
@@ -49,8 +46,6 @@ def test_stationary_ring_uniform():
     pi = stationary(g)
     assert np.allclose(pi, 0.1)
     assert math.isclose(float(pi.sum()), 1.0)
-    exact = stationary_exact(g)
-    assert all(q == Fraction(1, 10) for q in exact)
 
 
 def test_stationary_proportional_to_degree():
@@ -79,10 +74,10 @@ def test_step_preserves_mass_and_matches_exact():
     for _ in range(5):
         mu = kernel.step(mu)
     assert math.isclose(float(mu.sum()), 1.0)
-    nu = [Fraction(0)] * 12
-    nu[3] = Fraction(1)
+    P = oracles.exact_kernel(g)
+    nu = [Fraction(int(v == 3)) for v in range(12)]
     for _ in range(5):
-        nu = step_exact(g, nu)
+        nu = [sum(nu[w] * P[w][v] for w in range(12)) for v in range(12)]
     assert sum(nu) == 1
     assert np.allclose(mu, [float(q) for q in nu])
 
@@ -116,9 +111,6 @@ def test_point_mass_checks_its_vertex():
 def test_tv_distance_values():
     assert tv_distance([1.0, 0.0], [0.0, 1.0]) == 1.0
     assert tv_distance([0.5, 0.5], [0.75, 0.25]) == 0.25
-    assert tv_distance_exact(
-        [Fraction(1, 2), Fraction(1, 2)], [Fraction(3, 4), Fraction(1, 4)]
-    ) == Fraction(1, 4)
     with pytest.raises(WalkError, match="mismatch"):
         tv_distance([1.0], [0.5, 0.5])
 
@@ -144,8 +136,6 @@ def test_mixing_time_against_oracles(g):
     assert not res.censored and res.mode == "exact-all-starts"
     tau_q, per_q = oracles.exact_mixing_time(g)
     assert (res.tau, res.per_start) == (tau_q, per_q)
-    exact = mixing_time(g, starts="all", exact=True)
-    assert (exact.tau, exact.per_start) == (res.tau, res.per_start)
 
 
 def test_mixing_start_modes():
@@ -170,9 +160,8 @@ def _no_kernel(*args, **kwargs):
 def test_mixing_rejects_no_starts_before_building_the_kernel(monkeypatch):
     monkeypatch.setattr(walks, "LazyKernel", _no_kernel)
     g = build_ring(16, 1)
-    for exact in (False, True):
-        with pytest.raises(WalkError, match="no start vertices"):
-            mixing_time(g, starts=[], exact=exact)
+    with pytest.raises(WalkError, match="no start vertices"):
+        mixing_time(g, starts=[])
 
 
 def test_mixing_rejects_starts_that_are_not_integers():
@@ -224,17 +213,15 @@ def test_mixing_threshold_override():
     assert loose.tau <= strict.tau
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_mixing_rejects_a_threshold_no_tv_can_meet(monkeypatch, exact):
+def test_mixing_rejects_a_threshold_no_tv_can_meet(monkeypatch):
     g = build_ring(8, 1)
     with monkeypatch.context() as m:
-        # rejected before either path builds its kernel or stationary law
+        # rejected before the kernel is built
         m.setattr(walks, "LazyKernel", _no_loop)
-        m.setattr(walks, "stationary_exact", _no_loop)
         for bad in (0, 0.0, -1, float("nan"), float("-inf")):
             with pytest.raises(WalkError, match="threshold must be > 0"):
-                mixing_time(g, threshold=bad, exact=exact)
-    assert mixing_time(g, threshold=2.0, exact=exact).tau == 0
+                mixing_time(g, threshold=bad)
+    assert mixing_time(g, threshold=2.0).tau == 0
 
 
 def test_sample_starts_deterministic():
@@ -583,26 +570,23 @@ def test_queued_replays_are_few_on_scaling_starts(monkeypatch):
     assert len(calls) <= 6 < len(strides)
 
 
-@pytest.mark.parametrize("path", ["checkpoint", "replay", "exact"])
+@pytest.mark.parametrize("path", ["checkpoint", "replay"])
 def test_mixing_search_catches_a_tv_rise(monkeypatch, path):
     # with pi a point mass at vertex 0, TV from vertex 1 is 1 - mu_t(0): it
     # falls while mass flows into vertex 0, then rises as the mass spreads
     g = build_ring(32, 1)
     monkeypatch.setattr(walks, "stationary", lambda g: point_mass(g.n, 0))
-    monkeypatch.setattr(walks, "stationary_exact",
-                        lambda g: [Fraction(int(v == 0)) for v in range(g.n)])
     if path == "replay":
         monkeypatch.setattr(walks, "_GUARD", 1.0)  # every column is queued
     with pytest.raises(WalkError, match="TV distance increased"):
-        mixing_time(g, starts=[1], cap=200, exact=path == "exact")
+        mixing_time(g, starts=[1], cap=200)
 
 
 def test_caps_must_be_integers():
     g = build_ring(64, 1)
     for bad in (2.5, 3.0, "3", None):
-        for exact in (False, True):
-            with pytest.raises(WalkError, match="cap must be an integer"):
-                mixing_time(g, starts=[0, 5], cap=bad, exact=exact)
+        with pytest.raises(WalkError, match="cap must be an integer"):
+            mixing_time(g, starts=[0, 5], cap=bad)
         for start, region in ((5, range(3, 8)), (0, range(64))):  # both paths
             with pytest.raises(WalkError, match="cap must be an integer"):
                 escape_time(g, start, region, seed=1, cap=bad)
@@ -931,14 +915,11 @@ def test_one_vertex_stationary_and_kernel():
     with np.errstate(all="raise"):
         assert stationary(g).tolist() == [1.0]
         assert LazyKernel(g).matrix.toarray().tolist() == [[1.0]]
-    assert stationary_exact(g) == [Fraction(1)]
-    assert step_exact(g, [Fraction(1)]) == [Fraction(1)]
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_one_vertex_mixes_at_once(exact):
+def test_one_vertex_mixes_at_once():
     with np.errstate(all="raise"):
-        res = mixing_time(_one_vertex(), cap=50, exact=exact)
+        res = mixing_time(_one_vertex(), cap=50)
     assert (res.tau, res.per_start, res.censored) == (0, [0], False)
 
 
@@ -947,7 +928,6 @@ def test_kernel_keeps_mass_at_an_isolated_vertex():
     P = LazyKernel(g).matrix.toarray()
     assert np.allclose(P.sum(axis=1), 1.0)
     assert P[3].tolist() == [0.0, 0.0, 0.0, 1.0]
-    assert step_exact(g, [Fraction(0)] * 3 + [Fraction(1)])[3] == 1
 
 
 # -- the (graph, region) memo of escape_time -------------------------------------
