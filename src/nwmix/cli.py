@@ -1,11 +1,11 @@
 """Command-line entry points.
 
 Subcommands: generate, mix, conductance, fr-bound, subtrees, constants,
-scaling, quiet-arc.  Options may come from a ``key = value`` config file
-(--config), with command-line flags taking precedence.  Exit codes:
-0 success, 2 validation error or an unreadable input or unwritable output
-file, 3 budget exhaustion or censoring produced partial results.  A closed
-output pipe (``| head``) ends a run quietly.
+scaling, quiet-arc.  Each takes a flag for each config key it reads; a
+``key = value`` config file (--config) may set any key, and flags win.
+Exit codes: 0 success, 2 validation error or an unreadable input or
+unwritable output file, 3 budget exhaustion or censoring produced partial
+results.  A closed output pipe (``| head``) ends a run quietly.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from fractions import Fraction
 from .conductance import EnumerationBudgetError
 from .constants import constants_for
 from .experiments import (
+    CONFIG_KEYS,
     QUIET_ARC_HEADER,
     ExperimentConfig,
     VerificationError,
@@ -39,26 +40,10 @@ EXIT_VALIDATION = 2
 EXIT_PARTIAL = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override it")
-    p.add_argument("--n", help="ring size(s), comma separated")
-    p.add_argument("--k", type=int, help="ring half-width")
-    p.add_argument("--c", help="shortcut intensity (p = c/n); rational ok")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--reps", type=int, help="replications")
-    p.add_argument("--out", help="output path (stem for multi-file outputs)")
-    p.add_argument("--budget", type=int, help="enumeration work budget")
-    p.add_argument("--cap", type=int, help="walk step cap")
-
-
 def _config_from(args) -> ExperimentConfig:
     cfg = (ExperimentConfig.from_file(args.config) if args.config
            else ExperimentConfig())
-    return cfg.overridden(
-        n=args.n, k=args.k, c=args.c, seed=args.seed, reps=args.reps,
-        out=args.out, budget=args.budget, cap=args.cap,
-        mode=getattr(args, "mode", None), samples=getattr(args, "mc_samples", None),
-    )
+    return cfg.overridden(**{key: getattr(args, key, None) for key in CONFIG_KEYS})
 
 
 def _single_graph(cfg: ExperimentConfig, args):
@@ -159,30 +144,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
+    # (name, handler, help, the config keys it reads: one flag each)
     specs = [
-        ("generate", _cmd_generate, "sample a graph and write its edge list"),
-        ("mix", _cmd_mix, "mixing time of the lazy walk on one graph"),
-        ("conductance", _cmd_conductance, "scale profile CSV + bound JSON"),
-        ("fr-bound", _cmd_fr_bound, "sum of phi^-2 over dyadic scales"),
-        ("subtrees", _cmd_subtrees, "subtree-count verification battery"),
-        ("constants", _cmd_constants, "explicit proof constants as JSON"),
-        ("scaling", _cmd_scaling, "mixing-time scaling experiment"),
-        ("quiet-arc", _cmd_quiet_arc, "longest shortcut-free arc + escape MC"),
+        ("generate", _cmd_generate, "sample a graph and write its edge list",
+         "n k c seed out"),
+        ("mix", _cmd_mix, "mixing time of the lazy walk on one graph",
+         "n k c seed out cap mode"),
+        ("conductance", _cmd_conductance, "scale profile CSV + bound JSON",
+         "n k c seed out budget mode"),
+        ("fr-bound", _cmd_fr_bound, "sum of phi^-2 over dyadic scales",
+         "n k c seed out budget mode"),
+        ("subtrees", _cmd_subtrees, "subtree-count verification battery",
+         "c seed out samples"),
+        ("constants", _cmd_constants, "explicit proof constants as JSON", "k c out"),
+        ("scaling", _cmd_scaling, "mixing-time scaling experiment",
+         "n k c seed reps out cap mode"),
+        ("quiet-arc", _cmd_quiet_arc, "longest shortcut-free arc + escape MC",
+         "n k c seed reps out cap"),
     ]
-    for name, func, help_ in specs:
+    for name, func, help_, keys in specs:
         p = sub.add_parser(name, help=help_)
-        _add_common(p)
         p.set_defaults(func=func)
+        p.add_argument("--config", help="key = value config file; flags override it")
+        for key in keys.split():
+            flag = "--mc-samples" if key == "samples" else f"--{key}"
+            p.add_argument(flag, dest=key, help=CONFIG_KEYS[key][3])
         if name in ("mix", "fr-bound"):
             p.add_argument("--in", dest="infile", help="read graph edge list")
-        if name in ("mix", "fr-bound", "conductance", "scaling"):
-            p.add_argument("--mode", help="mode (subcommand specific)")
-        if name in ("conductance",):
+        if name == "conductance":
             p.add_argument("--variant", choices=["standard", "expected-volume"],
                            default="standard")
         if name == "subtrees":
             p.add_argument("--max-j", type=int, default=30)
-            p.add_argument("--mc-samples", type=int, default=None)
             p.add_argument("--table", help="also write a j,q_j,mu_j CSV here")
     return top
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -89,38 +90,49 @@ class ExperimentConfig:
         return cls().overridden(**values)
 
     def overridden(self, **kwargs) -> "ExperimentConfig":
-        """New config with non-None string/typed overrides applied.
-
-        The keys are the CLI flag names ``n``, ``k``, ``c``, ``seed``,
-        ``reps``, ``cap``, ``budget``, ``mode`` and ``out``, and the fields
-        ``name``, ``samples`` and ``escape_trials``; one key per field.
-        """
+        """New config with the non-None values of `kwargs` applied, each
+        read into its field by `CONFIG_KEYS`; one key per field."""
         updates = {}
         for key, val in kwargs.items():
             if val is None:
                 continue
-            if key == "n":
-                if isinstance(val, str):
-                    val = tuple(int(x) for x in val.replace(",", " ").split())
-                updates["n_values"] = tuple(int(x) for x in val)
-            elif key in ("k", "reps", "escape_trials", "samples"):
-                updates[key] = int(val)
-            elif key == "c":
-                try:
-                    updates["c"] = Fraction(val)
-                except ZeroDivisionError as exc:  # "1/0"
-                    raise ValueError(f"c must be a rational number, got {val!r}") from exc
-            elif key == "seed":
-                updates["master_seed"] = int(val)
-            elif key == "cap":
-                updates["step_cap"] = int(val)
-            elif key == "budget":
-                updates["enum_budget"] = int(val)
-            elif key in ("name", "mode", "out"):
-                updates[key] = str(val)
-            else:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+            field, read, kind, _ = CONFIG_KEYS[key]
+            try:
+                updates[field] = read(val)
+            except (TypeError, ValueError, ArithmeticError):  # "x", 2.7, "1/0"
+                raise ValueError(f"{key} must be {kind}, got {val!r}") from None
         return replace(self, **updates)
+
+
+def _config_int(val) -> int:
+    """A string through ``int``, anything else through ``operator.index``,
+    so a float is refused rather than truncated."""
+    return int(val) if isinstance(val, str) else operator.index(val)
+
+
+def _config_ints(val) -> tuple[int, ...]:
+    """Integers from an iterable or a comma or space separated string."""
+    parts = val.replace(",", " ").split() if isinstance(val, str) else val
+    return tuple(map(_config_int, parts))
+
+
+# key: (the field it sets, its reader, what the reader takes, its CLI flag's help)
+CONFIG_KEYS = {
+    "n": ("n_values", _config_ints, "integers", "ring size(s), comma separated"),
+    "k": ("k", _config_int, "an integer", "ring half-width"),
+    "c": ("c", Fraction, "a rational number", "shortcut intensity (p = c/n), e.g. 7/2"),
+    "seed": ("master_seed", _config_int, "an integer", "master seed"),
+    "reps": ("reps", _config_int, "an integer", "replications"),
+    "cap": ("step_cap", _config_int, "an integer", "walk step cap"),
+    "budget": ("enum_budget", _config_int, "an integer", "enumeration work budget"),
+    "samples": ("samples", _config_int, "an integer", "Monte Carlo samples per check"),
+    "escape_trials": ("escape_trials", _config_int, "an integer", None),
+    "name": ("name", str, "text", None),
+    "mode": ("mode", str, "text", "mode (subcommand specific)"),
+    "out": ("out", str, "text", "output path (stem for multi-file outputs)"),
+}
 
 
 def build_graph(config: ExperimentConfig, n: int, rep: int) -> UndirectedGraph:

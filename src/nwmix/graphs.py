@@ -58,6 +58,8 @@ class GraphSpec:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "k", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.n <= 2 * self.k:
             raise GraphValidationError(
                 f"need n > 2k for a 2k-regular ring, got n={self.n}, k={self.k}"
@@ -440,8 +442,7 @@ def read_graph(path) -> UndirectedGraph:
                 f"{path}:{int(bad[0]) + 2}: endpoints must satisfy 0 <= u < v < n"
             )
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            n, k, edges = _read_lines(path, fh.read().splitlines())
+        n, k, edges = _read_lines(path, raw.decode("utf-8").splitlines())
     try:
         return UndirectedGraph.from_edges(n, edges, ring_k=k)
     except GraphValidationError as exc:

@@ -17,6 +17,7 @@ on as many cursors as it has slots.
 
 from __future__ import annotations
 
+import operator
 import threading
 from itertools import chain, repeat
 
@@ -28,20 +29,31 @@ _ZEROS4 = [0, 0, 0, 0]
 _THREAD = threading.local()  # .bitgens: the generators thread_philox re-keys
 
 
+def _index(v, what: str) -> int:
+    """`v` as an int: an int or numpy integer, never a float that ``int``
+    would truncate, nor a string it would parse (the rule of
+    ``graphs._integer``, which imports this module)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
+
+
 def derive_seed(master: int, *parts: int) -> int:
     """Derive a child seed as a pure function of (master, *parts).
 
     Uses numpy's SeedSequence entropy hashing, which is stable across
     platforms and numpy versions.
     """
-    entropy = [int(master) & _MASK64] + [int(p) & _MASK64 for p in parts]
+    entropy = [_index(master, "master seed") & _MASK64]
+    entropy += [_index(p, "seed part") & _MASK64 for p in parts]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def philox(seed: int) -> np.random.Philox:
     """Philox bit generator keyed directly by a 64-bit seed."""
-    return np.random.Philox(key=int(seed) & _MASK64)
+    return np.random.Philox(key=_index(seed, "seed") & _MASK64)
 
 
 def thread_philox(seed: int, word: int = 0, slot: int = 0) -> np.random.Philox:
@@ -57,6 +69,7 @@ def thread_philox(seed: int, word: int = 0, slot: int = 0) -> np.random.Philox:
     dropped.  The stream is the same word for word.  The generator is the
     caller's only until this thread's next call with the same slot.
     """
+    key, word = _index(seed, "seed") & _MASK64, _index(word, "word offset")
     if word < 0:
         raise ValueError(f"word offset must be >= 0, got {word}")
     bitgens = getattr(_THREAD, "bitgens", None)
@@ -65,11 +78,11 @@ def thread_philox(seed: int, word: int = 0, slot: int = 0) -> np.random.Philox:
     bitgen = bitgens.get(slot)
     if bitgen is None:
         bitgen = bitgens[slot] = np.random.Philox(0)
-    block, skip = divmod(int(word), 4)
+    block, skip = divmod(word, 4)
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": [(block >> s) & _MASK64 for s in (0, 64, 128, 192)],
-                  "key": [int(seed) & _MASK64, 0]},
+                  "key": [key, 0]},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     if skip:

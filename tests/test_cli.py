@@ -210,6 +210,44 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert ten[0] == "10 1"  # the flag wins over the file
 
 
+# each subcommand takes a flag only for a config key it reads
+_UNREAD_FLAGS = {
+    "generate": ["--reps", "--budget", "--cap"],
+    "mix": ["--reps", "--budget"],
+    "conductance": ["--reps", "--cap"],
+    "fr-bound": ["--reps", "--cap"],
+    "subtrees": ["--n", "--k", "--reps", "--budget", "--cap"],
+    "constants": ["--n", "--seed", "--reps", "--budget", "--cap"],
+    "scaling": ["--budget"],
+    "quiet-arc": ["--budget"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _UNREAD_FLAGS.items() for flag in flags])
+def test_unread_flags_are_rejected(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--c", "1/2", flag, "1"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_bad_config_values_name_their_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 64\nreps = x\n")
+    out = tmp_path / "s.csv"
+    argv = ["scaling", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: reps must be an integer, got 'x'\n"
+    assert not out.exists()
+    # a flag goes through the same reader as a file value
+    assert main(["generate", "--n", "16", "--c", "0", "--k", "1.5"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: k must be an integer, got '1.5'\n"
+    # a config file may hold keys the subcommand has no flag for
+    cfg.write_text("n = 16\nk = 1\nc = 0\nreps = 9\nbudget = 5\ncap = 7\n")
+    assert main(["constants", "--config", str(cfg), "--c", "1"]) == EXIT_OK
+
+
 def test_config_counts_below_one_exit_validation(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 64\nc = 1\nreps = 1\nescape_trials = -5\n")

@@ -463,6 +463,12 @@ def test_fr_bound_rejects_size_cap_below_one():
                    if e.witness is not None)
 
 
+def test_fr_bound_local_search_seed_must_be_an_integer():
+    # a float seed is refused, not run as its integer part
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        fr_bound(build_ring(12, 1), mode="local-search", seed=2.5)
+
+
 def test_fr_bound_takes_int_and_float_windows():
     L = num_scales(H12.m)
     halves = [(Fraction(2 * i + 3, 2), Fraction(4 * i + 6)) for i in range(L)]

@@ -166,6 +166,16 @@ def test_regime_dispatch():
         solve_small_c_constants(1, 0)
 
 
+def test_k_must_be_an_integer():
+    for call in (lambda: constants_for(1, 1.5), lambda: solve_xk(1.5),
+                 lambda: constants_for(1, "1")):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            call()
+    # True is the integer 1, and is written as 1
+    assert type(constants_for(1, True).k) is int
+    assert json.loads(constants_for(1, True).to_json())["k"] == 1
+
+
 def test_constants_json():
     payload = json.loads(constants_for(1, 1).to_json())
     assert payload["regime"] == "small-c"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -25,6 +26,7 @@ from nwmix import (
     run_subtree_verification,
 )
 from nwmix.experiments import (
+    CONFIG_KEYS,
     SCALING_HEADER,
     VERSION,
     scaling_starts,
@@ -50,6 +52,22 @@ def test_config_defaults_and_overrides():
     for key in ("walrus", "n_values", "master_seed", "step_cap", "enum_budget"):
         with pytest.raises(ValueError, match="unknown config key"):
             cfg.overridden(**{key: 1})
+
+
+def test_config_values_are_read_by_their_key():
+    cfg = ExperimentConfig()
+    # a float is refused, not truncated; the error names the key
+    for key, val in [("seed", 1.5), ("reps", 2.7), ("k", "1.5"), ("cap", "x"),
+                     ("n", "16,x"), ("n", 16), ("n", [16, 2.5]), ("c", "1/0"),
+                     ("c", "x"), ("budget", "")]:
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            cfg.overridden(**{key: val})
+    over = cfg.overridden(seed=np.uint64(7), reps=np.int64(3), n=[np.int32(16), 32])
+    assert (over.master_seed, over.reps, over.n_values) == (7, 3, (16, 32))
+    assert all(type(v) is int for v in (over.master_seed, over.reps, *over.n_values))
+    # every field has exactly one key
+    fields = [field for field, *_ in CONFIG_KEYS.values()]
+    assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 def test_config_validation():
@@ -82,6 +100,9 @@ def test_config_from_file(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ValueError, match="key = value"):
+        ExperimentConfig.from_file(bad)
+    bad.write_text("reps = x\n")
+    with pytest.raises(ValueError, match="reps must be an integer, got 'x'"):
         ExperimentConfig.from_file(bad)
 
 

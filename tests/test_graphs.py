@@ -64,6 +64,20 @@ def test_spec_validation():
         GraphSpec(n=10, k=1, c=11, seed=0)  # p > 1
 
 
+@pytest.mark.parametrize("bad", [
+    {"n": 10.5}, {"n": "10"}, {"k": 1.5}, {"k": "1"}, {"seed": 1.5}, {"seed": "7"},
+], ids=["n-float", "n-str", "k-float", "k-str", "seed-float", "seed-str"])
+def test_spec_fields_must_be_integers(bad):
+    with pytest.raises(GraphValidationError, match="must be an integer"):
+        GraphSpec(**{"n": 10, "k": 1, "c": 1, "seed": 0, **bad})
+
+
+def test_spec_takes_numpy_integers_as_ints():
+    spec = GraphSpec(n=np.int64(40), k=np.int32(1), c=2, seed=np.uint64(123))
+    assert all(type(v) is int for v in (spec.n, spec.k, spec.seed))
+    assert sample_small_world(spec) == sample_small_world(GraphSpec(40, 1, 2, 123))
+
+
 def test_from_edges_validation():
     with pytest.raises(GraphValidationError, match="out of range"):
         UndirectedGraph.from_edges(3, [(0, 3)])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nwmix.rng import make_rng, philox, philox_words, thread_philox
+from nwmix.rng import derive_seed, make_rng, philox, philox_words, thread_philox
 
 import oracles
 
@@ -116,3 +116,23 @@ def test_thread_philox_is_one_generator_per_thread():
     for _, words, _, positioned in got.values():
         assert np.array_equal(words, philox(7).random_raw(3))
         assert np.array_equal(positioned, philox(7).random_raw(4098)[4095:])
+
+
+@pytest.mark.parametrize("func, args", [
+    (derive_seed, (1.5, 2)), (derive_seed, (1, 2.0)), (derive_seed, ("1", 2)),
+    (philox, ("5",)), (philox, (5.0,)), (make_rng, (1.5,)), (philox_words, ("5",)),
+    (thread_philox, (2.5,)), (thread_philox, (1, 2.5)), (thread_philox, (1, "4")),
+], ids=["derive-master-float", "derive-part-float", "derive-master-str", "philox-str",
+        "philox-float", "make_rng-float", "words-str", "thread-seed-float",
+        "thread-word-float", "thread-word-str"])
+def test_seeds_must_be_integers(func, args):
+    # a float seed is not truncated, nor a string seed parsed
+    with pytest.raises(ValueError, match="must be an integer"):
+        func(*args)
+
+
+def test_numpy_integer_seeds_are_integers():
+    assert derive_seed(np.int64(1), np.uint64(2)) == derive_seed(1, 2)
+    assert philox(np.uint64(5)).random_raw(3).tolist() == philox(5).random_raw(3).tolist()
+    bitgen = thread_philox(np.int64(5), np.int32(6))
+    assert bitgen.random_raw(2).tolist() == philox(5).random_raw(8)[6:].tolist()

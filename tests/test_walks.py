@@ -273,6 +273,10 @@ def test_escape_time_rejects_non_integer_start():
             escape_time(g, bad, range(8, 13), seed=0)
     want = escape_time(g, 10, range(8, 13), seed=0)
     assert escape_time(g, np.int64(10), range(8, 13), seed=0) == want
+    # nor is a float seed truncated, on the ring path or the move loop
+    for region in (range(8, 13), [8, 9, 10, 11, 12, 0]):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            escape_time(g, 10, region, seed=3.7)
 
 
 def test_mixing_result_is_dataclass():
