@@ -47,8 +47,14 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _single_graph(cfg: ExperimentConfig, args):
-    """One graph: from --in if given, else built from the config's one n."""
+    """One graph: from --in if given, else built from the config's one n.
+    --in excludes the flags --n, --k and --c, which would go unread; a
+    config file may still set them, as a file is a shared profile."""
     if getattr(args, "infile", None):
+        given = [f"--{key}" for key in ("n", "k", "c") if getattr(args, key) is not None]
+        if given:
+            raise ValueError(f"--in excludes {', '.join(given)}: the graph comes "
+                             "from the file")
         return read_graph(args.infile)
     if len(cfg.n_values) != 1:
         raise ValueError(f"{args.command} takes exactly one n, got "
@@ -133,7 +139,8 @@ def _cmd_quiet_arc(args) -> int:
     if not cfg.out:
         for row in rows:
             print(json.dumps(dict(zip(QUIET_ARC_HEADER, row))))
-    any_censored = any(row[-1] > 0 for row in rows)
+    censored = QUIET_ARC_HEADER.index("escape_censored")
+    any_censored = any(row[censored] > 0 for row in rows)
     return EXIT_PARTIAL if any_censored else EXIT_OK
 
 

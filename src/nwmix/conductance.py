@@ -49,8 +49,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import UndirectedGraph, _integer
-from .rng import derive_seed, philox_words
+from .graphs import UndirectedGraph, _vertex
+from .rng import _integer, derive_seed, philox_words
 
 DEFAULT_ENUM_BUDGET = 10_000_000
 # Generator.random() < p, for the annealer's grow probabilities inside,
@@ -83,11 +83,9 @@ class CutStats:
 
 def cut_stats(g: UndirectedGraph, S) -> CutStats:
     """Count internal and leaving edges of S by scanning adjacency rows."""
-    S = sorted(_integer(v, "set vertex", ValueError) for v in S)
+    S = sorted(_vertex(v, g.n, "set vertex", ValueError) for v in S)
     if not S:
         raise ValueError("conductance of the empty set is undefined")
-    if S[0] < 0 or S[-1] >= g.n:
-        raise ValueError("set contains a vertex outside the graph")
     if len(set(S)) != len(S):
         raise ValueError("set contains duplicate vertices")
     mask = np.zeros(g.n, dtype=bool)
@@ -229,13 +227,11 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
 
 def _sets_up_to(g, j, containing, budget):
     """The core's stream of connected sets of at most j vertices."""
-    j = _integer(j, "size j", ValueError)
+    j = _integer(j, "size j")
     if not 1 <= j <= g.n:
         raise ValueError(f"size j must be in [1, n], got {j}")
     if containing is not None:
-        containing = _integer(containing, "containing vertex", ValueError)
-        if not 0 <= containing < g.n:
-            raise ValueError("containing vertex out of range")
+        containing = _vertex(containing, g.n, "containing vertex", ValueError)
     return _connected_masks(_adjacency_masks(g), g.degrees.tolist(), j, 2 * g.m,
                             budget, containing)
 
@@ -586,17 +582,19 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
 
 def _window_minima(g, windows, mode, size_cap, seed, iterations, restarts, budget):
     """Per (vol_lo, vol_hi) window, (phi, witness) or None when no set was
-    found, and whether the minima are certified (exact mode)."""
-    if size_cap is not None and size_cap < 1:
+    found, and whether the minima are certified (exact mode).  Every
+    argument is checked, whichever mode runs."""
+    if size_cap is not None and _integer(size_cap, "size_cap") < 1:
         raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+    seed, budget = _integer(seed, "seed"), _integer(budget, "budget")
+    if _integer(restarts, "restarts") < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if _integer(iterations, "iterations") < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
     adj, deg = _adjacency_masks(g), g.degrees.tolist()
     if mode == "exact":
         got = _exact_minima(adj, deg, windows, size_cap, budget)
     elif mode == "local-search":
-        if restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {restarts}")
-        if iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {iterations}")
         got = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed, iterations,
                             restarts)
     else:

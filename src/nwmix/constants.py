@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graphs import _integer
+from .rng import _integer
 
 XK_RESIDUAL_TOL = 1e-9
 _GRID_LIMIT = 500  # halvings before declaring a grid search broken
@@ -78,7 +78,7 @@ def solve_xk(k: int) -> float:
     The left-hand side is strictly increasing past x = 720, so the root in
     [3600, inf) is unique; the upper bracket doubles until the sign flips.
     """
-    k = _integer(k, "k", ValueError)
+    k = _integer(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     lo, hi = 720.0 * 5, 1e6
@@ -311,7 +311,7 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
 
 def constants_for(c, k: int) -> ConstantSet:
     """Regime dispatch: c > x_k needs only (x_k, M); otherwise the full set."""
-    c, k = Fraction(c), _integer(k, "k", ValueError)
+    c, k = Fraction(c), _integer(k, "k")
     xk = solve_xk(k)
     if float(c) > xk:
         return ConstantSet(c=c, k=k, regime="large-c", x_k=xk, M=big_m(c, k))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import statistics
 import time
 from dataclasses import dataclass, replace
@@ -20,10 +19,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import subtrees as st
-from .conductance import DEFAULT_ENUM_BUDGET, fr_bound
+from .conductance import (DEFAULT_ENUM_BUDGET, connected_set_counts, fr_bound,
+                          num_scales)
 from .constants import VerificationError, constants_for
 from .graphs import GraphSpec, UndirectedGraph, sample_small_world
-from .rng import derive_seed
+from .rng import _integer, derive_seed
 from .walks import DEFAULT_STEP_CAP, escape_time, mixing_time, sample_starts
 
 VERSION = "nwmix-0.1.0"
@@ -59,6 +59,15 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # each set field through its key's reader, as from a file or a flag
+        for key, (field, read, kind, _) in CONFIG_KEYS.items():
+            val = getattr(self, field)
+            if val is None:
+                continue
+            try:
+                object.__setattr__(self, field, read(val))
+            except (TypeError, ValueError, ArithmeticError):  # "x", 2.7, "1/0"
+                raise ValueError(f"{key} must be {kind}, got {val!r}") from None
         if not self.n_values:
             raise ValueError("empty n grid")
         if self.reps < 1:
@@ -90,26 +99,22 @@ class ExperimentConfig:
         return cls().overridden(**values)
 
     def overridden(self, **kwargs) -> "ExperimentConfig":
-        """New config with the non-None values of `kwargs` applied, each
-        read into its field by `CONFIG_KEYS`; one key per field."""
+        """New config with the non-None values of `kwargs` set on the fields
+        `CONFIG_KEYS` names, one key per field; the constructor reads them."""
         updates = {}
         for key, val in kwargs.items():
             if val is None:
                 continue
             if key not in CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-            field, read, kind, _ = CONFIG_KEYS[key]
-            try:
-                updates[field] = read(val)
-            except (TypeError, ValueError, ArithmeticError):  # "x", 2.7, "1/0"
-                raise ValueError(f"{key} must be {kind}, got {val!r}") from None
+            updates[CONFIG_KEYS[key][0]] = val
         return replace(self, **updates)
 
 
 def _config_int(val) -> int:
-    """A string through ``int``, anything else through ``operator.index``,
-    so a float is refused rather than truncated."""
-    return int(val) if isinstance(val, str) else operator.index(val)
+    """A string through ``int``, anything else through the integer rule
+    (``rng._integer``), so a float is refused rather than truncated."""
+    return int(val) if isinstance(val, str) else _integer(val, "value")
 
 
 def _config_ints(val) -> tuple[int, ...]:
@@ -427,8 +432,6 @@ def run_conductance(config: ExperimentConfig, variant: str = "standard"):
         g = build_graph(config, n, 0)
         kwargs = {}
         if variant == "expected-volume":
-            from .conductance import num_scales
-
             L = num_scales(g.m)
             consts = constants_for(config.c, config.k) if config.c > 0 else None
             if consts is not None and consts.regime == "small-c":
@@ -558,8 +561,6 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
     subtree count of the dominating branching process, Binomial(n-1-2k, c/n)
     plus 2k deterministic children.
     """
-    from .conductance import connected_set_counts
-
     if reps < 2:
         raise ValueError("reps must be at least 2: the 3-sigma comparison with "
                          "mu needs a sample standard deviation")

@@ -15,27 +15,16 @@ in bulk and any other layout line by line.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import _integer, make_rng
 
 
 class GraphValidationError(ValueError):
     """Raised when graph data violates a structural invariant."""
-
-
-def _integer(v, what: str, error=GraphValidationError) -> int:
-    """`v` as an int: an int or numpy integer, never a float that ``int``
-    would truncate, nor a string, which raise `error` (the calling module's
-    ValueError)."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {v!r}") from None
 
 
 def _integers(a, what: str, error=GraphValidationError) -> np.ndarray:
@@ -46,6 +35,25 @@ def _integers(a, what: str, error=GraphValidationError) -> np.ndarray:
     if a.size and a.dtype.kind not in "iu":
         raise error(f"{what} must be integers, got dtype {a.dtype}")
     return a.astype(np.int64, copy=False)
+
+
+def _vertex(v, n: int, what: str = "vertex", error=GraphValidationError) -> int:
+    """`v` as a vertex of an n-vertex graph, an integer (`_integer`) in
+    0..n-1; the package's one vertex reader, with `_vertices`."""
+    v = _integer(v, what, error)
+    if not 0 <= v < n:
+        raise error(f"{what} {v} out of range for n = {n}")
+    return v
+
+
+def _vertices(a, n: int, what: str, error=GraphValidationError) -> np.ndarray:
+    """`a` as an int64 array (`_integers`, naming them in the plural) of
+    vertices of an n-vertex graph; `_vertex` names the first one outside."""
+    plural = what[:-2] + "ices" if what.endswith("vertex") else what + "s"
+    a = _integers(a, plural, error)
+    if a.size and (a.min() < 0 or a.max() >= n):
+        _vertex(int(a[(a < 0) | (a >= n)][0]), n, what, error)
+    return a
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,8 @@ class GraphSpec:
 
     def __post_init__(self):
         for name in ("n", "k", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name,
+                                                    GraphValidationError))
         if self.n <= 2 * self.k:
             raise GraphValidationError(
                 f"need n > 2k for a 2k-regular ring, got n={self.n}, k={self.k}"
@@ -104,12 +113,9 @@ class UndirectedGraph:
         checked to hold its ring, and so is known to be connected without a
         search.
         """
-        edges = _integers(edges, "edge endpoints").reshape(-1, 2)
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise GraphValidationError("edge endpoint out of range")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise GraphValidationError("self-loop not allowed")
+        edges = _vertices(edges, n, "edge endpoint").reshape(-1, 2)
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise GraphValidationError("self-loop not allowed")
         # CSR entries keyed row * n + col, both orientations of every edge; a
         # repeated key is a duplicate edge, first seen in its u < v orientation
         u, v = edges[:, 0], edges[:, 1]
@@ -137,32 +143,23 @@ class UndirectedGraph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
-    def _vertex(self, v) -> int:
-        v = _integer(v, "vertex")
-        if not 0 <= v < self.n:
-            raise GraphValidationError(f"vertex {v} out of range for n = {self.n}")
-        return v
-
     def neighbors(self, v: int) -> np.ndarray:
-        v = self._vertex(v)
+        v = _vertex(v, self.n)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def degree(self, v: int) -> int:
-        v = self._vertex(v)
+        v = _vertex(v, self.n)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        row, v = self.neighbors(u), self._vertex(v)
+        row, v = self.neighbors(u), _vertex(v, self.n)
         i = np.searchsorted(row, v)
         return bool(i < row.shape[0] and row[i] == v)
 
     def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Edge membership for parallel vertex arrays u, v: one binary search
         over the CSR entries keyed ``row * n + col``, which are ascending."""
-        u = _integers(u, "vertices")
-        v = _integers(v, "vertices")
-        if u.size and (min(u.min(), v.min()) < 0 or max(u.max(), v.max()) >= self.n):
-            raise GraphValidationError("vertex out of range")
+        u, v = _vertices(u, self.n, "vertex"), _vertices(v, self.n, "vertex")
         keys = self._rows() * self.n + self.indices
         query = u * self.n + v
         i = np.searchsorted(keys, query)
@@ -340,7 +337,7 @@ def blow_up(g: UndirectedGraph, R: int) -> BlowUpMap:
 
     R is an int or numpy integer, never a float, even one that divides n.
     """
-    R = _integer(R, "R")
+    R = _integer(R, "R", GraphValidationError)
     if R < 1:
         raise GraphValidationError(f"R={R} must be >= 1")
     if g.n % R != 0:
@@ -364,9 +361,7 @@ def blow_up_set(bmap: BlowUpMap, S) -> tuple[np.ndarray, np.ndarray]:
     Returns (S_blocks, S_plus); |S_plus| = R * |S_blocks| and S is contained
     in S_plus.
     """
-    S = _integers(list(S), "set vertices")
-    if S.size and (S.min() < 0 or S.max() >= bmap.base_n):
-        raise GraphValidationError("set contains a vertex outside the base graph")
+    S = _vertices(list(S), bmap.base_n, "set vertex")
     blocks = np.unique(S // bmap.R)
     s_plus = (blocks[:, None] * bmap.R + np.arange(bmap.R)).ravel()
     return blocks, s_plus

@@ -29,14 +29,14 @@ _ZEROS4 = [0, 0, 0, 0]
 _THREAD = threading.local()  # .bitgens: the generators thread_philox re-keys
 
 
-def _index(v, what: str) -> int:
+def _integer(v, what: str, error=ValueError) -> int:
     """`v` as an int: an int or numpy integer, never a float that ``int``
-    would truncate, nor a string it would parse (the rule of
-    ``graphs._integer``, which imports this module)."""
+    would truncate, nor a string it would parse, which raise `error` (the
+    calling module's ValueError).  The package's one integer rule."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ValueError(f"{what} must be an integer, got {v!r}") from None
+        raise error(f"{what} must be an integer, got {v!r}") from None
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -45,15 +45,15 @@ def derive_seed(master: int, *parts: int) -> int:
     Uses numpy's SeedSequence entropy hashing, which is stable across
     platforms and numpy versions.
     """
-    entropy = [_index(master, "master seed") & _MASK64]
-    entropy += [_index(p, "seed part") & _MASK64 for p in parts]
+    entropy = [_integer(master, "master seed") & _MASK64]
+    entropy += [_integer(p, "seed part") & _MASK64 for p in parts]
     ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def philox(seed: int) -> np.random.Philox:
     """Philox bit generator keyed directly by a 64-bit seed."""
-    return np.random.Philox(key=_index(seed, "seed") & _MASK64)
+    return np.random.Philox(key=_integer(seed, "seed") & _MASK64)
 
 
 def thread_philox(seed: int, word: int = 0, slot: int = 0) -> np.random.Philox:
@@ -69,7 +69,7 @@ def thread_philox(seed: int, word: int = 0, slot: int = 0) -> np.random.Philox:
     dropped.  The stream is the same word for word.  The generator is the
     caller's only until this thread's next call with the same slot.
     """
-    key, word = _index(seed, "seed") & _MASK64, _index(word, "word offset")
+    key, word = _integer(seed, "seed") & _MASK64, _integer(word, "word offset")
     if word < 0:
         raise ValueError(f"word offset must be >= 0, got {word}")
     bitgens = getattr(_THREAD, "bitgens", None)

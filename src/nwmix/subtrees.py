@@ -33,7 +33,7 @@ from operator import mul
 
 import numpy as np
 
-from .rng import make_rng
+from .rng import _integer, make_rng
 
 
 @dataclass(frozen=True)
@@ -339,6 +339,7 @@ def brute_force_mu(law: OffspringLaw, j: int, samples: int, seed: int,
     bound of ``_count_forest`` allows it, in Python integers otherwise.  The
     counts and the estimate are those of one tree at a time, bit for bit.
     """
+    seed = _integer(seed, "seed")  # read, though a one-vertex tree draws nothing
     if j < 1:
         raise ValueError("j must be >= 1")
     if samples < 1:

@@ -46,8 +46,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import UndirectedGraph, _integer, _integers
-from .rng import make_rng, thread_philox
+from .graphs import UndirectedGraph, _integers, _vertex, _vertices
+from .rng import _integer, make_rng, thread_philox
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -82,9 +82,7 @@ def validate_distribution(mu: np.ndarray, tol: float = _MASS_TOL) -> np.ndarray:
 
 
 def point_mass(n: int, x: int) -> np.ndarray:
-    x = _integer(x, "vertex", WalkError)
-    if not 0 <= x < n:
-        raise WalkError(f"vertex {x} out of range for n = {n}")
+    x = _vertex(x, n, "vertex", WalkError)
     mu = np.zeros(n)
     mu[x] = 1.0
     return mu
@@ -211,11 +209,9 @@ def mixing_time(
         start_list = list(range(g.n))
         mode = "exact-all-starts"
     else:
-        start_list = [_integer(v, "start vertex", WalkError) for v in starts]
+        start_list = [_vertex(v, g.n, "start vertex", WalkError) for v in starts]
         if not start_list:
             raise WalkError("no start vertices")
-        if any(not 0 <= v < g.n for v in start_list):
-            raise WalkError("start vertex out of range")
         mode = "sampled-starts" if len(set(start_list)) < g.n else "exact-all-starts"
 
     per = _mixing_batched(g, start_list, cap, threshold)
@@ -445,17 +441,12 @@ def escape_time(
     If every region vertex has the same neighbor offsets, the walk runs as
     i.i.d. ring steps (`_ring_escape`); any other region takes the move loop.
     """
-    cap = _step_cap(cap)
+    cap, seed = _step_cap(cap), _integer(seed, "seed", WalkError)
+    pos = _vertex(start, g.n, "start vertex", WalkError)
     if not isinstance(region, np.ndarray):
         region = list(region)
     region = _integers(region, "region vertices", WalkError)
-    plan = _region_plan(g, region.tobytes())
-    if plan is None:
-        raise WalkError("region vertex out of range")
-    mask, off, whole = plan
-    pos = _integer(start, "start vertex", WalkError)
-    if not 0 <= pos < g.n:
-        raise WalkError("start vertex out of range")
+    mask, off, whole = _region_plan(g, region.tobytes())
     if not mask[pos]:
         raise WalkError("start vertex must lie inside the region")
     if whole:
@@ -474,8 +465,8 @@ def escape_time(
 
 @functools.lru_cache(maxsize=1)
 def _region_plan(g: UndirectedGraph, region: bytes):
-    """``(inside, offsets, whole)`` for the int64 vertices in `region`, or
-    None if one of them is not a vertex of g.
+    """``(inside, offsets, whole)`` for the int64 vertices in `region`; a
+    WalkError if one of them is not a vertex of g.
 
     `inside` is a boolean mask over the vertices of g, and `whole` says
     whether it covers every vertex, so that no walk can leave.  `offsets`
@@ -485,9 +476,8 @@ def _region_plan(g: UndirectedGraph, region: bytes):
     region, so the last answer is kept, read-only, as every call shares it.
     Graphs hash by identity and are never mutated.
     """
-    vertices = np.frombuffer(region, dtype=np.int64)
-    if vertices.size and (vertices.min() < 0 or vertices.max() >= g.n):
-        return None
+    vertices = _vertices(np.frombuffer(region, dtype=np.int64), g.n, "region vertex",
+                         WalkError)
     inside = np.zeros(g.n, dtype=bool)
     inside[vertices] = True
     inside.flags.writeable = False

@@ -101,6 +101,24 @@ def test_single_graph_commands_take_one_n(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["mix", "fr-bound"])
+@pytest.mark.parametrize("flag", ["--n", "--k", "--c"])
+def test_in_excludes_graph_flags(tmp_path, capsys, command, flag):
+    # the graph comes from the file, so a flag that would shape it is refused
+    gpath = tmp_path / "c16.txt"
+    write_graph(build_ring(16, 1), gpath)
+    out = tmp_path / "out.json"
+    argv = [command, "--in", str(gpath), flag, "5", "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: --in excludes {flag}: the graph "
+                                       "comes from the file\n")
+    assert not out.exists()
+    # a config file may still set n, k and c: it is a shared profile
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 5\nk = 9\nc = 99\n")
+    assert main([command, "--in", str(gpath), "--config", str(cfg)]) == EXIT_OK
+
+
 def test_fr_bound_cycle(tmp_path):
     gpath = tmp_path / "c16.txt"
     write_graph(build_ring(16, 1), gpath)

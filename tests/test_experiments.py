@@ -70,6 +70,20 @@ def test_config_values_are_read_by_their_key():
     assert sorted(fields) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
+@pytest.mark.parametrize("field, key, val", [
+    ("reps", "reps", 2.5), ("master_seed", "seed", 1.5), ("step_cap", "cap", 2.5),
+])
+def test_config_constructor_reads_values_by_their_key(field, key, val):
+    # built directly, a config reads its fields as overridden does
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {val}$"):
+        ExperimentConfig(**{field: val})
+    cfg = ExperimentConfig(n_values=[np.int64(16)], k=np.int32(2), c=1,
+                           reps=np.uint8(3), mode="all", out="x.csv")
+    assert (cfg.n_values, cfg.k, cfg.c, cfg.reps) == ((16,), 2, Fraction(1), 3)
+    assert all(type(v) is int for v in (*cfg.n_values, cfg.k, cfg.reps))
+    assert type(cfg.c) is Fraction and cfg == cfg.overridden()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_values=())

@@ -22,8 +22,9 @@ from nwmix import (
     write_graph,
 )
 from nwmix import graphs
-from nwmix.conductance import connected_set_counts, cut_stats
-from nwmix.walks import WalkError, sample_starts
+from nwmix.conductance import connected_set_counts, cut_stats, fr_bound, phi_at_scale
+from nwmix.subtrees import brute_force_mu, poisson_law
+from nwmix.walks import WalkError, escape_time, sample_starts
 
 import oracles
 
@@ -79,7 +80,7 @@ def test_spec_takes_numpy_integers_as_ints():
 
 
 def test_from_edges_validation():
-    with pytest.raises(GraphValidationError, match="out of range"):
+    with pytest.raises(GraphValidationError, match="edge endpoint 3 out of range for n = 3"):
         UndirectedGraph.from_edges(3, [(0, 3)])
     with pytest.raises(GraphValidationError, match="self-loop"):
         UndirectedGraph.from_edges(3, [(1, 1)])
@@ -270,9 +271,10 @@ _BMAP8 = blow_up(_RING8, 2)
     (lambda: blow_up_set(_BMAP8, [0.5, 1.7]), "must be integers"),
     (lambda: blow_up_set(_BMAP8, ["1", "2"]), "must be integers"),
     (lambda: blow_up_set(_BMAP8, np.array([1.0, 2.0])), "must be integers"),
+    (lambda: blow_up_set(_BMAP8, [1, -2]), "set vertex -2 out of range for n = 8"),
 ], ids=["neighbors-negative", "neighbors-past-n", "neighbors-float", "degree-negative",
         "degree-past-n", "degree-string", "blow-up-set-floats", "blow-up-set-strings",
-        "blow-up-set-float-array"])
+        "blow-up-set-float-array", "blow-up-set-negative"])
 def test_bad_vertices_raise_instead_of_wrapping_or_truncating(call, match):
     # a negative vertex no longer wraps to the end of the CSR arrays, nor a
     # float or string set vertex truncates or parses to a block
@@ -296,6 +298,23 @@ def test_integer_vertices_of_any_type_are_accepted():
     assert g.neighbors(np.uint8(7)).tolist() == [0, 6] and g.degree(np.int64(0)) == 2
     blocks, s_plus = blow_up_set(_BMAP8, np.array([1, 6], dtype=np.int16))
     assert blocks.tolist() == [0, 3] and s_plus.tolist() == [0, 1, 6, 7]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fr_bound(_RING8, mode="exact", seed=2.5), "seed must be an integer"),
+    (lambda: fr_bound(_RING8, mode="exact", restarts=0), "restarts must be >= 1"),
+    (lambda: fr_bound(_RING8, mode="exact", iterations=-5), "iterations must be >= 0"),
+    (lambda: phi_at_scale(_RING8, Fraction(1, 2), seed=1.5), "seed must be an integer"),
+    (lambda: phi_at_scale(_RING8, Fraction(1, 2), restarts=0), "restarts must be >= 1"),
+    (lambda: escape_time(_RING8, 0, range(8), seed=2.5), "seed must be an integer"),
+    (lambda: brute_force_mu(poisson_law(1), 1, 10, seed=2.5), "seed must be an integer"),
+], ids=["fr-exact-seed", "fr-exact-restarts", "fr-exact-iterations", "phi-exact-seed",
+        "phi-exact-restarts", "escape-whole-region-seed", "mc-one-vertex-seed"])
+def test_arguments_are_read_whichever_path_runs(call, match):
+    # exact mode never anneals, a whole region never walks and a one-vertex
+    # tree draws nothing, yet each argument is checked as if it were read
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_blow_up_set():
@@ -363,7 +382,7 @@ def test_has_edges_matches_has_edge():
     empty = graphs[-1]
     assert empty.has_edges(np.array([0, 6]), np.array([1, 5])).tolist() == [False, False]
     assert empty.has_edges(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
-    with pytest.raises(GraphValidationError, match="out of range"):
+    with pytest.raises(GraphValidationError, match="vertex 30 out of range for n = 30"):
         graphs[0].has_edges(np.array([0]), np.array([30]))
 
 

@@ -149,7 +149,7 @@ def test_mixing_start_modes():
     assert sampled.mode == "sampled-starts" and len(sampled.starts) == 4
     everyone = mixing_time(g, starts=list(range(16)))
     assert everyone.mode == "exact-all-starts" and everyone.tau == full.tau
-    with pytest.raises(WalkError, match="out of range"):
+    with pytest.raises(WalkError, match="start vertex 16 out of range for n = 16"):
         mixing_time(g, starts=[16])
 
 
@@ -236,11 +236,11 @@ def test_escape_time():
     with pytest.raises(WalkError, match="inside"):
         escape_time(g, start=5, region=[0, 1], seed=0)
     # a negative start or region vertex must not wrap around to the end
-    with pytest.raises(WalkError, match="start vertex out of range"):
+    with pytest.raises(WalkError, match="start vertex -1 out of range for n = 16"):
         escape_time(g, -1, [15, 0, 14], seed=0)
-    with pytest.raises(WalkError, match="region vertex out of range"):
+    with pytest.raises(WalkError, match="region vertex 16 out of range for n = 16"):
         escape_time(g, 0, [0, 16], seed=0)
-    with pytest.raises(WalkError, match="region vertex out of range"):
+    with pytest.raises(WalkError, match="region vertex -1 out of range for n = 16"):
         escape_time(g, 0, [-1, 0], seed=0)
     # a fractional region vertex is an error, not a truncated vertex
     for bad in ([0, 1.5], np.array([15.0, 0.0, 1.0]), ["0", "1"]):
@@ -889,9 +889,9 @@ def test_whole_graph_region_is_censored_without_walking(monkeypatch):
             assert (res.steps, res.censored) == (10**12, True)
     # the region and start checks still come first
     g = build_ring(16, 1)
-    with pytest.raises(WalkError, match="start vertex out of range"):
+    with pytest.raises(WalkError, match="start vertex 16 out of range for n = 16"):
         escape_time(g, 16, range(16), seed=0)
-    with pytest.raises(WalkError, match="region vertex out of range"):
+    with pytest.raises(WalkError, match="region vertex 16 out of range for n = 16"):
         escape_time(g, 0, range(17), seed=0)
     with pytest.raises(WalkError, match="cap must be >= 1"):
         escape_time(g, 0, range(16), seed=0, cap=0)
@@ -983,9 +983,11 @@ def test_escape_memo_rejects_bad_input_on_every_call():
     escape_time(g, 15, region, seed=0)  # the region is memoised now
     for start, reg, msg in ((5, region, "inside"),
                             (15.5, region, "must be an integer"),
-                            (30, region, "start vertex out"),
-                            (15, np.append(region, 30), "region vertex out"),
-                            (15, np.append(region, -1), "region vertex out"),
+                            (30, region, "start vertex 30 out of range for n = 30"),
+                            (15, np.append(region, 30),
+                             "region vertex 30 out of range for n = 30"),
+                            (15, np.append(region, -1),
+                             "region vertex -1 out of range for n = 30"),
                             (15, np.empty(0, dtype=np.int64), "inside")):
         for _ in range(2):
             with pytest.raises(WalkError, match=msg):
