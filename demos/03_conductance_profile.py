@@ -19,7 +19,6 @@ from nwmix import (
     cut_stats,
     fr_bound,
     num_scales,
-    phi_at_scale,
     sample_small_world,
 )
 
@@ -34,13 +33,11 @@ print(f"C16, arc of length 4: cut={st.cut}, volume={st.volume}, phi={st.phi}")
 # -- exhaustive profile on a cycle ---------------------------------------------------
 
 print(f"\nC16 has m=16 edges -> {num_scales(16)} dyadic scales")
-for i in range(1, num_scales(16) + 1):
-    e = phi_at_scale(g, Fraction(1, 2**i))
-    size = "-" if e.witness is None else len(e.witness)
-    print(f"  scale {i}: window [{float(e.vol_lo):4.1f}, {float(e.vol_hi):4.1f}]"
-          f"  phi = {e.phi}  (witness size {size})")
-
 fr = fr_bound(g)
+for e in fr.profile.entries:
+    size = "-" if e.witness is None else len(e.witness)
+    print(f"  scale {e.i}: window [{float(e.vol_lo):4.1f}, {float(e.vol_hi):4.1f}]"
+          f"  phi = {e.phi}  (witness size {size})")
 print(f"  sum of phi^-2 over scales: {fr.total}  (certified={fr.certified})")
 
 # -- exact vs local search on a random graph ----------------------------------------
@@ -64,7 +61,7 @@ print(f"  connected sets of size <= 3 in H: {len(fam)}")
 
 k10 = complete_graph(10)
 try:
-    phi_at_scale(k10, Fraction(1, 2), budget=50)
+    fr_bound(k10, budget=50)
 except EnumerationBudgetError as err:
     print(f"\nK10 with a 50-step budget: {err}")
 print("large instances should use mode='local-search' instead of raising the budget")

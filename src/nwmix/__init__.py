@@ -18,7 +18,6 @@ from .conductance import (
     cut_stats,
     fr_bound,
     num_scales,
-    phi_at_scale,
 )
 from .constants import (
     ConstantSet,
@@ -26,7 +25,6 @@ from .constants import (
     RegimeError,
     chernoff_phi,
     constants_for,
-    cycle_component_counts,
     cycle_subset_count,
     cycle_subset_tally,
     expected_connected_sets_bound,
@@ -78,7 +76,6 @@ from .subtrees import (
     mu_by_functional_equation,
     mu_by_lagrange,
     mu_poisson_closed_form,
-    mu_upper_bound,
     mu_upper_bound_weak,
     poisson_law,
     subset_moments,

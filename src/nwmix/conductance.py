@@ -5,7 +5,8 @@ leaving it, and Phi(S) = e(S, S^c) / e(S).  The scale profile takes, per
 dyadic scale x = 2^-i, the minimum Phi(S) over connected S whose volume lies
 in [x*m, 2*x*m]; summing Phi^-2 over scales gives the Fountoulakis-Reed
 style mixing-time bound.  Scales whose volume window contains no connected
-set get Phi = +inf and contribute 0 to the sum.
+set get Phi = +inf and contribute 0 to the sum.  ``fr_bound`` computes the
+profile, one window per scale: ``profile.entries[i - 1]`` is scale i.
 
 One bitmask core serves every set search: a vertex set, and each adjacency
 row, is a Python int with bit v set for member v, so a link count is
@@ -271,7 +272,7 @@ def connected_set_counts(g: UndirectedGraph, j_max: int, containing: int | None 
 class ScaleEntry:
     """Minimum conductance over connected sets in one volume window."""
 
-    i: int | None
+    i: int
     x: Fraction
     vol_lo: Fraction
     vol_hi: Fraction
@@ -601,35 +602,6 @@ def _window_minima(g, windows, mode, size_cap, seed, iterations, restarts, budge
         raise ValueError(f"unknown mode {mode!r}")
     return ([None if b is None else (Fraction(b[0], b[1]), _members(b[2])) for b in got],
             mode == "exact")
-
-
-def phi_at_scale(
-    g: UndirectedGraph,
-    x,
-    mode: str = "exact",
-    seed: int = 0,
-    iterations: int = 400,
-    restarts: int = 32,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    scale_index: int | None = None,
-) -> ScaleEntry:
-    """Minimum conductance over connected sets with volume in [x*m, 2*x*m].
-
-    Exact mode enumerates and certifies the true minimum; local-search mode
-    reports the best set found by annealing, an upper bound on the truth,
-    flagged certified=False.  An empty window yields phi = +inf.
-    """
-    if not g.is_connected():
-        raise ValueError("scale profile requires a connected graph")
-    x = Fraction(x)
-    if not 0 < x <= Fraction(1, 2):
-        raise ValueError("scale x must lie in (0, 1/2]")
-    lo, hi = x * g.m, 2 * x * g.m
-    [got], certified = _window_minima(g, [(lo, hi)], mode, None, seed, iterations,
-                                      restarts, budget)
-    phi, witness = (math.inf, None) if got is None else got
-    return ScaleEntry(i=scale_index, x=x, vol_lo=lo, vol_hi=hi, phi=phi,
-                      witness=witness, certified=certified)
 
 
 @dataclass

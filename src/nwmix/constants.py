@@ -3,7 +3,8 @@
 Every "small enough" constant is pinned to the largest value on a geometric
 grid (ratio 2) that satisfies its defining inequalities, so each returned
 value can be substituted back and re-checked; solve routines do exactly that
-before returning.  x_k comes from bisection; epsilon is exact rational.
+before returning.  x_k comes from bisection; epsilon is exact rational.  The
+cycle-subset bound and the exact tally it dominates are binomial closed forms.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .rng import _integer
 
@@ -328,6 +327,7 @@ def cycle_subset_count(n: int, m: int) -> int:
     The counting argument behind the formula overcounts (n=3, m=1 gives 24
     against a true tally of 8), so only domination is guaranteed.
     """
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     if m < 1:
@@ -335,31 +335,20 @@ def cycle_subset_count(n: int, m: int) -> int:
     return 2 * n * math.comb(n + 2 * m - 1, 2 * m - 1)
 
 
-def cycle_component_counts(n: int) -> np.ndarray:
-    """components[s] = number of cyclic runs of the subset with bitmask s.
+def cycle_subset_tally(n: int, m: int) -> int:
+    """Exact number of subsets of an n-cycle with <= m components (runs).
 
-    A run starts at each i in S whose cyclic predecessor is absent, so the
-    count is popcount(s & ~rot(s)); the full set has no run starts and is
-    fixed up to one component.
+    A proper nonempty subset with j runs has 2j boundary edges, and each
+    choice of 2j of the n cycle edges bounds two such subsets (runs and gaps
+    swap), so 2 C(n, 2j) subsets have exactly j runs.  The empty set and the
+    full set (one component) add 2.
     """
+    n, m = _integer(n, "n"), _integer(m, "m")
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    if n > 20:
-        raise ValueError("exhaustive subset scan refused for n > 20")
-    mask = (1 << n) - 1
-    s = np.arange(1 << n, dtype=np.uint64)
-    rot = ((s << np.uint64(1)) | (s >> np.uint64(n - 1))) & np.uint64(mask)
-    comps = np.bitwise_count(s & ~rot)
-    comps[mask] = 1
-    return comps
-
-
-def cycle_subset_tally(n: int, m: int) -> int:
-    """Exhaustive count of subsets of an n-cycle with <= m components."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    comps = cycle_component_counts(n)
-    return int((comps <= m).sum())
+    return 2 + 2 * sum(math.comb(n, 2 * j) for j in range(1, min(m, n // 2) + 1))
 
 
 def expected_connected_sets_bound(n: int, c, k: int, j: int) -> Fraction:

@@ -523,11 +523,11 @@ def run_subtree_verification(config: ExperimentConfig, J: int = 30):
         q = st.factorial_moments(law, 25)
         mu = st.mu_by_functional_equation(q, 25)
         ok = all(q[j] <= C**j for j in range(26))
-        ok = ok and all(mu[j - 1] <= st.mu_upper_bound(C, j)
+        ok = ok and all(mu[j - 1] <= st.mu_poisson_closed_form(C, j)
                         for j in range(1, 26))
-        ok = ok and all(st.mu_upper_bound(C, j) < st.mu_upper_bound_weak(C, j)
+        ok = ok and all(st.mu_poisson_closed_form(C, j) < st.mu_upper_bound_weak(C, j)
                         for j in range(2, 26))
-        ok = ok and st.mu_upper_bound(C, 1) <= st.mu_upper_bound_weak(C, 1)
+        ok = ok and st.mu_poisson_closed_form(C, 1) <= st.mu_upper_bound_weak(C, 1)
         exact(f"bound chain {label}", ok)
 
     exact_mu = [st.mu_poisson_closed_form(1, j) for j in range(1, 6)]

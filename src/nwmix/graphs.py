@@ -236,6 +236,7 @@ def _check_ring_containment(n: int, k: int, rows: np.ndarray, cols: np.ndarray):
 
 def build_ring(n: int, k: int) -> UndirectedGraph:
     """The (n, k)-ring: edges between all pairs at cyclic distance <= k."""
+    n, k = _integer(n, "n", GraphValidationError), _integer(k, "k", GraphValidationError)
     if k < 1:
         raise GraphValidationError(f"k must be >= 1, got {k}")
     if n <= 2 * k:
@@ -253,6 +254,10 @@ def _ring_edges(n: int, k: int) -> np.ndarray:
 
 
 def complete_graph(n: int) -> UndirectedGraph:
+    """K_n: every pair of the n vertices joined."""
+    n = _integer(n, "n", GraphValidationError)
+    if n < 0:
+        raise GraphValidationError(f"n must be >= 0, got {n}")
     iu = np.triu_indices(n, k=1)
     return UndirectedGraph.from_edges(n, np.column_stack(iu))
 

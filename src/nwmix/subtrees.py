@@ -86,17 +86,6 @@ class OffspringLaw:
         if self.p is None or not 0 <= self.p <= 1:
             raise ValueError("binomial law needs p in [0, 1]")
 
-    def mean(self) -> Fraction:
-        if self.kind == "poisson":
-            return Fraction(self.c)
-        if self.kind == "binomial":
-            return self.n * Fraction(self.p)
-        if self.kind == "binomial_plus":
-            return self.n * Fraction(self.p) + self.extra
-        if self.kind == "deterministic":
-            return Fraction(self.d)
-        return sum((Fraction(v) * wt for v, wt in self.weights), Fraction(0))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "poisson":
             return rng.poisson(float(self.c), size=size)
@@ -263,7 +252,9 @@ def mu_poisson_closed_form(c, j: int) -> Fraction:
     """Poisson(c): mu_j = c^(j-1) C(2j-2, j-1) / j.
 
     Exact because q_j = c^j exactly, so Q(z) = 1/(1 - cz) and Lagrange
-    inversion closes the sum.
+    inversion closes the sum.  It is also the Catalan-type bound: mu_j grows
+    with every q_j, so any law with q_j <= C^j for all j has
+    mu_j <= mu_poisson_closed_form(C, j).
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -294,14 +285,8 @@ def catalan(j: int) -> int:
     return math.comb(2 * j - 2, j - 1) // j
 
 
-def mu_upper_bound(C, j: int) -> Fraction:
-    """If q_j <= C^j for all j, then mu_j <= C^(j-1) C(2j-2, j-1) / j: the
-    Poisson(C) closed form, since Poisson(C) has q_j = C^j exactly."""
-    return mu_poisson_closed_form(C, j)
-
-
 def mu_upper_bound_weak(C, j: int) -> Fraction:
-    """(4C)^(j-1): dominates mu_upper_bound, strictly so for j >= 2."""
+    """(4C)^(j-1): dominates mu_poisson_closed_form(C, j), strictly for j >= 2."""
     if j < 1:
         raise ValueError("j must be >= 1")
     return (4 * Fraction(C)) ** (j - 1)
@@ -340,6 +325,7 @@ def brute_force_mu(law: OffspringLaw, j: int, samples: int, seed: int,
     counts and the estimate are those of one tree at a time, bit for bit.
     """
     seed = _integer(seed, "seed")  # read, though a one-vertex tree draws nothing
+    j, samples = _integer(j, "j"), _integer(samples, "samples")
     if j < 1:
         raise ValueError("j must be >= 1")
     if samples < 1:
@@ -560,5 +546,5 @@ def write_mu_table(path, law: OffspringLaw, J: int, bound_C=None) -> None:
         for j in range(1, J + 1):
             row = [j, str(q[j]), str(mu[j - 1])]
             if bound_C is not None:
-                row.append(str(mu_upper_bound(bound_C, j)))
+                row.append(str(mu_poisson_closed_form(bound_C, j)))
             w.writerow(row)

@@ -402,6 +402,25 @@ def local_search_profile(g, seed, iterations, restarts, size_cap=None, windows=N
 # circular runs / cycle subsets
 
 
+def cycle_component_counts(n: int) -> np.ndarray:
+    """components[s] = number of cyclic runs of the subset with bitmask s,
+    for all 2^n subsets of an n-cycle at once (n <= 20).
+
+    A run starts at each i in S whose cyclic predecessor is absent, so the
+    count is popcount(s & ~rot(s)); the full set has no run starts and is
+    fixed up to one component.  ``(comps <= m).sum()`` is the reference for
+    ``constants.cycle_subset_tally(n, m)``.
+    """
+    if not 3 <= n <= 20:
+        raise ValueError("exhaustive subset scan needs 3 <= n <= 20")
+    mask = (1 << n) - 1
+    s = np.arange(1 << n, dtype=np.uint64)
+    rot = ((s << np.uint64(1)) | (s >> np.uint64(n - 1))) & np.uint64(mask)
+    comps = np.bitwise_count(s & ~rot)
+    comps[mask] = 1
+    return comps
+
+
 def cycle_components_slow(mask: int, n: int) -> int:
     """Number of circular runs of set bits, by a plain index walk."""
     bits = [(mask >> i) & 1 for i in range(n)]

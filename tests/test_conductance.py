@@ -19,7 +19,6 @@ from nwmix import (
     cut_stats,
     fr_bound,
     num_scales,
-    phi_at_scale,
     sample_small_world,
 )
 
@@ -119,39 +118,37 @@ def test_num_scales():
     assert num_scales(1) == 1
 
 
-def test_phi_at_scale_exact_on_cycle():
-    g = build_ring(16, 1)
-    top = phi_at_scale(g, Fraction(1, 2))
+def test_fr_bound_entries_exact_on_cycle():
+    entries = fr_bound(build_ring(16, 1)).profile.entries
+    top, small = entries[0], entries[-1]
     assert top.phi == Fraction(1, 8) and len(top.witness) == 8
-    assert top.certified and not top.empty
-    small = phi_at_scale(g, Fraction(1, 16))
+    assert all(e.certified and not e.empty for e in entries)
     assert small.phi == 1  # window [1, 2] admits only singletons
     assert len(small.witness) == 1
-    empty = phi_at_scale(g, Fraction(1, 64))
+    # C17 has m = 17, so its fifth window [17/32, 17/16] holds no set
+    empty = fr_bound(build_ring(17, 1)).profile.entries[-1]
+    assert empty.i == 5 and empty.x == Fraction(1, 32)
     assert empty.empty and empty.phi == math.inf and empty.witness is None
 
 
-def test_phi_at_scale_validation():
+def test_fr_bound_validation():
     g = build_ring(8, 1)
-    with pytest.raises(ValueError, match="scale x"):
-        phi_at_scale(g, Fraction(3, 4))
-    with pytest.raises(ValueError, match="scale x"):
-        phi_at_scale(g, 0)
-    with pytest.raises(ValueError, match="mode"):
-        phi_at_scale(g, Fraction(1, 2), mode="psychic")
+    with pytest.raises(ValueError, match="unknown mode 'psychic'"):
+        fr_bound(g, mode="psychic")
     disconnected = UndirectedGraph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError, match="connected"):
-        phi_at_scale(disconnected, Fraction(1, 2))
+        fr_bound(disconnected)
 
 
 def test_phi_witness_consistency():
-    entry = phi_at_scale(H12, Fraction(1, 4), scale_index=2)
-    assert entry.i == 2
-    got = cut_stats(H12, entry.witness)
-    assert got.phi == entry.phi
-    assert entry.vol_lo <= got.volume <= entry.vol_hi
-    phi, _ = oracles.min_phi_in_window(H12, entry.vol_lo, entry.vol_hi)
-    assert entry.phi == phi
+    for e in fr_bound(H12).profile.entries:
+        phi, witness = oracles.min_phi_in_window(H12, e.vol_lo, e.vol_hi)
+        if phi is None:  # H12's last window holds no set
+            assert e.empty and e.phi == math.inf
+            continue
+        assert (e.phi, e.witness) == (phi, witness)
+        got = cut_stats(H12, e.witness)
+        assert got.phi == e.phi and e.vol_lo <= got.volume <= e.vol_hi
 
 
 def test_fr_bound_cycle16():
@@ -442,14 +439,12 @@ def test_local_search_stopping_keeps_the_oracle_profile(case):
 
 def test_local_search_rejects_bad_parameters():
     g = build_ring(12, 1)
-    for call in (lambda **kw: fr_bound(g, mode="local-search", **kw),
-                 lambda **kw: phi_at_scale(g, Fraction(1, 4), mode="local-search", **kw)):
-        for restarts in (0, -1):
-            with pytest.raises(ValueError, match="restarts must be >= 1"):
-                call(restarts=restarts)
-        with pytest.raises(ValueError, match="iterations must be >= 0"):
-            call(iterations=-5)
-        call(restarts=1, iterations=0)
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            fr_bound(g, mode="local-search", restarts=restarts)
+    with pytest.raises(ValueError, match="iterations must be >= 0"):
+        fr_bound(g, mode="local-search", iterations=-5)
+    fr_bound(g, mode="local-search", restarts=1, iterations=0)
 
 
 def test_fr_bound_rejects_size_cap_below_one():

@@ -13,7 +13,6 @@ from nwmix import (
     build_ring,
     chernoff_phi,
     constants_for,
-    cycle_component_counts,
     cycle_subset_count,
     cycle_subset_tally,
     expected_connected_sets_bound,
@@ -191,14 +190,14 @@ def test_constants_json():
 
 def test_cycle_component_counts_against_slow_scan():
     for n in (3, 8, 10):
-        comps = cycle_component_counts(n)
+        comps = oracles.cycle_component_counts(n)
         for mask in range(1 << n):
             assert comps[mask] == oracles.cycle_components_slow(mask, n)
 
 
 def test_cycle_cut_is_twice_components():
     g = build_ring(8, 1)
-    comps = cycle_component_counts(8)
+    comps = oracles.cycle_component_counts(8)
     for mask in range(1, (1 << 8) - 1):
         cut, _ = oracles.mask_cut_volume(mask, g)
         assert cut == 2 * comps[mask]
@@ -208,25 +207,29 @@ def test_cycle_cut_is_twice_components():
 def test_cycle_subset_count_dominates_tally():
     assert cycle_subset_count(3, 1) == 24
     assert cycle_subset_tally(3, 1) == 8
-    for n in range(3, 17):
-        comps = cycle_component_counts(n)
+    for n in range(3, 9):
         for m in range(1, n + 1):
-            tally = int((comps <= m).sum())
-            assert cycle_subset_tally(n, m) == tally
-            assert cycle_subset_count(n, m) >= tally
-    # m >= n/2 already admits every subset
-    assert cycle_subset_tally(10, 5) == 2**10
+            assert cycle_subset_count(n, m) >= cycle_subset_tally(n, m)
+    # m >= n/2 already admits every subset; m = 4 all but the two
+    # alternating subsets of a 10-cycle
+    for n in (3, 10, 11, 1000):
+        assert cycle_subset_tally(n, n // 2) == cycle_subset_tally(n, n) == 2**n
+    assert cycle_subset_tally(10, 4) == 2**10 - 2
 
 
 def test_cycle_subset_validation():
-    with pytest.raises(ValueError):
-        cycle_subset_count(2, 1)
-    with pytest.raises(ValueError):
-        cycle_subset_count(5, 0)
-    with pytest.raises(ValueError):
-        cycle_component_counts(21)
-    with pytest.raises(ValueError):
-        cycle_subset_tally(5, 0)
+    for f in (cycle_subset_count, cycle_subset_tally):
+        with pytest.raises(ValueError, match="n >= 3"):
+            f(2, 1)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            f(5, 0)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            f(5.0, 1)
+        with pytest.raises(ValueError, match="m must be an integer"):
+            f(5, 1.5)
+        assert f(np.int64(5), np.int32(1)) == f(5, 1)
+    # the closed form takes any n, past the 2^n scan's reach
+    assert cycle_subset_tally(21, 1) == 2 + 2 * math.comb(21, 2)
 
 
 def test_expected_connected_sets_bound():

@@ -22,7 +22,7 @@ from nwmix import (
     write_graph,
 )
 from nwmix import graphs
-from nwmix.conductance import connected_set_counts, cut_stats, fr_bound, phi_at_scale
+from nwmix.conductance import connected_set_counts, cut_stats, fr_bound
 from nwmix.subtrees import brute_force_mu, poisson_law
 from nwmix.walks import WalkError, escape_time, sample_starts
 
@@ -52,6 +52,10 @@ def test_ring_validation():
         build_ring(4, 2)  # n <= 2k
     with pytest.raises(GraphValidationError):
         build_ring(5, 0)
+    with pytest.raises(GraphValidationError, match="n must be >= 0, got -1"):
+        complete_graph(-1)
+    assert build_ring(np.int64(8), np.int32(1)) == build_ring(8, 1)
+    assert complete_graph(np.uint8(4)) == complete_graph(4)
 
 
 def test_spec_validation():
@@ -248,9 +252,14 @@ _RING8 = build_ring(8, 1)
     (lambda: _RING8.has_edge(0.0, 1), GraphValidationError),
     (lambda: _RING8.has_edge(1, "2"), GraphValidationError),
     (lambda: sample_starts(10, 3.5, 1), WalkError),
+    (lambda: build_ring(8, 1.5), GraphValidationError),
+    (lambda: build_ring(8.0, 1), GraphValidationError),
+    (lambda: build_ring("8", 1), GraphValidationError),
+    (lambda: complete_graph(4.0), GraphValidationError),
 ], ids=["cut-floats", "cut-float-array", "cut-strings", "containing-float",
         "containing-string", "j-float", "edges-floats", "edges-bools",
-        "has-edges-floats", "has-edge-float", "has-edge-string", "start-count-float"])
+        "has-edges-floats", "has-edge-float", "has-edge-string", "start-count-float",
+        "ring-k-float", "ring-n-float", "ring-n-string", "complete-n-float"])
 def test_non_integer_vertices_are_rejected(call, error):
     # floats are not truncated and strings not parsed: each module raises
     # its own ValueError, naming the integer it wanted
@@ -304,12 +313,10 @@ def test_integer_vertices_of_any_type_are_accepted():
     (lambda: fr_bound(_RING8, mode="exact", seed=2.5), "seed must be an integer"),
     (lambda: fr_bound(_RING8, mode="exact", restarts=0), "restarts must be >= 1"),
     (lambda: fr_bound(_RING8, mode="exact", iterations=-5), "iterations must be >= 0"),
-    (lambda: phi_at_scale(_RING8, Fraction(1, 2), seed=1.5), "seed must be an integer"),
-    (lambda: phi_at_scale(_RING8, Fraction(1, 2), restarts=0), "restarts must be >= 1"),
     (lambda: escape_time(_RING8, 0, range(8), seed=2.5), "seed must be an integer"),
     (lambda: brute_force_mu(poisson_law(1), 1, 10, seed=2.5), "seed must be an integer"),
-], ids=["fr-exact-seed", "fr-exact-restarts", "fr-exact-iterations", "phi-exact-seed",
-        "phi-exact-restarts", "escape-whole-region-seed", "mc-one-vertex-seed"])
+], ids=["fr-exact-seed", "fr-exact-restarts", "fr-exact-iterations",
+        "escape-whole-region-seed", "mc-one-vertex-seed"])
 def test_arguments_are_read_whichever_path_runs(call, match):
     # exact mode never anneals, a whole region never walks and a one-vertex
     # tree draws nothing, yet each argument is checked as if it were read

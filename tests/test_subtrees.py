@@ -28,7 +28,6 @@ from nwmix import (
     mu_by_functional_equation,
     mu_by_lagrange,
     mu_poisson_closed_form,
-    mu_upper_bound,
     mu_upper_bound_weak,
     poisson_law,
     subset_moments,
@@ -59,12 +58,16 @@ def test_law_validation():
 
 
 def test_law_means():
-    assert poisson_law(Fraction(7, 2)).mean() == Fraction(7, 2)
-    assert binomial_law(10, Fraction(1, 4)).mean() == Fraction(5, 2)
-    assert binomial_plus_law(10, Fraction(1, 4), 2).mean() == Fraction(9, 2)
-    assert deterministic_law(3).mean() == 3
-    law = explicit_law([(0, Fraction(1, 2)), (4, Fraction(1, 2))])
-    assert law.mean() == 2
+    # q_1 = E[B]: the mean is the first factorial moment, for every kind
+    cases = [
+        (poisson_law(Fraction(7, 2)), Fraction(7, 2)),
+        (binomial_law(10, Fraction(1, 4)), Fraction(5, 2)),
+        (binomial_plus_law(10, Fraction(1, 4), 2), Fraction(9, 2)),
+        (deterministic_law(3), 3),
+        (explicit_law([(0, Fraction(1, 2)), (4, Fraction(1, 2))]), 2),
+    ]
+    for law, mean in cases:
+        assert factorial_moments(law, 1)[1] == mean
 
 
 def test_law_sampling():
@@ -257,11 +260,11 @@ def test_mu_bounds_chain():
     mu = mu_by_functional_equation(q, 25)
     for j in range(1, 26):
         assert q[j] <= Fraction(C) ** j
-        assert mu[j - 1] <= mu_upper_bound(C, j)
+        assert mu[j - 1] <= mu_poisson_closed_form(C, j)
         if j == 1:
-            assert mu_upper_bound(C, j) == mu_upper_bound_weak(C, j) == 1
+            assert mu_poisson_closed_form(C, j) == mu_upper_bound_weak(C, j) == 1
         else:
-            assert mu_upper_bound(C, j) < mu_upper_bound_weak(C, j)
+            assert mu_poisson_closed_form(C, j) < mu_upper_bound_weak(C, j)
 
 
 def _tree(children):
@@ -312,6 +315,20 @@ def test_brute_force_mu_matches_solver():
         brute_force_mu(law, 0, samples=10, seed=0)
     with pytest.raises(ValueError):
         brute_force_mu(law, 2, samples=0, seed=0)
+    assert brute_force_mu(law, np.int64(3), np.int32(50), 3) == \
+        brute_force_mu(law, 3, 50, 3)
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"j": 2.5}, "j must be an integer"),
+    ({"j": "2"}, "j must be an integer"),
+    ({"samples": 10.0}, "samples must be an integer"),
+    ({"j": 1, "samples": 10.0}, "samples must be an integer"),
+], ids=["j-float", "j-string", "samples-float", "one-vertex-samples-float"])
+def test_brute_force_mu_reads_j_and_samples_as_integers(kw, match):
+    # a float is neither truncated nor run: the integer rule, as for seed
+    with pytest.raises(ValueError, match=match):
+        brute_force_mu(poisson_law(1), **{"j": 2, "samples": 10, "seed": 0, **kw})
 
 
 LAWS = [
