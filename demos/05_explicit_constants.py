@@ -68,7 +68,7 @@ print(f"\nc=5, k=2: R = {cs5.R}, delta log10 = {cs5.delta.log10():,.2f}")
 # 2n * C(n + 2m - 1, 2m - 1) bounds the number of vertex subsets of an
 # n-cycle whose induced cut is at most 2m; the exact tally, a closed form,
 # shows the slack.
-print("\ncycle subset bound vs exhaustive tally (n=12):")
+print("\ncycle subset bound vs closed-form tally (n=12):")
 for mm in (1, 2, 3):
     bound = cycle_subset_count(12, mm)
     tally = cycle_subset_tally(12, mm)

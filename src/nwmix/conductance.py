@@ -28,15 +28,20 @@ numpy's draw rules inline, so its coins and picks are exactly those of a
 penalties for leaving the window or the size cap are tables by volume and
 by size, built once per window.
 
-Local search stops where no better set can exist.  A window's floor is the
-least cut/volume a connected set in it can have: a proper subset has cut at
-least 2k if the graph is tagged as holding the 2k-edge-connected (n, k)-ring
-(else at least 1), of the parity of its volume, since vol = 2 e(S) + cut,
-and the whole vertex set, where the window admits it, has cut 0.  A window
-that no set fits is not annealed, and a run, or a window's restarts, end
-once the best meets the floor.  Bests are replaced only on a strictly
-smaller ratio, so every phi, witness and total is the one the full search
-gives.
+Local search stops where no better set can exist.  A window's floor is a
+least cut/volume no connected set in it can beat.  Before annealing, the
+windows are enumerated one by one in ascending order of upper volume bound,
+each within a budget of restarts * iterations sets, and a window that fits
+takes its exact minimum as its floor; the first window past the budget ends
+the enumeration, as each later window holds a superset of its sets.  Any
+other window takes the parity floor: a proper subset has cut at least 2k if
+the graph is tagged as holding the 2k-edge-connected (n, k)-ring (else at
+least 1), of the parity of its volume, since vol = 2 e(S) + cut, and the
+whole vertex set, where the window admits it, has cut 0.  A window that no
+set fits is not annealed, and a run, or a window's restarts, end once the
+best meets the floor.  Bests are replaced only on a strictly smaller ratio,
+so every phi, witness and total is the one the full search gives; the exact
+minima only stop the search, and are not reported.
 """
 
 from __future__ import annotations
@@ -442,10 +447,10 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
     kept per run in a dict keyed by that mask, which holds at most
     ``iterations`` entries.
 
-    The run returns as soon as its best meets ``floor``, the window's
-    `_window_floor`: the best is replaced only by a strictly smaller ratio,
-    which no set in the window has, so the result is the one the full run
-    would return.
+    The run returns as soon as its best meets ``floor``, a (cut, volume)
+    that no set in the window beats (see `_local_minima`): the best is
+    replaced only by a strictly smaller ratio, which no set in the window
+    has, so the result is the one the full run would return.
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
@@ -556,14 +561,33 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
     Restart r seeds its growth at vertex r mod n, so with restarts >= n
     every single-vertex set is tried, which matters for the smallest-volume
     windows.  A window that no set fits is not annealed, and a window skips
-    its remaining restarts once its best meets the window's floor
-    (`_window_floor`).  Bests are replaced only on a strictly smaller ratio
-    and each restart draws from its own seed, so every result, witness
-    included, is the one all the restarts would give.
+    its remaining restarts once its best meets the window's floor.  Bests
+    are replaced only on a strictly smaller ratio and each restart draws
+    from its own seed, so every result, witness included, is the one all
+    the restarts would give.
+
+    The floor is the window's exact minimum (`_exact_minima`) where an
+    enumeration of at most restarts * iterations sets finds it, else
+    `_window_floor`.  An annealing move costs several enumerated sets (3
+    to 6 on a 64-vertex graph), so an enumeration that fits costs at most
+    about a third of the annealing it can save.  Windows are enumerated in
+    ascending order of upper bound and the first that overflows ends the
+    enumeration, since each later one would visit a superset of its sets;
+    so besides the enumerations that fit, a call spends at most one budget.
+    Windows whose parity floor is 0 or absent are not enumerated: the whole
+    vertex set meets a floor of 0, and no set fits the others.
     """
+    floors = [_window_floor(deg, ring_k, window, size_cap) for window in windows]
+    for w in sorted(range(len(windows)), key=lambda w: windows[w][1]):
+        if floors[w] is None or floors[w][0] == 0:
+            continue  # no set fits, or the whole vertex set does and has cut 0
+        try:
+            exact, = _exact_minima(adj, deg, [windows[w]], size_cap, restarts * iterations)
+        except EnumerationBudgetError:
+            break  # each later window enumerates a superset of these sets
+        floors[w] = None if exact is None else exact[:2]
     results = []
-    for w, window in enumerate(windows):
-        floor = _window_floor(deg, ring_k, window, size_cap)
+    for w, (window, floor) in enumerate(zip(windows, floors)):
         if floor is None:
             results.append(None)
             continue

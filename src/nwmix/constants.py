@@ -341,14 +341,20 @@ def cycle_subset_tally(n: int, m: int) -> int:
     A proper nonempty subset with j runs has 2j boundary edges, and each
     choice of 2j of the n cycle edges bounds two such subsets (runs and gaps
     swap), so 2 C(n, 2j) subsets have exactly j runs.  The empty set and the
-    full set (one component) add 2.
+    full set (one component) add 2.  Each binomial comes from the one before,
+    C(n, 2j) = C(n, 2j - 2) (n - 2j + 2)(n - 2j + 1) / ((2j - 1) 2j), a
+    division that is exact.
     """
     n, m = _integer(n, "n"), _integer(m, "m")
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     if m < 1:
         raise ValueError("m must be >= 1")
-    return 2 + 2 * sum(math.comb(n, 2 * j) for j in range(1, min(m, n // 2) + 1))
+    term = total = 1  # C(n, 0)
+    for j in range(1, min(m, n // 2) + 1):
+        term = term * (n - 2 * j + 2) * (n - 2 * j + 1) // ((2 * j - 1) * 2 * j)
+        total += term
+    return 2 * total
 
 
 def expected_connected_sets_bound(n: int, c, k: int, j: int) -> Fraction:

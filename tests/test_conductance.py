@@ -437,6 +437,127 @@ def test_local_search_stopping_keeps_the_oracle_profile(case):
     assert res.total == total
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=5, max_value=16), k=st.sampled_from([1, 2]),
+       c=st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(3)]),
+       graph_seed=st.integers(min_value=0, max_value=10**6), untagged=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**64 - 1),
+       iterations=st.sampled_from([0, 1, 40, 150]),
+       restarts=st.integers(min_value=1, max_value=6),
+       size_cap=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+       data=st.data())
+@example(n=12, k=1, c=Fraction(2), graph_seed=0, untagged=False, seed=0, iterations=150,
+         restarts=6, size_cap=None, data=None)
+def test_exact_floors_keep_every_local_search_result(n, k, c, graph_seed, untagged, seed,
+                                                     iterations, restarts, size_cap, data):
+    # the same call with every enumeration overflowing at once, so that every
+    # window keeps its parity floor
+    g = sample_small_world(GraphSpec(n=max(n, 2 * k + 1), k=k, c=c, seed=graph_seed))
+    if untagged:
+        g = _untagged(g)
+    windows = None
+    if data is not None and data.draw(st.booleans(), label="custom windows"):
+        bound = st.fractions(min_value=Fraction(1, 4), max_value=2 * g.m,
+                             max_denominator=8)
+        windows = [tuple(sorted(data.draw(st.tuples(bound, bound))))
+                   for _ in range(num_scales(g.m))]
+    kwargs = dict(mode="local-search", seed=seed, iterations=iterations,
+                  restarts=restarts, size_cap=size_cap, windows=windows)
+    res = fr_bound(g, **kwargs)
+    exact_minima = conductance._exact_minima
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conductance, "_exact_minima",
+                   lambda adj, deg, windows, size_cap, budget:
+                   exact_minima(adj, deg, windows, size_cap, 0))
+        ref = fr_bound(g, **kwargs)
+    assert [(e.phi, e.witness) for e in res.profile.entries] == [
+        (e.phi, e.witness) for e in ref.profile.entries]
+    assert res.total == ref.total
+
+
+def _spy_anneal(monkeypatch):
+    """Record (window, floor, result) of every `_anneal_once` call."""
+    calls = []
+    anneal = conductance._anneal_once
+
+    def spied(adj, deg, start, window, size_cap, words, iterations, floor, penalties):
+        got = anneal(adj, deg, start, window, size_cap, words, iterations, floor, penalties)
+        calls.append((window, floor, got))
+        return got
+
+    monkeypatch.setattr(conductance, "_anneal_once", spied)
+    return calls
+
+
+def test_local_search_stops_at_the_exact_window_minimum(monkeypatch):
+    # Pool graph of seed 1 (n=20, c=3), as in criterion 10: every window but
+    # the largest fits the enumeration budget, and the annealer reaches each
+    # exact minimum, above the parity floor in all but the smallest window.
+    # With a size cap of 1 the two largest windows hold no set, though their
+    # parity floors admit one.
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=1))
+    calls = _spy_anneal(monkeypatch)
+    deg = g.degrees.tolist()
+    for size_cap in (None, 1):
+        calls.clear()
+        exact = fr_bound(g, size_cap=size_cap)
+        res = fr_bound(g, mode="local-search", seed=derive_seed(1, 1), size_cap=size_cap)
+        assert res.total == exact.total
+        stopped = unfit = 0
+        for e, least in zip(res.profile.entries, exact.profile.entries):
+            window = (e.vol_lo, e.vol_hi)
+            runs = [(floor, got) for w, floor, got in calls if w == window]
+            parity = conductance._window_floor(deg, g.ring_k, window, size_cap)
+            if least.empty:
+                assert e.empty and not runs
+                unfit += parity is not None
+                continue
+            reached = [r for r, (_, got) in enumerate(runs)
+                       if got is not None and Fraction(got[0], got[1]) == least.phi]
+            floor = Fraction(*runs[0][0])
+            if floor == least.phi:
+                assert reached[0] == len(runs) - 1, window
+                stopped += Fraction(*parity) < least.phi
+            else:  # past the budget: the parity floor, which no run meets
+                assert floor == Fraction(*parity) < least.phi
+                assert window == (exact.profile.entries[0].vol_lo, g.m)
+                assert len(runs) == 32 and reached[0] < 31
+        assert stopped > 0
+        assert unfit == (0 if size_cap is None else 2)
+
+
+def test_exact_floors_are_tried_in_ascending_order(monkeypatch):
+    # n=40, c=2: the windows up to [8.25, 16.5] fit the budget, [16.5, 33]
+    # overflows it, and [33, 66] is not tried
+    g = sample_small_world(GraphSpec(n=40, k=1, c=2, seed=0))
+    tried = []
+    exact_minima = conductance._exact_minima
+
+    def spied(adj, deg, windows, size_cap, budget):
+        tried.append([windows, budget, "overflow"])
+        tried[-1][2] = got = exact_minima(adj, deg, windows, size_cap, budget)
+        return got
+
+    monkeypatch.setattr(conductance, "_exact_minima", spied)
+    res = fr_bound(g, mode="local-search", seed=0)
+    assert all(len(windows) == 1 for windows, _, _ in tried)
+    uppers = [windows[0][1] for windows, _, _ in tried]
+    assert uppers == sorted(uppers)
+    assert all(budget == 32 * 400 for _, budget, _ in tried)
+    outcomes = [got for _, _, got in tried]
+    assert outcomes[-1] == "overflow" and "overflow" not in outcomes[:-1]
+    assert max(e.vol_hi for e in res.profile.entries) > uppers[-1]
+    # with no iterations there is no budget: the first enumeration stops at
+    # once, and every window anneals on its parity floor
+    tried.clear()
+    calls = _spy_anneal(monkeypatch)
+    fr_bound(g, mode="local-search", seed=0, iterations=0)
+    assert [(budget, got) for _, budget, got in tried] == [(0, "overflow")]
+    deg = g.degrees.tolist()
+    assert calls and all(floor == conductance._window_floor(deg, g.ring_k, window, None)
+                         for window, floor, _ in calls)
+
+
 def test_local_search_rejects_bad_parameters():
     g = build_ring(12, 1)
     for restarts in (0, -1):
