@@ -68,11 +68,11 @@ print(f"\nwrote {path.name}; first lines: {head}")
 # -- blow-up: coarse-graining blocks of R consecutive vertices --------------------
 
 base = sample_small_world(GraphSpec(n=60, k=2, c=Fraction(3), seed=1))
-bmap = blow_up(base, R=5)
-aux = bmap.auxiliary
+aux = blow_up(base, R=5)
 print(f"\nblow-up of n=60 by R=5: {aux.n} blocks, {aux.m} aux edges")
-print(f"  block of vertex 23: {bmap.block_of(23)}"
-      f" = vertices {bmap.block_vertices(bmap.block_of(23)).tolist()}")
+# block i holds vertices i*R .. (i+1)*R - 1
+print(f"  block of vertex 23: {23 // 5}"
+      f" = vertices {list(range(23 // 5 * 5, (23 // 5 + 1) * 5))}")
 
 # Two blocks are adjacent iff some base edge crosses between them, so a
 # non-ring block pair is connected with probability 1 - (1-p)^(R*R).

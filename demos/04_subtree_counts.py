@@ -14,7 +14,6 @@ from pathlib import Path
 
 from nwmix import (
     brute_force_mu,
-    catalan,
     count_root_embeddings,
     count_root_subtrees,
     deterministic_law,
@@ -50,7 +49,7 @@ for j in (1, 2, 3, 6, 12):
 
 # At c=1 the closed form collapses to the Catalan numbers.
 mu1 = mu_by_lagrange(factorial_moments(poisson_law(1), 8), 8)
-assert mu1 == [catalan(j) for j in range(1, 9)]
+assert mu1 == [mu_poisson_closed_form(1, j) for j in range(1, 9)]
 print(f"  Poisson(1) gives the Catalan numbers: {mu1}")
 
 # -- ordered embeddings vs distinct subtrees ----------------------------------------

@@ -46,12 +46,10 @@ from .experiments import (
     run_subtree_verification,
 )
 from .graphs import (
-    BlowUpMap,
     GraphSpec,
     GraphValidationError,
     UndirectedGraph,
     blow_up,
-    blow_up_set,
     blow_up_shortcut_probability,
     build_ring,
     complete_graph,
@@ -66,7 +64,6 @@ from .subtrees import (
     binomial_law,
     binomial_plus_law,
     brute_force_mu,
-    catalan,
     count_root_embeddings,
     count_root_subtrees,
     deterministic_law,

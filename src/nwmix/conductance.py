@@ -605,29 +605,6 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
     return results
 
 
-def _window_minima(g, windows, mode, size_cap, seed, iterations, restarts, budget):
-    """Per (vol_lo, vol_hi) window, (phi, witness) or None when no set was
-    found, and whether the minima are certified (exact mode).  Every
-    argument is checked, whichever mode runs."""
-    if size_cap is not None and _integer(size_cap, "size_cap") < 1:
-        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
-    seed, budget = _integer(seed, "seed"), _integer(budget, "budget")
-    if _integer(restarts, "restarts") < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if _integer(iterations, "iterations") < 0:
-        raise ValueError(f"iterations must be >= 0, got {iterations}")
-    adj, deg = _adjacency_masks(g), g.degrees.tolist()
-    if mode == "exact":
-        got = _exact_minima(adj, deg, windows, size_cap, budget)
-    elif mode == "local-search":
-        got = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed, iterations,
-                            restarts)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return ([None if b is None else (Fraction(b[0], b[1]), _members(b[2])) for b in got],
-            mode == "exact")
-
-
 @dataclass
 class FRBound:
     """Sum of Phi^-2 over dyadic scales, with its per-scale profile.
@@ -705,12 +682,28 @@ def fr_bound(
         if lo > hi:
             raise ValueError(f"window {i} is inverted: lower bound {lo} > "
                              f"upper bound {hi}")
-    got, certified = _window_minima(g, windows, mode, size_cap, seed, iterations,
-                                    restarts, budget)
+    # every argument is checked, whichever mode runs
+    if size_cap is not None and _integer(size_cap, "size_cap") < 1:
+        raise ValueError(f"size_cap must be >= 1, got {size_cap}")
+    seed, budget = _integer(seed, "seed"), _integer(budget, "budget")
+    if _integer(restarts, "restarts") < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if _integer(iterations, "iterations") < 0:
+        raise ValueError(f"iterations must be >= 0, got {iterations}")
+    adj, deg = _adjacency_masks(g), g.degrees.tolist()
+    if mode == "exact":
+        got = _exact_minima(adj, deg, windows, size_cap, budget)
+    elif mode == "local-search":
+        got = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed, iterations,
+                            restarts)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    certified = mode == "exact"
     profile = ScaleProfile(n=g.n, m=g.m, mode=mode)
     total = Fraction(0)
-    for i, (x, (lo, hi), res) in enumerate(zip(xs, windows, got), start=1):
-        phi, witness = (math.inf, None) if res is None else res
+    for i, (x, (lo, hi), b) in enumerate(zip(xs, windows, got), start=1):
+        phi, witness = ((math.inf, None) if b is None
+                        else (Fraction(b[0], b[1]), _members(b[2])))
         if 0 < phi < math.inf:  # phi == 0 only for S = V, which no window admits
             total += 1 / (phi * phi)
         profile.entries.append(

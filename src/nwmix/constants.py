@@ -154,9 +154,6 @@ class GridValue:
     def log10(self) -> float:
         return self.log() / math.log(10)
 
-    def as_fraction(self) -> Fraction:
-        return self.base / (1 << self.t)
-
     def exact_str(self) -> str:
         return f"({self.base})*2^-{self.t}"
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import subtrees as st
 from .conductance import (DEFAULT_ENUM_BUDGET, connected_set_counts, fr_bound,
                           num_scales)
-from .constants import VerificationError, constants_for
+from .constants import VerificationError, constants_for, expected_connected_sets_bound
 from .graphs import GraphSpec, UndirectedGraph, sample_small_world
 from .rng import _integer, derive_seed
 from .walks import DEFAULT_STEP_CAP, escape_time, mixing_time, sample_starts
@@ -557,9 +557,10 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
     """Mean per-vertex connected-set counts against their two upper bounds.
 
     Over sampled graphs, the empirical mean of |{connected j-sets containing
-    vertex 0}| is compared with (4(c+2k))^j and with the exact expected
-    subtree count of the dominating branching process, Binomial(n-1-2k, c/n)
-    plus 2k deterministic children.
+    vertex 0}| is compared with (4(c+2k))^j, the per-vertex
+    expected_connected_sets_bound, and with the exact expected subtree count
+    of the dominating branching process, Binomial(n-1-2k, c/n) plus 2k
+    deterministic children.
     """
     if reps < 2:
         raise ValueError("reps must be at least 2: the 3-sigma comparison with "
@@ -578,7 +579,7 @@ def connected_set_bound_check(n: int = 14, k: int = 1, c=Fraction(1),
         col = counts[:, j - 1].astype(np.float64)
         mean = float(col.mean())
         stderr = float(col.std(ddof=1) / math.sqrt(reps))
-        crude = float((4 * (Fraction(c) + 2 * k)) ** j)
+        crude = float(expected_connected_sets_bound(n, c, k, j) / n)
         out.append({
             "j": j,
             "mean": mean,

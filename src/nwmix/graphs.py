@@ -8,9 +8,12 @@ probability p = c/n.  Vertex indexing is 0-based everywhere, including files.
 Graphs are built once, from an edge array, into CSR form, and are never
 changed after.  A ring-tagged graph is checked to hold its ring by counting
 the CSR entries at cyclic distance at most k, and is then connected without
-a search.  The edge-list writer formats every number in numpy, as one byte
-matrix of right-aligned digits; the reader parses a file in the writer's form
-in bulk and any other layout line by line.
+a search.  Degrees and neighbor lists are read from `degrees` and
+`neighbors`.  A block blow-up is the graph of the blocks of R consecutive
+vertices, an UndirectedGraph like any other.  The edge-list writer formats
+every number in numpy, as one byte matrix of right-aligned digits; the
+reader parses a file in the writer's form in bulk and any other layout line
+by line.
 """
 
 from __future__ import annotations
@@ -146,26 +149,6 @@ class UndirectedGraph:
     def neighbors(self, v: int) -> np.ndarray:
         v = _vertex(v, self.n)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
-
-    def degree(self, v: int) -> int:
-        v = _vertex(v, self.n)
-        return int(self.indptr[v + 1] - self.indptr[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        row, v = self.neighbors(u), _vertex(v, self.n)
-        i = np.searchsorted(row, v)
-        return bool(i < row.shape[0] and row[i] == v)
-
-    def has_edges(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Edge membership for parallel vertex arrays u, v: one binary search
-        over the CSR entries keyed ``row * n + col``, which are ascending."""
-        u, v = _vertices(u, self.n, "vertex"), _vertices(v, self.n, "vertex")
-        keys = self._rows() * self.n + self.indices
-        query = u * self.n + v
-        i = np.searchsorted(keys, query)
-        found = i < keys.size
-        found[found] = keys[i[found]] == query[found]
-        return found
 
     def _rows(self) -> np.ndarray:
         """The row (source vertex) of every CSR entry."""
@@ -313,34 +296,13 @@ def _bernoulli_hits(total: int, p: float, seed: int) -> np.ndarray:
 # -- blow-up ------------------------------------------------------------------
 
 
-@dataclass
-class BlowUpMap:
-    """Partition of the base graph into n/R consecutive blocks of size R.
+def blow_up(g: UndirectedGraph, R: int) -> UndirectedGraph:
+    """The auxiliary graph of g's blocks of R consecutive vertices.
 
-    Block i holds vertices i*R .. (i+1)*R - 1.  The auxiliary graph has one
-    vertex per block and an edge {i, j} wherever the base graph has at least
-    one edge between block i and block j.
-    """
-
-    R: int
-    base_n: int
-    auxiliary: UndirectedGraph
-
-    @property
-    def n_blocks(self) -> int:
-        return self.base_n // self.R
-
-    def block_of(self, v: int) -> int:
-        return v // self.R
-
-    def block_vertices(self, i: int) -> np.ndarray:
-        return np.arange(i * self.R, (i + 1) * self.R, dtype=np.int64)
-
-
-def blow_up(g: UndirectedGraph, R: int) -> BlowUpMap:
-    """Contract consecutive blocks of R vertices into single vertices.
-
-    R is an int or numpy integer, never a float, even one that divides n.
+    Block i holds vertices i*R .. (i+1)*R - 1, so vertex v lies in block
+    v // R.  The auxiliary graph has one vertex per block and an edge {i, j}
+    wherever g has at least one edge between block i and block j.  R is an
+    int or numpy integer, never a float, even one that divides n.
     """
     R = _integer(R, "R", GraphValidationError)
     if R < 1:
@@ -356,20 +318,7 @@ def blow_up(g: UndirectedGraph, R: int) -> BlowUpMap:
     keep = edges[:, 0] != edges[:, 1]
     edges = np.unique(edges[keep], axis=0) if keep.any() else np.empty((0, 2), np.int64)
     ring_tag = 1 if (g.ring_k and n_prime > 2) else 0
-    aux = UndirectedGraph.from_edges(n_prime, edges, ring_k=ring_tag)
-    return BlowUpMap(R=R, base_n=g.n, auxiliary=aux)
-
-
-def blow_up_set(bmap: BlowUpMap, S) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks touched by S and the union of those blocks.
-
-    Returns (S_blocks, S_plus); |S_plus| = R * |S_blocks| and S is contained
-    in S_plus.
-    """
-    S = _vertices(list(S), bmap.base_n, "set vertex")
-    blocks = np.unique(S // bmap.R)
-    s_plus = (blocks[:, None] * bmap.R + np.arange(bmap.R)).ravel()
-    return blocks, s_plus
+    return UndirectedGraph.from_edges(n_prime, edges, ring_k=ring_tag)
 
 
 def blow_up_shortcut_probability(R: int, p: Fraction) -> Fraction:

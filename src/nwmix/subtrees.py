@@ -274,17 +274,6 @@ def deterministic_subtree_count(d: int, j: int) -> Fraction:
     return Fraction(math.comb(d * j, j - 1), j)
 
 
-def catalan(j: int) -> int:
-    """C(2j-2, j-1)/j, the count of rooted plane trees on j vertices.
-
-    Equals mu_j for any offspring law with q_j = 1 for all j, in particular
-    Poisson(1).
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return math.comb(2 * j - 2, j - 1) // j
-
-
 def mu_upper_bound_weak(C, j: int) -> Fraction:
     """(4C)^(j-1): dominates mu_poisson_closed_form(C, j), strictly for j >= 2."""
     if j < 1:
@@ -431,15 +420,17 @@ def _count_forest(offs: list[np.ndarray], j: int, distinct: bool) -> np.ndarray:
 
     Overflow rule: each value computed is a coefficient [z^a] of some E_u or
     N_u, or a nonnegative term of one, and [z^a] N_u <= [z^a] E_u <=
-    catalan(a) * top^(a-1), with top the largest child count (plane trees on
-    a vertices, times an ordered choice of children per tree edge).  With
-    a <= j, int64 is used only while catalan(j) * top^(j-1) fits it; else
+    mu_poisson_closed_form(1, a) * top^(a-1), with top the largest child
+    count (the Catalan number C(2a-2, a-1)/a of plane trees on a vertices,
+    times an ordered choice of children per tree edge).  With a <= j, int64
+    is used only while mu_poisson_closed_form(1, j) * top^(j-1) fits it; else
     the same code runs on Python integers in object arrays.  The tables stay
     inside the bound too: C(k, a) <= (k)_a <= top^a, and s! <= top^s since
     e_s is kept only for s <= top.
     """
     top = max(int(k.max()) for k in offs if k.size)
-    dtype = object if catalan(j) * top ** (j - 1) > _INT64_MAX else np.int64
+    dtype = (object if mu_poisson_closed_form(1, j) * top ** (j - 1) > _INT64_MAX
+             else np.int64)
     binom = np.array([[math.comb(k, a) for a in range(j)]
                       for k in range(top + 1)], dtype=dtype)
     ordered = np.array([[math.perm(k, a) for a in range(j)]

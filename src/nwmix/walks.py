@@ -42,15 +42,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .graphs import UndirectedGraph, _integers, _vertex, _vertices
 from .rng import _integer, make_rng, thread_philox
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
@@ -109,7 +105,6 @@ class LazyKernel:
     def __init__(self, graph: UndirectedGraph):
         from scipy import sparse
 
-        self.graph = graph
         n = graph.n
         deg = graph.degrees
         isolated = deg == 0
@@ -120,11 +115,6 @@ class LazyKernel:
         )
         hold = sparse.diags(np.where(isolated, 1.0, 0.5), format="csr")
         self._PT = (hold + adj_t).tocsr()
-
-    @property
-    def matrix(self) -> sparse.csc_matrix:
-        """The kernel P itself (a transposed view of the stored P^T)."""
-        return self._PT.T
 
     def step(self, mu: np.ndarray) -> np.ndarray:
         """One application of the kernel: mu P."""

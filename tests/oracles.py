@@ -31,7 +31,7 @@ def dense_kernel(g) -> np.ndarray:
     return P
 
 def dense_stationary(g) -> np.ndarray:
-    deg = np.array([g.degree(u) for u in range(g.n)], dtype=float)
+    deg = np.array([len(g.neighbors(u)) for u in range(g.n)], dtype=float)
     return deg / deg.sum()
 
 def dense_mixing_time(g, threshold=0.25, cap=100_000):
@@ -74,8 +74,8 @@ def exact_mixing_time(g, threshold=Fraction(1, 4), cap=100_000):
     """Rational-arithmetic twin of dense_mixing_time.  Slow; keep n small."""
     n = g.n
     P = exact_kernel(g)
-    total = 2 * sum(g.degree(u) for u in range(n))
-    pi = [Fraction(2 * g.degree(u), total) for u in range(n)]
+    total = 2 * sum(len(g.neighbors(u)) for u in range(n))
+    pi = [Fraction(2 * len(g.neighbors(u)), total) for u in range(n)]
     rows = [[Fraction(int(u == v)) for v in range(n)] for u in range(n)]
     per_start = [None] * n
     for t in range(cap + 1):
@@ -378,7 +378,7 @@ def local_search_profile(g, seed, iterations, restarts, size_cap=None, windows=N
         windows = [(Fraction(m, 2 ** i), Fraction(2 * m, 2 ** i))
                    for i in range(1, scales + 1)]
     nbr = neighbor_masks(g)
-    deg = [g.degree(u) for u in range(g.n)]
+    deg = [len(g.neighbors(u)) for u in range(g.n)]
     total = Fraction(0)
     per_scale = []
     for w, window in enumerate(windows):
@@ -732,11 +732,11 @@ def graph_text(g):
 
 
 def ring_contained(g, k):
-    """Whether g holds every edge of the (n, k)-ring, n > 2k: a binary search
-    of the n*k ring pairs (u, u + d mod n), d = 1..k, among its edges."""
-    u = np.repeat(np.arange(g.n, dtype=np.int64), k)
-    d = np.tile(np.arange(1, k + 1, dtype=np.int64), g.n)
-    return bool(np.all(g.has_edges(u, (u + d) % g.n)))
+    """Whether g holds every edge of the (n, k)-ring, n > 2k: each of the n*k
+    ring pairs (u, u + d mod n), d = 1..k, looked up in the set of pairs
+    (u, v) with v among g.neighbors(u)."""
+    pairs = {(u, v) for u in range(g.n) for v in g.neighbors(u).tolist()}
+    return all((u, (u + d) % g.n) in pairs for u in range(g.n) for d in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------

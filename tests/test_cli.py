@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from nwmix import ExperimentConfig, build_ring, complete_graph, experiments, write_graph
+from nwmix import (ExperimentConfig, VerificationError, build_ring, cli, complete_graph,
+                   experiments, write_graph)
 from nwmix.cli import EXIT_OK, EXIT_PARTIAL, EXIT_VALIDATION, main
 
 
@@ -198,6 +199,17 @@ def test_scaling_cli_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_scaling_cli_prints_its_summary_without_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["scaling", "--n", "16,32", "--c", "2", "--reps", "2", "--seed", "3"]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "n=16 reps=2 censored=0 median(tau/ln^2 n)=1.3009",
+        "n=32 reps=2 censored=0 median(tau/ln^2 n)=1.2488",
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scaling_cli_censored_exit(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["scaling", "--n", "64", "--c", "0", "--reps", "1",
@@ -284,6 +296,24 @@ def test_conductance_cli(tmp_path):
     assert code == EXIT_OK
     payload = json.loads((tmp_path / "cond.fr.json").read_text())
     assert payload["sum_exact"] == "85"
+
+
+def test_conductance_cli_prints_one_fr_line_per_n(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["conductance", "--n", "16,20", "--c", "0"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["n"] for line in lines] == [16, 20]
+    assert json.loads(lines[0])["sum_exact"] == "85"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verification_error_exits_one(monkeypatch, capsys):
+    def fail(cfg, J):
+        raise VerificationError("series identity broke")
+
+    monkeypatch.setattr(cli, "run_subtree_verification", fail)
+    assert main(["subtrees", "--c", "2", "--max-j", "4"]) == 1
+    assert capsys.readouterr().err == "error: series identity broke\n"
 
 
 def test_installed_entry_point():

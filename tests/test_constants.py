@@ -113,7 +113,7 @@ def test_solve_beta(c, k, t):
 def test_grid_value():
     v = GridValue(Fraction(3, 4), 2)
     assert float(v) == 0.1875
-    assert v.as_fraction() == Fraction(3, 16)
+    assert v.base / 2**v.t == Fraction(3, 16)
     assert v.exact_str() == "(3/4)*2^-2"
     assert math.isclose(v.log(), math.log(0.1875))
     tiny = GridValue(Fraction(1, 2), 10_000_000)

@@ -308,6 +308,16 @@ def test_run_conductance_expected_volume_caps_witnesses():
         run_conductance(cfg, variant="bogus")
 
 
+def test_run_conductance_expected_volume_at_c0_caps_at_nine_tenths():
+    # c = 0 has no constants, so the size cap is floor(9n/10) = 18 at n = 20;
+    # the first window admits the whole ring, and the cap keeps it out
+    cfg = ExperimentConfig(n_values=(20,), c=Fraction(0), master_seed=0)
+    (pair,) = run_conductance(cfg, variant="expected-volume")
+    sizes = [len(e.witness) for e in pair[1].profile.entries]
+    assert max(sizes) <= math.floor(9 * 20 / 10)
+    assert sizes == [18, 10, 5, 2, 1]
+
+
 def test_run_subtree_verification(tmp_path):
     out = tmp_path / "battery.txt"
     cfg = ExperimentConfig(c=Fraction(2), samples=400, master_seed=0,

@@ -8,12 +8,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nwmix import (
-    BlowUpMap,
     GraphSpec,
     GraphValidationError,
     UndirectedGraph,
     blow_up,
-    blow_up_set,
     blow_up_shortcut_probability,
     build_ring,
     complete_graph,
@@ -43,8 +41,8 @@ def test_ring_k2_regularity():
     assert g.m == 9 * 2
     assert np.all(g.degrees == 4)
     # distance-2 edges present, distance-3 absent
-    assert g.has_edge(0, 2) and g.has_edge(0, 7)
-    assert not g.has_edge(0, 3)
+    assert 2 in g.neighbors(0) and 7 in g.neighbors(0)
+    assert 3 not in g.neighbors(0)
 
 
 def test_ring_validation():
@@ -67,6 +65,8 @@ def test_spec_validation():
         GraphSpec(n=10, k=1, c=-1, seed=0)
     with pytest.raises(GraphValidationError):
         GraphSpec(n=10, k=1, c=11, seed=0)  # p > 1
+    with pytest.raises(GraphValidationError, match="k must be >= 1, got 0"):
+        GraphSpec(n=5, k=0, c=1, seed=0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -98,7 +98,7 @@ def test_adjacency_queries():
     assert int(g.degrees.sum()) == 2 * g.m
     assert list(g.neighbors(0)) == [1, 2]
     assert list(g.neighbors(4)) == []
-    assert g.has_edge(3, 2) and not g.has_edge(1, 2)
+    assert 2 in g.neighbors(3) and 2 not in g.neighbors(1)
     ea = g.edge_array()
     assert np.all(ea[:, 0] < ea[:, 1])
     assert ea.tolist() == sorted(ea.tolist())
@@ -120,7 +120,7 @@ def test_sample_contains_ring_and_edge_cases():
     g = sample_small_world(spec)
     for d in (1, 2):
         for u in range(30):
-            assert g.has_edge(u, (u + d) % 30)
+            assert (u + d) % 30 in g.neighbors(u)
     # c = 0 gives exactly the ring, c = n the complete graph
     assert sample_small_world(GraphSpec(n=30, k=2, c=0, seed=1)) == build_ring(30, 2)
     full = sample_small_world(GraphSpec(n=12, k=1, c=12, seed=1))
@@ -195,12 +195,8 @@ def test_read_graph_errors(tmp_path, text, msg):
 def test_blow_up_by_hand():
     base = build_ring(12, 1).edge_array()
     g = UndirectedGraph.from_edges(12, np.vstack([base, [[0, 6]]]), ring_k=1)
-    bmap = blow_up(g, 3)
-    assert isinstance(bmap, BlowUpMap)
-    assert bmap.n_blocks == 4
-    assert bmap.block_of(7) == 2
-    assert list(bmap.block_vertices(1)) == [3, 4, 5]
-    aux = bmap.auxiliary
+    aux = blow_up(g, 3)
+    assert isinstance(aux, UndirectedGraph) and aux.n == 4
     # ring of 4 blocks plus the contracted (0,6) shortcut joining blocks 0,2
     assert {tuple(e) for e in aux.edge_array().tolist()} == {
         (0, 1), (1, 2), (2, 3), (0, 3), (0, 2),
@@ -230,9 +226,7 @@ def test_blow_up_rejects_R_that_is_not_an_integer():
     for R in (3.0, 1.5, np.float64(4.0), "3", None):
         with pytest.raises(GraphValidationError, match="R must be an integer"):
             blow_up(g, R)
-    bmap = blow_up(g, np.int32(3))
-    assert bmap.R == 3 and type(bmap.R) is int
-    assert np.array_equal(bmap.auxiliary.edge_array(), blow_up(g, 3).auxiliary.edge_array())
+    assert blow_up(g, np.int32(3)) == blow_up(g, 3)
 
 
 _RING8 = build_ring(8, 1)
@@ -248,9 +242,6 @@ _RING8 = build_ring(8, 1)
     (lambda: UndirectedGraph.from_edges(4, [(0.5, 1.7), (2, 3)]), GraphValidationError),
     (lambda: UndirectedGraph.from_edges(4, np.array([[0, 1]], dtype=bool)),
      GraphValidationError),
-    (lambda: _RING8.has_edges([0.9], [1.2]), GraphValidationError),
-    (lambda: _RING8.has_edge(0.0, 1), GraphValidationError),
-    (lambda: _RING8.has_edge(1, "2"), GraphValidationError),
     (lambda: sample_starts(10, 3.5, 1), WalkError),
     (lambda: build_ring(8, 1.5), GraphValidationError),
     (lambda: build_ring(8.0, 1), GraphValidationError),
@@ -258,8 +249,8 @@ _RING8 = build_ring(8, 1)
     (lambda: complete_graph(4.0), GraphValidationError),
 ], ids=["cut-floats", "cut-float-array", "cut-strings", "containing-float",
         "containing-string", "j-float", "edges-floats", "edges-bools",
-        "has-edges-floats", "has-edge-float", "has-edge-string", "start-count-float",
-        "ring-k-float", "ring-n-float", "ring-n-string", "complete-n-float"])
+        "start-count-float", "ring-k-float", "ring-n-float", "ring-n-string",
+        "complete-n-float"])
 def test_non_integer_vertices_are_rejected(call, error):
     # floats are not truncated and strings not parsed: each module raises
     # its own ValueError, naming the integer it wanted
@@ -267,26 +258,14 @@ def test_non_integer_vertices_are_rejected(call, error):
         call()
 
 
-_BMAP8 = blow_up(_RING8, 2)
-
-
 @pytest.mark.parametrize("call, match", [
     (lambda: _RING8.neighbors(-1), "out of range"),
     (lambda: _RING8.neighbors(8), "out of range"),
     (lambda: _RING8.neighbors(1.0), "must be an integer"),
-    (lambda: _RING8.degree(-1), "out of range"),
-    (lambda: _RING8.degree(8), "out of range"),
-    (lambda: _RING8.degree("1"), "must be an integer"),
-    (lambda: blow_up_set(_BMAP8, [0.5, 1.7]), "must be integers"),
-    (lambda: blow_up_set(_BMAP8, ["1", "2"]), "must be integers"),
-    (lambda: blow_up_set(_BMAP8, np.array([1.0, 2.0])), "must be integers"),
-    (lambda: blow_up_set(_BMAP8, [1, -2]), "set vertex -2 out of range for n = 8"),
-], ids=["neighbors-negative", "neighbors-past-n", "neighbors-float", "degree-negative",
-        "degree-past-n", "degree-string", "blow-up-set-floats", "blow-up-set-strings",
-        "blow-up-set-float-array", "blow-up-set-negative"])
+], ids=["neighbors-negative", "neighbors-past-n", "neighbors-float"])
 def test_bad_vertices_raise_instead_of_wrapping_or_truncating(call, match):
-    # a negative vertex no longer wraps to the end of the CSR arrays, nor a
-    # float or string set vertex truncates or parses to a block
+    # a negative vertex does not wrap to the end of the CSR arrays, nor a
+    # float vertex truncate
     with pytest.raises(GraphValidationError, match=match):
         call()
 
@@ -296,17 +275,12 @@ def test_integer_vertices_of_any_type_are_accepted():
     assert cut_stats(g, np.array([1, 2], dtype=np.int8)) == cut_stats(g, [1, 2])
     assert connected_set_counts(g, np.int64(3), containing=np.int32(1)) == \
         connected_set_counts(g, 3, containing=1)
-    assert g.has_edge(np.int64(0), np.uint8(1)) and not g.has_edge(0, 2)
-    assert g.has_edges(np.array([0, 0], dtype=np.uint16), [1, 2]).tolist() == [True, False]
     assert UndirectedGraph.from_edges(3, []).m == 0
     h = UndirectedGraph.from_edges(4, np.array([[0, 1], [2, 3]], dtype=np.int32))
     assert h.edge_array().tolist() == [[0, 1], [2, 3]]
     assert sample_starts(10, np.int64(3), 1) == sample_starts(10, 3, 1)
-    with pytest.raises(GraphValidationError, match="out of range"):
-        g.has_edge(8, 1)
-    assert g.neighbors(np.uint8(7)).tolist() == [0, 6] and g.degree(np.int64(0)) == 2
-    blocks, s_plus = blow_up_set(_BMAP8, np.array([1, 6], dtype=np.int16))
-    assert blocks.tolist() == [0, 3] and s_plus.tolist() == [0, 1, 6, 7]
+    assert g.neighbors(np.uint8(7)).tolist() == [0, 6]
+    assert g.neighbors(np.int64(0)).tolist() == [1, 7]
 
 
 @pytest.mark.parametrize("call, match", [
@@ -322,16 +296,6 @@ def test_arguments_are_read_whichever_path_runs(call, match):
     # tree draws nothing, yet each argument is checked as if it were read
     with pytest.raises(ValueError, match=match):
         call()
-
-
-def test_blow_up_set():
-    bmap = blow_up(build_ring(12, 1), 3)
-    blocks, s_plus = blow_up_set(bmap, {0, 5, 7})
-    assert list(blocks) == [0, 1, 2]
-    assert list(s_plus) == list(range(9))
-    assert len(s_plus) == bmap.R * len(blocks)
-    with pytest.raises(GraphValidationError):
-        blow_up_set(bmap, {0, 12})
 
 
 def test_blow_up_shortcut_probability():
@@ -364,33 +328,12 @@ def test_ring_tagged_graphs_are_connected_without_a_search(tmp_path, monkeypatch
     monkeypatch.setattr(UndirectedGraph, "_bfs_connected", no_search)
     tagged = [sample_small_world(GraphSpec(n=50, k=1, c=Fraction(1, 2), seed=3)),
               sample_small_world(GraphSpec(n=20, k=3, c=0, seed=0)),
-              build_ring(7, 3), read_graph(path), blow_up(base, 5).auxiliary]
+              build_ring(7, 3), read_graph(path), blow_up(base, 5)]
     for g in tagged:
         assert g.ring_k >= 1 and g.is_connected()
     untagged = UndirectedGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(AssertionError, match="BFS"):
         untagged.is_connected()
-
-
-def test_has_edges_matches_has_edge():
-    rng = np.random.default_rng(2)
-    graphs = [sample_small_world(GraphSpec(n=n, k=k, c=c, seed=s))
-              for n, k, c, s in [(30, 1, 3, 0), (41, 2, 5, 1), (64, 1, 1, 2)]]
-    graphs.append(UndirectedGraph.from_edges(7, np.empty((0, 2), dtype=np.int64)))
-    for g in graphs:
-        ea = g.edge_array()
-        u = np.concatenate([ea[:, 0], ea[:, 1], rng.integers(0, g.n, 200)])
-        v = np.concatenate([ea[:, 1], ea[:, 0], rng.integers(0, g.n, 200)])
-        got = g.has_edges(u, v)
-        want = [g.has_edge(int(a), int(b)) for a, b in zip(u, v)]
-        assert got.tolist() == want
-        assert got[: 2 * g.m].all()  # both orientations of every edge
-        assert not all(want[2 * g.m:])  # some random pairs are absent
-    empty = graphs[-1]
-    assert empty.has_edges(np.array([0, 6]), np.array([1, 5])).tolist() == [False, False]
-    assert empty.has_edges(np.empty(0, np.int64), np.empty(0, np.int64)).size == 0
-    with pytest.raises(GraphValidationError, match="vertex 30 out of range for n = 30"):
-        graphs[0].has_edges(np.array([0]), np.array([30]))
 
 
 def test_tagged_graph_missing_one_ring_edge_raises():
@@ -575,9 +518,11 @@ def _drop_and_add(g, drop, add):
     """g's edges without edge `drop` (mod m), plus the `add`-th (mod count)
     pair that is not an edge, if any."""
     edges = g.edge_array()
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
     edges = np.delete(edges, drop % len(edges), axis=0)
     iu, iv = np.triu_indices(g.n, k=1)
-    absent = ~g.has_edges(iu, iv)
+    absent = ~adj[iu, iv]
     if add is not None and absent.any():
         pick = np.flatnonzero(absent)[add % absent.sum()]
         edges = np.vstack([edges, [[iu[pick], iv[pick]]]])
@@ -604,6 +549,6 @@ def test_ring_check_matches_oracle(k, extra, c, gseed, drop, add):
        drop=st.integers(0, 10**6), add=st.one_of(st.none(), st.integers(0, 10**6)))
 def test_ring_check_on_blow_ups_matches_oracle(n_blocks, R, c, gseed, drop, add):
     base = sample_small_world(GraphSpec(n=n_blocks * R, k=1, c=c, seed=gseed))
-    aux = blow_up(base, R).auxiliary
+    aux = blow_up(base, R)
     assert aux.ring_k == 1 and oracles.ring_contained(aux, 1)
     _ring_check_agrees(aux.n, 1, _drop_and_add(aux, drop, add))

@@ -14,7 +14,6 @@ from nwmix import (
     binomial_plus_law,
     brute_force_mu,
     build_ring,
-    catalan,
     complete_graph,
     connected_set_counts,
     count_root_embeddings,
@@ -235,9 +234,10 @@ def test_poisson_closed_form():
         q = factorial_moments(poisson_law(c), 30)
         mu = mu_by_functional_equation(q, 30)
         assert mu == [mu_poisson_closed_form(c, j) for j in range(1, 31)]
-    assert [catalan(j) for j in range(1, 9)] == [1, 1, 2, 5, 14, 42, 132, 429]
+    assert [mu_poisson_closed_form(1, j) for j in range(1, 9)] == [
+        1, 1, 2, 5, 14, 42, 132, 429]
     assert mu_by_functional_equation([Fraction(1)] * 30, 30) == [
-        catalan(j) for j in range(1, 31)
+        mu_poisson_closed_form(1, j) for j in range(1, 31)
     ]
 
 
@@ -404,7 +404,7 @@ def test_mc_counts_past_int64_use_python_ints(distinct):
     past int64 while the trees stay small; the object-dtype path must give
     the oracle's exact integers."""
     law = explicit_law([(0, Fraction(97, 100)), (40, Fraction(3, 100))])
-    assert catalan(13) * 40**12 > np.iinfo(np.int64).max
+    assert mu_poisson_closed_form(1, 13) * 40**12 > np.iinfo(np.int64).max
     blocks = list(subtrees._mc_counts(law, 13, 300, 3, distinct))
     assert all(block.dtype == object for block in blocks)
     got = [int(x) for block in blocks for x in block]
