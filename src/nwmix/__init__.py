@@ -44,6 +44,7 @@ from .experiments import (
     run_quiet_arc,
     run_scaling,
     run_subtree_verification,
+    write_mu_table,
 )
 from .graphs import (
     GraphSpec,
@@ -76,7 +77,6 @@ from .subtrees import (
     mu_upper_bound_weak,
     poisson_law,
     subset_moments,
-    write_mu_table,
 )
 from .walks import (
     EscapeResult,

@@ -23,6 +23,7 @@ from .experiments import (
     QUIET_ARC_HEADER,
     ExperimentConfig,
     VerificationError,
+    _write_text,
     battery_text,
     build_graph,
     conductance_bound,
@@ -31,9 +32,10 @@ from .experiments import (
     run_quiet_arc,
     run_scaling,
     run_subtree_verification,
+    write_mu_table,
 )
 from .graphs import GraphValidationError, graph_text, read_graph, write_graph
-from .subtrees import poisson_law, write_mu_table
+from .subtrees import poisson_law
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -65,8 +67,7 @@ def _single_graph(cfg: ExperimentConfig, args):
 def _emit(cfg: ExperimentConfig, payload: str) -> None:
     """One JSON payload to --out if given, else to stdout."""
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_text(cfg.out, payload + "\n")
     else:
         print(payload)
 

@@ -2,10 +2,11 @@
 
 For a set S, e(S) is the total degree of S, e(S, S^c) the number of edges
 leaving it, and Phi(S) = e(S, S^c) / e(S).  The scale profile takes, per
-dyadic scale x = 2^-i, the minimum Phi(S) over connected S whose volume lies
-in [x*m, 2*x*m]; summing Phi^-2 over scales gives the Fountoulakis-Reed
-style mixing-time bound.  Scales whose volume window contains no connected
-set get Phi = +inf and contribute 0 to the sum.  ``fr_bound`` computes the
+dyadic scale x = 2^-i, the minimum Phi(S) over connected proper subsets S
+whose volume lies in [x*m, 2*x*m]; summing Phi^-2 over scales gives the
+Fountoulakis-Reed style mixing-time bound.  Scales whose volume window
+contains no connected proper subset get Phi = +inf and contribute 0 to the
+sum.  ``fr_bound`` computes the
 profile, one window per scale: ``profile.entries[i - 1]`` is scale i.
 
 One bitmask core serves every set search: a vertex set, and each adjacency
@@ -36,17 +37,16 @@ takes its exact minimum as its floor; the first window past the budget ends
 the enumeration, as each later window holds a superset of its sets.  Any
 other window takes the parity floor: a proper subset has cut at least 2k if
 the graph is tagged as holding the 2k-edge-connected (n, k)-ring (else at
-least 1), of the parity of its volume, since vol = 2 e(S) + cut, and the
-whole vertex set, where the window admits it, has cut 0.  A window that no
-set fits is not annealed, and a run, or a window's restarts, end once the
-best meets the floor.  Bests are replaced only on a strictly smaller ratio,
-so every phi, witness and total is the one the full search gives; the exact
-minima only stop the search, and are not reported.
+least 1), of the parity of its volume, since vol = 2 e(S) + cut; no window
+admits the whole vertex set.  A window that no set fits is not annealed,
+and a run, or a window's restarts, end once the best meets the floor.
+Bests are replaced only on a strictly smaller ratio, so every phi, witness
+and total is the one the full search gives; the exact minima only stop the
+search, and are not reported.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -297,25 +297,14 @@ class ScaleProfile:
     mode: str
     entries: list[ScaleEntry] = field(default_factory=list)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["i", "x", "phi", "volume_lo", "volume_hi", "certified",
-                        "witness_size"])
-            for e in self.entries:
-                phi = "inf" if e.empty else repr(float(e.phi))
-                size = "" if e.witness is None else len(e.witness)
-                w.writerow([e.i, repr(float(e.x)), phi, repr(float(e.vol_lo)),
-                            repr(float(e.vol_hi)), str(e.certified).lower(), size])
-
 
 def num_scales(m: int) -> int:
     return max(1, math.ceil(math.log2(m)))
 
 
 def _exact_minima(adj, deg, windows, size_cap, budget):
-    """Per window, the minimum (cut, volume, S) over connected sets with
-    volume in the window, or None, by one enumeration.
+    """Per window, the minimum (cut, volume, S) over connected proper
+    subsets with volume in the window, or None, by one enumeration.
 
     The enumeration keeps, per volume, the least cut and its lexicographically
     smallest set; each window then takes the least ratio over its volumes.
@@ -323,7 +312,7 @@ def _exact_minima(adj, deg, windows, size_cap, budget):
     bounds = [(math.ceil(lo), math.floor(hi)) for lo, hi in windows]
     top = max(hi for _, hi in bounds)
     min_deg = min(deg)
-    max_size = len(adj) if min_deg == 0 else min(len(adj), top // min_deg)
+    max_size = len(adj) - 1 if min_deg == 0 else min(len(adj) - 1, top // min_deg)
     if size_cap is not None:
         max_size = min(max_size, size_cap)
     total = sum(deg)  # no cut or volume exceeds it
@@ -356,22 +345,20 @@ def _drop_neighbors(adj, nbr: int, w: int, S: int) -> int:
     return nbr
 
 
-def _window_floor(deg, ring_k, window, size_cap):
-    """The least cut/volume that a connected set with volume in the window
-    can have, as a (cut, volume) pair, or None when no set fits the window.
+def _window_floor(deg, ring_k, window):
+    """The least cut/volume that a connected proper subset with volume in
+    the window can have, as a (cut, volume) pair, or None when no set fits
+    the window.
 
-    A window admitting the whole vertex set has floor 0.  A proper subset of
-    a connected graph has cut >= 1, and of a graph holding the (n, k)-ring,
-    which is 2k-edge-connected, cut >= 2k; its volume is at least the least
-    degree and below 2m, and its cut has the parity of its volume, as
-    vol = 2 e(S) + cut.  With c(v) that least cut for volume v, one of the
-    top two volumes v in range has the least c(v)/v.
+    A proper subset of a connected graph has cut >= 1, and of a graph
+    holding the (n, k)-ring, which is 2k-edge-connected, cut >= 2k; its
+    volume is at least the least degree and below 2m, and its cut has the
+    parity of its volume, as vol = 2 e(S) + cut.  With c(v) that least cut
+    for volume v, one of the top two volumes v in range has the least c(v)/v.
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
     total = sum(deg)
-    if vlo <= total <= vhi and (size_cap is None or size_cap >= len(deg)):
-        return 0, 1
     least = 2 * ring_k if ring_k else 1
     top = min(vhi, total - 1)
     floor = None
@@ -425,10 +412,11 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
     ``words`` is a ``philox_words`` stream.  Moves add a uniform boundary
     vertex or drop a uniform vertex of S (kept only if S stays connected),
     both drawn from the ascending vertex order.  The objective is cut/volume
-    for a set that fits the window and the size cap, plus the window's
-    `_window_penalties` for one that does not.  The neighborhood of S is
-    kept across moves, and an accepted drop updates it in place
-    (`_drop_neighbors`).
+    for a set that fits: its volume lies in the window, its size within the
+    size cap, and it is not the whole vertex set; for one that does not fit
+    the window's `_window_penalties` are added, which do not count the whole
+    vertex set as past the cap.  The neighborhood of S is kept across moves,
+    and an accepted drop updates it in place (`_drop_neighbors`).
 
     The draws are those of a numpy ``Generator`` on the same stream, read
     from the raw words inline.  ``Generator.random()`` is a word's top 53
@@ -454,7 +442,7 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
     """
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
-    cap = len(adj) if size_cap is None else size_cap  # no set has more than n vertices
+    cap = len(adj) - 1 if size_cap is None else min(size_cap, len(adj) - 1)
     floor_cut, floor_vol = floor
     by_volume, by_size = penalties
     word = words.__next__
@@ -574,13 +562,12 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
     ascending order of upper bound and the first that overflows ends the
     enumeration, since each later one would visit a superset of its sets;
     so besides the enumerations that fit, a call spends at most one budget.
-    Windows whose parity floor is 0 or absent are not enumerated: the whole
-    vertex set meets a floor of 0, and no set fits the others.
+    Windows with no parity floor are not enumerated: no set fits them.
     """
-    floors = [_window_floor(deg, ring_k, window, size_cap) for window in windows]
+    floors = [_window_floor(deg, ring_k, window) for window in windows]
     for w in sorted(range(len(windows)), key=lambda w: windows[w][1]):
-        if floors[w] is None or floors[w][0] == 0:
-            continue  # no set fits, or the whole vertex set does and has cut 0
+        if floors[w] is None:
+            continue
         try:
             exact, = _exact_minima(adj, deg, [windows[w]], size_cap, restarts * iterations)
         except EnumerationBudgetError:
@@ -704,7 +691,7 @@ def fr_bound(
     for i, (x, (lo, hi), b) in enumerate(zip(xs, windows, got), start=1):
         phi, witness = ((math.inf, None) if b is None
                         else (Fraction(b[0], b[1]), _members(b[2])))
-        if 0 < phi < math.inf:  # phi == 0 only for S = V, which no window admits
+        if phi < math.inf:  # a proper subset of a connected graph has cut >= 1
             total += 1 / (phi * phi)
         profile.entries.append(
             ScaleEntry(i=i, x=x, vol_lo=lo, vol_hi=hi, phi=phi,

@@ -5,11 +5,17 @@ the master seed, so a rerun with the same config is byte-identical in its
 primary CSV/JSON outputs.  Wall-clock timings go to a separate sidecar file
 for exactly that reason.  Summary statistics are re-derived from the raw
 rows before returning and compared against the in-memory values.
+
+This module writes every primary output file but the edge lists, which
+``graphs.write_graph`` writes beside their reader: CSV rows through
+``_write_rows`` and its ``_fmt`` cell rule, and every file, CSV, JSON or
+text, through ``_write_text``, as UTF-8 with LF line ends on every platform.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import statistics
 import time
@@ -85,7 +91,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Parse a line-based ``key = value`` config; '#' starts a comment."""
+        """Parse a line-based ``key = value`` config; '#' starts a comment,
+        and a key set twice is an error."""
         values = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -94,8 +101,10 @@ class ExperimentConfig:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key, _, val = (part.strip() for part in line.partition("="))
+                if key in values:
+                    raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
+                values[key] = val
         return cls().overridden(**values)
 
     def overridden(self, **kwargs) -> "ExperimentConfig":
@@ -197,10 +206,17 @@ def quiet_arc_threshold(n: int, c) -> float | None:
     return math.log(n) / (8 * float(c))
 
 
-# -- CSV plumbing ----------------------------------------------------------------
+# -- output files ----------------------------------------------------------------
+
+
+def _write_text(path, text: str) -> None:
+    """``text`` to ``path`` as UTF-8, its line ends written as LF."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _fmt(v) -> str:
+    """A CSV cell: None empty, bools true/false, floats by repr, else str."""
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -211,11 +227,11 @@ def _fmt(v) -> str:
 
 
 def _write_rows(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([_fmt(v) for v in row] for row in rows)
+    _write_text(path, buf.getvalue())
 
 
 # -- mixing-time scaling ---------------------------------------------------------
@@ -294,10 +310,10 @@ def run_scaling(config: ExperimentConfig):
         rows = [[VERSION, config.master_seed, r.n, r.rep, r.seed, r.mode,
                  r.tau, r.censored, r.log_sq_n, r.ratio] for r in records]
         _write_rows(config.out, SCALING_HEADER, rows)
-        _write_rows(_summary_path(config.out), SCALING_SUMMARY_HEADER,
+        _write_rows(config.out + ".summary.csv", SCALING_SUMMARY_HEADER,
                     [[VERSION, config.master_seed, n, reps, cens, med]
                      for n, reps, cens, med in summaries])
-        _write_rows(_timing_path(config.out), ["n", "rep", "seconds"],
+        _write_rows(config.out + ".timing.csv", ["n", "rep", "seconds"],
                     [(n, rep, f"{s:.3f}") for n, rep, s in timings])
         _check_scaling_roundtrip(config.out, summaries)
     return records, summaries
@@ -311,14 +327,6 @@ def _summarize_scaling(config, records):
         med = statistics.median(ratios) if ratios else None
         summaries.append((n, config.reps, cens, med))
     return summaries
-
-
-def _summary_path(out: str) -> str:
-    return out + ".summary.csv"
-
-
-def _timing_path(out: str) -> str:
-    return out + ".timing.csv"
 
 
 def _check_scaling_roundtrip(out, summaries) -> None:
@@ -396,6 +404,10 @@ def run_quiet_arc(config: ExperimentConfig):
 # -- conductance experiment ------------------------------------------------------
 
 
+PROFILE_HEADER = ["i", "x", "phi", "volume_lo", "volume_hi", "certified",
+                  "witness_size"]
+
+
 def expected_volume_windows(n: int, c, k: int, scales: int):
     """Volume windows x n(c/2+k)/2 <= e(S) <= 4 x n(c/2+k) per dyadic x.
 
@@ -446,9 +458,12 @@ def run_conductance(config: ExperimentConfig, variant: str = "standard"):
         results.append((n, bound))
         if config.out:
             stem = config.out if len(config.n_values) == 1 else f"{config.out}.n{n}"
-            bound.profile.write_csv(stem + ".profile.csv")
-            with open(stem + ".fr.json", "w", encoding="utf-8") as fh:
-                fh.write(bound.to_json() + "\n")
+            _write_rows(stem + ".profile.csv", PROFILE_HEADER,
+                        [[e.i, float(e.x), float(e.phi), float(e.vol_lo),
+                          float(e.vol_hi), e.certified,
+                          None if e.empty else len(e.witness)]
+                         for e in bound.profile.entries])
+            _write_text(stem + ".fr.json", bound.to_json() + "\n")
     return results
 
 
@@ -538,9 +553,20 @@ def run_subtree_verification(config: ExperimentConfig, J: int = 30):
         soft(f"mc poisson(1) j={j}", ok,
              f"est={est.mean:.4f}+-{est.stderr:.4f} exact={float(exact_mu[j-1]):.4f}")
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(battery_text(report))
+        _write_text(config.out, battery_text(report))
     return report
+
+
+def write_mu_table(path, law: st.OffspringLaw, J: int, bound_C=None) -> None:
+    """CSV of j, q_j, mu_j and (optionally) the Catalan-type bound, exact."""
+    q = st.factorial_moments(law, J)
+    mu = st.mu_by_functional_equation(q, J)
+    header, rows = ["j", "q_j", "mu_j"], [[j, q[j], mu[j - 1]] for j in range(1, J + 1)]
+    if bound_C is not None:
+        header.append("bound_j")
+        for row in rows:
+            row.append(st.mu_poisson_closed_form(bound_C, row[0]))
+    _write_rows(path, header, rows)
 
 
 def battery_text(report) -> str:

@@ -25,7 +25,6 @@ count_root_embeddings hand a single tree to the same counter.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -522,20 +521,3 @@ def count_root_embeddings(children: list[list[int]], j: int) -> int:
     engine.
     """
     return _count_tree(children, j, distinct=False)
-
-
-def write_mu_table(path, law: OffspringLaw, J: int, bound_C=None) -> None:
-    """CSV of j, q_j, mu_j and (optionally) the Catalan-type bound, exact."""
-    q = factorial_moments(law, J)
-    mu = mu_by_functional_equation(q, J)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        header = ["j", "q_j", "mu_j"]
-        if bound_C is not None:
-            header.append("bound_j")
-        w.writerow(header)
-        for j in range(1, J + 1):
-            row = [j, str(q[j]), str(mu[j - 1])]
-            if bound_C is not None:
-                row.append(str(mu_poisson_closed_form(bound_C, j)))
-            w.writerow(row)

@@ -193,15 +193,15 @@ def all_connected_subsets(g, max_size=None):
     return out
 
 def min_phi_in_window(g, vol_lo, vol_hi, size_cap=None):
-    """Exact minimum conductance over connected sets with volume in
-    [vol_lo, vol_hi], by scanning all subsets.  Returns (phi, best_set)
+    """Exact minimum conductance over connected proper subsets with volume
+    in [vol_lo, vol_hi], by scanning all subsets.  Returns (phi, best_set)
     with phi = Fraction and best_set the lexicographically smallest sorted
     tuple among the minimizers, or (None, None) when the window is empty.
     """
     nbr = neighbor_masks(g)
     best = None
     best_set = None
-    for mask in range(1, 1 << g.n):
+    for mask in range(1, (1 << g.n) - 1):
         if size_cap is not None and mask.bit_count() > size_cap:
             continue
         cut, vol = mask_cut_volume(mask, g)
@@ -215,17 +215,27 @@ def min_phi_in_window(g, vol_lo, vol_hi, size_cap=None):
             best, best_set = phi, members
     return best, best_set
 
-def fr_sum_bruteforce(g, size_cap=None):
-    """Sum of phi^-2 over dyadic volume scales, all by subset scan."""
+def fr_sum_bruteforce(g):
+    """Sum of phi^-2 over dyadic volume scales, and the per-scale phi (None
+    for an empty window), from one scan of all subsets: per volume the least
+    cut of a connected proper subset, and per window the least cut/volume
+    over the volumes in it."""
+    nbr = neighbor_masks(g)
+    least = {}  # volume -> least cut of a connected proper subset
+    for mask in range(1, (1 << g.n) - 1):
+        cut, vol = mask_cut_volume(mask, g)
+        if cut < least.get(vol, cut + 1) and mask_connected(mask, nbr):
+            least[vol] = cut
     m = g.m
     scales = max(1, math.ceil(math.log2(m)))
     total = Fraction(0)
     per_scale = []
     for i in range(1, scales + 1):
         x = Fraction(1, 2 ** i)
-        phi, _ = min_phi_in_window(g, x * m, 2 * x * m, size_cap=size_cap)
+        phi = min((Fraction(cut, vol) for vol, cut in least.items()
+                   if x * m <= vol <= 2 * x * m), default=None)
         per_scale.append(phi)
-        if phi is not None and phi > 0:
+        if phi is not None:
             total += 1 / phi ** 2
     return total, per_scale
 
@@ -310,8 +320,9 @@ def anneal_once(nbr, deg, start, window, size_cap, rng, iterations):
     lo, hi = window
     vlo, vhi = math.ceil(lo), math.floor(hi)
 
-    def fits(vol, size):
-        return vlo <= vol <= vhi and (size_cap is None or size <= size_cap)
+    def fits(vol, size):  # the whole vertex set never fits
+        return (vlo <= vol <= vhi and size < len(nbr)
+                and (size_cap is None or size <= size_cap))
 
     def objective(cut, vol, size):
         pen = 0.0

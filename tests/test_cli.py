@@ -276,6 +276,11 @@ def test_bad_config_values_name_their_key(tmp_path, capsys):
     # a config file may hold keys the subcommand has no flag for
     cfg.write_text("n = 16\nk = 1\nc = 0\nreps = 9\nbudget = 5\ncap = 7\n")
     assert main(["constants", "--config", str(cfg), "--c", "1"]) == EXIT_OK
+    # but none twice
+    cfg.write_text("n = 64\nc = 1\nn = 128\n")
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {cfg}:3: key 'n' is set twice\n"
+    assert not out.exists()
 
 
 def test_config_counts_below_one_exit_validation(tmp_path, capsys):
@@ -288,6 +293,34 @@ def test_config_counts_below_one_exit_validation(tmp_path, capsys):
     cfg.write_text("samples = 0\n")
     assert main(["subtrees", "--config", str(cfg), "--max-j", "4"]) == EXIT_VALIDATION
     assert "samples" in capsys.readouterr().err
+
+
+def test_every_output_file_is_utf8_with_lf_line_ends(tmp_path):
+    # every subcommand that writes a file, with --out, and subtrees --table
+    def at(name):
+        return str(tmp_path / name)
+
+    for argv in (
+        ["generate", "--n", "16", "--c", "2", "--out", at("g.txt")],
+        ["mix", "--n", "16", "--c", "2", "--out", at("mix.json")],
+        ["conductance", "--n", "12,16", "--c", "2", "--out", at("cond")],
+        ["fr-bound", "--n", "16", "--c", "2", "--out", at("fr.json")],
+        ["subtrees", "--c", "2", "--max-j", "4", "--mc-samples", "200",
+         "--table", at("mu.csv"), "--out", at("battery.txt")],
+        ["constants", "--c", "1/2", "--out", at("k.json")],
+        ["scaling", "--n", "16", "--c", "2", "--reps", "1", "--out", at("s.csv")],
+        ["quiet-arc", "--n", "64", "--c", "1/2", "--reps", "1", "--out", at("q.csv")],
+    ):
+        assert main(argv) == EXIT_OK, argv
+    files = sorted(tmp_path.iterdir())
+    assert [p.name for p in files] == [
+        "battery.txt", "cond.n12.fr.json", "cond.n12.profile.csv", "cond.n16.fr.json",
+        "cond.n16.profile.csv", "fr.json", "g.txt", "k.json", "mix.json", "mu.csv",
+        "q.csv", "s.csv", "s.csv.summary.csv", "s.csv.timing.csv"]
+    for p in files:
+        data = p.read_bytes()
+        data.decode("utf-8")
+        assert data.endswith(b"\n") and b"\r" not in data, p.name
 
 
 def test_conductance_cli(tmp_path):

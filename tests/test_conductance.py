@@ -23,7 +23,7 @@ from nwmix import (
 )
 
 from nwmix import conductance
-from nwmix.experiments import expected_volume_windows
+from nwmix.experiments import ExperimentConfig, expected_volume_windows, run_conductance
 from nwmix.rng import derive_seed, philox
 
 import oracles
@@ -174,6 +174,30 @@ def test_fr_bound_matches_bruteforce(seed):
         assert (math.inf if phi is None else phi) == entry.phi
 
 
+@pytest.mark.parametrize("g", [build_ring(10, 1), H12], ids=["C10", "H12"])
+def test_fr_sum_oracle_matches_window_scans(g):
+    # the one-scan oracle against a subset scan per window
+    total, per_scale = oracles.fr_sum_bruteforce(g)
+    want = [oracles.min_phi_in_window(g, Fraction(g.m, 2**i), Fraction(g.m, 2**(i - 1)))[0]
+            for i in range(1, num_scales(g.m) + 1)]
+    assert per_scale == want
+    assert total == sum(1 / phi**2 for phi in want if phi is not None)
+
+
+@pytest.mark.parametrize("mode", ["exact", "local-search"])
+def test_witness_is_a_proper_subset(mode):
+    # windows that reach vol(V) = 2m admit every proper subset, but not V
+    res = fr_bound(build_ring(20, 1), mode=mode,
+                   windows=expected_volume_windows(20, 0, 1, 5))
+    assert res.profile.entries[0].phi == Fraction(1, 19) and res.total == 491
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
+    L = num_scales(g.m)
+    res = fr_bound(g, mode=mode, windows=[(g.m, 2 * g.m)] * L)
+    assert all(e.phi == Fraction(1, 33) and len(e.witness) < g.n
+               for e in res.profile.entries)
+    assert res.total == 1089 * L == 6534
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_local_search_upper_bounds_exact(seed):
     g = sample_small_world(GraphSpec(n=14, k=1, c=2, seed=seed))
@@ -211,15 +235,15 @@ def test_fr_bound_window_override():
 
 
 def test_scale_profile_csv(tmp_path):
-    g = build_ring(16, 1)
-    res = fr_bound(g, size_cap=3)  # has both empty and nonempty scales
-    path = tmp_path / "profile.csv"
-    res.profile.write_csv(path)
-    rows = list(csv.reader(path.read_text().splitlines()))
+    # the bare ring C17 has both empty and nonempty scales: its last window,
+    # [17/32, 17/16], lies below the least degree, 2
+    cfg = ExperimentConfig(n_values=(17,), c=0, out=str(tmp_path / "c17"))
+    (_, res), = run_conductance(cfg)
+    rows = list(csv.reader((tmp_path / "c17.profile.csv").read_text().splitlines()))
     assert rows[0] == ["i", "x", "phi", "volume_lo", "volume_hi", "certified",
                        "witness_size"]
     assert len(rows) == 1 + len(res.profile.entries)
-    assert rows[1][2] == "inf" and rows[1][6] == ""
+    assert rows[-1][2] == "inf" and rows[-1][6] == ""
     nonempty = [r for r in rows[1:] if r[2] != "inf"]
     assert all(float(r[2]) > 0 for r in nonempty)
 
@@ -340,8 +364,8 @@ def test_window_floor_bounds_every_connected_set(n, k, c, graph_seed, shape, dat
     elif shape == "tree":
         g = _tree_with_shortcuts(g, graph_seed)
     deg = g.degrees.tolist()
-    sets = []
-    for s in oracles.all_connected_subsets(g):
+    sets = []  # the proper subsets, as no window admits the whole vertex set
+    for s in oracles.all_connected_subsets(g, max_size=g.n - 1):
         mask = sum(1 << v for v in s)
         sets.append((len(s), *oracles.mask_cut_volume(mask, g)))
     # every volume pair up to 2m, in halves, and a few sizes of cap
@@ -360,7 +384,7 @@ def test_window_floor_bounds_every_connected_set(n, k, c, graph_seed, shape, dat
             if size_cap is None or size <= size_cap:
                 least[vol] = min(cut, least.get(vol, cut))
         for lo, hi in windows:
-            floor = conductance._window_floor(deg, g.ring_k, (lo, hi), size_cap)
+            floor = conductance._window_floor(deg, g.ring_k, (lo, hi))
             inside = [Fraction(cut, vol) for vol, cut in least.items() if lo <= vol <= hi]
             if floor is None:
                 assert not inside, (lo, hi, size_cap)
@@ -507,7 +531,7 @@ def test_local_search_stops_at_the_exact_window_minimum(monkeypatch):
         for e, least in zip(res.profile.entries, exact.profile.entries):
             window = (e.vol_lo, e.vol_hi)
             runs = [(floor, got) for w, floor, got in calls if w == window]
-            parity = conductance._window_floor(deg, g.ring_k, window, size_cap)
+            parity = conductance._window_floor(deg, g.ring_k, window)
             if least.empty:
                 assert e.empty and not runs
                 unfit += parity is not None
@@ -554,7 +578,7 @@ def test_exact_floors_are_tried_in_ascending_order(monkeypatch):
     fr_bound(g, mode="local-search", seed=0, iterations=0)
     assert [(budget, got) for _, budget, got in tried] == [(0, "overflow")]
     deg = g.degrees.tolist()
-    assert calls and all(floor == conductance._window_floor(deg, g.ring_k, window, None)
+    assert calls and all(floor == conductance._window_floor(deg, g.ring_k, window)
                          for window, floor, _ in calls)
 
 

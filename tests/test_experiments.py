@@ -118,6 +118,10 @@ def test_config_from_file(tmp_path):
     bad.write_text("reps = x\n")
     with pytest.raises(ValueError, match="reps must be an integer, got 'x'"):
         ExperimentConfig.from_file(bad)
+    # a repeated key is refused, not read as its last value
+    bad.write_text("n = 64\n# again\nn = 128\n")
+    with pytest.raises(ValueError, match=r"^.*bad\.cfg:3: key 'n' is set twice$"):
+        ExperimentConfig.from_file(bad)
 
 
 def test_quiet_arc_pure_ring():
