@@ -16,7 +16,13 @@ take about n^2/8 bytes).  ``_connected_masks`` enumerates each connected set
 once by Wernicke's ESU canonical extension, carrying volume and cut along
 and pushing no frame that could yield nothing; ``connected_sets``,
 ``connected_set_counts`` (one count per size from one pass) and the exact
-window minima are visitors over it.  Windows become integer volume bounds,
+window minima are visitors over it.  The exact minima prune it by branch and
+bound: a set's edges to vertices that none of its extensions can add stay
+in every extension's cut, so once they exceed what each window's best so
+far allows, the set is not expanded.  Sets that tie a best are still
+visited, so the minima and their witnesses are those of the full
+enumeration; the listing and counting visitors prune nothing.  A budget
+counts the sets visited.  Windows become integer volume bounds,
 ratios cut/volume are compared by integer cross-multiplication (ties go to
 the lexicographically smallest sorted witness), and only results become
 Fractions.  Past the enumeration budget, simulated annealing over the same
@@ -34,7 +40,7 @@ least cut/volume no connected set in it can beat.  Before annealing, the
 windows are enumerated one by one in ascending order of upper volume bound,
 each within a budget of restarts * iterations sets, and a window that fits
 takes its exact minimum as its floor; the first window past the budget ends
-the enumeration, as each later window holds a superset of its sets.  Any
+the enumeration, which caps its cost at one spent budget.  Any
 other window takes the parity floor: a proper subset has cut at least 2k if
 the graph is tagged as holding the 2k-edge-connected (n, k)-ring (else at
 least 1), of the parity of its volume, since vol = 2 e(S) + cut; no window
@@ -171,7 +177,8 @@ _EXHAUSTED = ("connected-set enumeration exceeded its work budget; "
               "re-run in local-search mode")
 
 
-def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
+def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None,
+                     prune=None):
     """Yield (S, size, volume, cut) once per connected set, S as a mask.
 
     Each set is rooted at its smallest vertex, or at ``containing``, which
@@ -188,9 +195,27 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
     remaining extension is empty is not resumed either.  Such frames would
     be popped and yield nothing, so skipping them leaves the sets, their
     order and the budget count as they are.
+
+    ``prune``, if given, is a list by volume that the consumer may lower
+    between yields.  The lost edges of a set S are its edges to vertices that
+    none of its extensions can add: those in its exclusion mask but neither
+    in S nor in its remaining extension, ranked below the root or taken by
+    an earlier sibling.  Every extension of S keeps them in its cut.  S
+    carries its open edges, those to its remaining extension, and its lost
+    edges are its cut less these; S of volume v takes no more children
+    while its lost edges exceed prune[v], read each time S is entered or
+    resumed.  Each child that S pops, visited or skipped for volume, takes
+    its links to S out of S's open edges, and a child starts with S's open
+    edges plus its own links to its extension.  Without a table nothing is
+    pruned, and the sets, their order and the budget count are those of the
+    full enumeration.
     """
     left = budget
     room = max_volume - min(deg)  # the most volume a set with children has
+    if prune is None:
+        prune = [sum(deg)] * (max(room, 0) + 1)  # no set has more lost edges
+    # (row, degree) of vertex w at index w + 1, the bit length of its bit
+    rows = [(0, 0), *zip(adj, deg)]
     roots = range(len(adj)) if containing is None else (containing,)
     for root in roots:
         bit = 1 << root
@@ -203,15 +228,21 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
         ext = adj[root] & ~banned
         if max_size <= 1 or not ext or d > room:
             continue
-        # frames (S, extension, exclusion, volume, cut, size of S's children)
-        stack = [(bit, ext, adj[root] | banned, d, d, 2)]
-        while stack:
-            S, ext, excl, vol, cut, size = stack.pop()
-            while ext:
+        # the set S being extended, its extension and exclusion masks, volume,
+        # cut, open edges (to its extension) and the size of its children; S's
+        # lost edges are its cut less its open edges.  The stack holds the
+        # sets to resume, and a child with children of its own is entered
+        # in place.
+        S, excl, vol, cut, open_, size = bit, adj[root] | banned, d, d, ext.bit_count(), 2
+        stack = []
+        while True:
+            least = cut - prune[vol]  # the fewest open edges that keep S going
+            while ext and open_ >= least:
                 low = ext & -ext
                 ext ^= low
-                w = low.bit_length() - 1
-                dw = deg[w]
+                row, dw = rows[low.bit_length()]
+                links = (row & S).bit_count()
+                open_ -= links  # no later sibling takes w
                 vol2 = vol + dw
                 if vol2 > max_volume:
                     continue
@@ -219,16 +250,21 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None):
                 if left < 0:
                     raise EnumerationBudgetError(_EXHAUSTED)
                 child = S | low
-                cut2 = cut + dw - 2 * (adj[w] & S).bit_count()
+                cut2 = cut + dw - 2 * links
                 yield child, size, vol2, cut2
                 if size < max_size and vol2 <= room:
-                    fresh = adj[w] & ~excl
-                    if ext or fresh:
+                    ext2 = ext | row & ~excl
+                    if ext2:
                         if ext:
-                            stack.append((S, ext, excl, vol, cut, size))
-                        stack.append((child, ext | fresh, excl | fresh, vol2, cut2,
-                                      size + 1))
-                        break
+                            stack.append((S, ext, excl, vol, cut, open_, size))
+                        # the child's open edges: S's to its extension, plus w's
+                        S, ext, excl, vol, cut, open_, size = (
+                            child, ext2, excl | ext2, vol2, cut2,
+                            open_ + (row & ext2).bit_count(), size + 1)
+                        least = cut - prune[vol]
+            if not stack:
+                break
+            S, ext, excl, vol, cut, open_, size = stack.pop()
 
 
 def _sets_up_to(g, j, containing, budget):
@@ -302,12 +338,45 @@ def num_scales(m: int) -> int:
     return max(1, math.ceil(math.log2(m)))
 
 
+def _lost_caps(caps, bounds, best):
+    """Fill ``caps``, by volume v, with the most lost edges (see
+    `_connected_masks`) a set of volume v may have while an extension of it
+    could still tie or beat the best (c, b) so far of some window [lo, hi]
+    in ``bounds`` with hi > v.
+
+    An extension T in that window has volume at most hi and cut at least the
+    set's lost edges; it ties or beats (c, b) only if cut(T) * b <= c *
+    vol(T), so only if lost <= c * hi // b.  The cap is the largest of
+    these, or len(caps), above every lost count, while one of those windows
+    has no best yet.  A window with no integer volume, lo > hi, holds no set
+    and takes no part.
+    """
+    never = len(caps)  # above every volume, so above every lost count
+    cap, end = -1, len(caps)
+    for w in sorted(range(len(bounds)), key=lambda w: bounds[w][1], reverse=True):
+        lo, hi = bounds[w]
+        if lo > hi:
+            continue
+        start = min(max(hi, 0), end)
+        caps[start:end] = [cap] * (end - start)
+        end = start
+        b = best[w]
+        cap = never if b is None else max(cap, b[0] * hi // b[1])
+    caps[:end] = [cap] * end
+
+
 def _exact_minima(adj, deg, windows, size_cap, budget):
     """Per window, the minimum (cut, volume, S) over connected proper
     subsets with volume in the window, or None, by one enumeration.
 
     The enumeration keeps, per volume, the least cut and its lexicographically
     smallest set; each window then takes the least ratio over its volumes.
+    Along the way each window keeps its best ratio so far, and the
+    enumeration prunes by them (`_lost_caps`): it stops extending a set whose
+    lost edges already exceed what every window it could still reach allows.
+    Such a set's extensions all have a strictly larger ratio than their
+    window's best, so no window's minimum, nor its lexicographically smallest
+    witness, is skipped.
     """
     bounds = [(math.ceil(lo), math.floor(hi)) for lo, hi in windows]
     top = max(hi for _, hi in bounds)
@@ -317,10 +386,22 @@ def _exact_minima(adj, deg, windows, size_cap, budget):
         max_size = min(max_size, size_cap)
     total = sum(deg)  # no cut or volume exceeds it
     cuts, sets = [total + 1] * (total + 1), [0] * (total + 1)
-    for S, _, vol, cut in _connected_masks(adj, deg, max_size, top, budget):
+    so_far = [None] * len(bounds)  # each window's least (cut, volume) so far
+    caps = [0] * (max(top, 0) + 1)
+    _lost_caps(caps, bounds, so_far)
+    for S, _, vol, cut in _connected_masks(adj, deg, max_size, top, budget, prune=caps):
         least = cuts[vol]
-        if cut < least or (cut == least and _lex_less(S, sets[vol])):
+        if cut < least:
             cuts[vol], sets[vol] = cut, S
+            lower = False
+            for w, (lo, hi) in enumerate(bounds):
+                b = so_far[w]
+                if lo <= vol <= hi and (b is None or cut * b[1] < b[0] * vol):
+                    so_far[w], lower = (cut, vol), True
+            if lower:
+                _lost_caps(caps, bounds, so_far)
+        elif cut == least and _lex_less(S, sets[vol]):
+            sets[vol] = S
     best = []
     for lo, hi in bounds:
         cur = None
@@ -560,8 +641,10 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
     to 6 on a 64-vertex graph), so an enumeration that fits costs at most
     about a third of the annealing it can save.  Windows are enumerated in
     ascending order of upper bound and the first that overflows ends the
-    enumeration, since each later one would visit a superset of its sets;
-    so besides the enumerations that fit, a call spends at most one budget.
+    enumeration.  The pruned search of a later window may visit fewer sets,
+    so it might have fit; the break is a cost cap: besides the enumerations
+    that fit, a call spends at most one budget.  A floor only stops the
+    search, so which windows get an exact floor never changes a result.
     Windows with no parity floor are not enumerated: no set fits them.
     """
     floors = [_window_floor(deg, ring_k, window) for window in windows]
@@ -571,7 +654,7 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
         try:
             exact, = _exact_minima(adj, deg, [windows[w]], size_cap, restarts * iterations)
         except EnumerationBudgetError:
-            break  # each later window enumerates a superset of these sets
+            break  # at most one spent budget per call
         floors[w] = None if exact is None else exact[:2]
     results = []
     for w, (window, floor) in enumerate(zip(windows, floors)):

@@ -215,6 +215,35 @@ def min_phi_in_window(g, vol_lo, vol_hi, size_cap=None):
             best, best_set = phi, members
     return best, best_set
 
+def window_minima(g, windows, size_cap=None):
+    """Per window [lo, hi], the least cut/volume over connected proper
+    subsets of at most size_cap vertices with volume in it, as (phi,
+    witness) with the lexicographically smallest sorted tuple among the
+    minimizers, or (None, None) when the window is empty.
+
+    One list of all connected subsets gives, per volume, the least cut and
+    the smallest set that has it; a window takes the best of its volumes.
+    """
+    nbr = neighbor_masks(g)
+    deg = [row.bit_count() for row in nbr]
+    least = {}  # volume -> (least cut, smallest sorted set with it)
+    for S in all_connected_subsets(g, size_cap):
+        if len(S) == g.n:
+            continue
+        outside = ~sum(1 << v for v in S)
+        vol = sum(map(deg.__getitem__, S))
+        cut = sum((nbr[v] & outside).bit_count() for v in S)
+        prev = least.get(vol)
+        if prev is None or cut < prev[0] or (cut == prev[0] and
+                                             tuple(sorted(S)) < prev[1]):
+            least[vol] = (cut, tuple(sorted(S)))
+    out = []
+    for lo, hi in windows:
+        got = [(Fraction(cut, vol), witness) for vol, (cut, witness) in least.items()
+               if lo <= vol <= hi]
+        out.append(min(got) if got else (None, None))
+    return out
+
 def fr_sum_bruteforce(g):
     """Sum of phi^-2 over dyadic volume scales, and the per-scale phi (None
     for an empty window), from one scan of all subsets: per volume the least

@@ -24,7 +24,7 @@ from nwmix import (
 
 from nwmix import conductance
 from nwmix.experiments import ExperimentConfig, expected_volume_windows, run_conductance
-from nwmix.rng import derive_seed, philox
+from nwmix.rng import derive_seed, make_rng, philox
 
 import oracles
 
@@ -261,10 +261,14 @@ def test_budget_is_the_node_count():
             connected_set_counts(H12, j, budget=nodes - 1, **kwargs)
         counts = connected_set_counts(H12, j, budget=nodes, **kwargs)
         assert sum(counts) == nodes
-    # exact mode: every connected set below the top window's volume, plus roots
-    with pytest.raises(EnumerationBudgetError):
-        fr_bound(H12, budget=556)
-    assert fr_bound(H12, budget=557).total == fr_bound(H12).total
+    # exact mode: the sets that the pruned search visits, measured (the full
+    # enumeration below the top window's volume visits 557 and 109675); a
+    # change that stops the pruning fails here
+    for g, nodes in ((H12, 531),
+                     (sample_small_world(GraphSpec(n=20, k=1, c=3, seed=1)), 10830)):
+        with pytest.raises(EnumerationBudgetError):
+            fr_bound(g, budget=nodes - 1)
+        assert fr_bound(g, budget=nodes).total == fr_bound(g).total
 
 
 def test_connected_sets_stream():
@@ -284,6 +288,44 @@ def test_exact_witness_is_lex_smallest_minimizer(g):
         for e in fr_bound(g, size_cap=cap).profile.entries:
             phi, witness = oracles.min_phi_in_window(g, e.vol_lo, e.vol_hi, size_cap=cap)
             assert (e.phi, e.witness) == ((math.inf, None) if phi is None else (phi, witness))
+
+
+def test_pruned_exact_minima_match_brute_force():
+    # The pruned search against every connected subset, window by window, on
+    # 300 seeded draws of graph, windows and size cap; c = 0 is the bare ring.
+    rng = make_rng(11)
+    for case in range(300):
+        n, k = int(rng.integers(3, 15)), int(rng.integers(1, 3))
+        c = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)][rng.integers(4)]
+        g = sample_small_world(GraphSpec(n=max(n, 2 * k + 1), k=k, c=c,
+                                         seed=int(rng.integers(10**6))))
+        L = num_scales(g.m)
+        kind = ["dyadic", "expected-volume", "random"][rng.integers(3)]
+        windows = None
+        if kind == "expected-volume":
+            windows = expected_volume_windows(g.n, c, k, L)
+        elif kind == "random":  # quarter-integer bounds in [0, 2m + 2]
+            quarters = rng.integers(0, 8 * g.m + 9, (L, 2)).tolist()
+            windows = [(Fraction(min(q), 4), Fraction(max(q), 4)) for q in quarters]
+        size_cap = None if rng.random() < 0.5 else int(rng.integers(1, 15))
+        res = fr_bound(g, size_cap=size_cap, windows=windows)
+        want = oracles.window_minima(g, [(e.vol_lo, e.vol_hi) for e in res.profile.entries],
+                                     size_cap)
+        assert [(e.phi, e.witness) for e in res.profile.entries] == [
+            (math.inf, None) if phi is None else (phi, witness) for phi, witness in want
+        ], (case, g.n, k, c, kind, windows, size_cap)
+
+
+def test_a_window_with_no_integer_volume_keeps_the_pruning():
+    # [40.5, 40.7] holds no volume, so no set, and never gets a best: in place
+    # of the smallest window of the seed-1 pool graph, which holds no set
+    # either, it leaves the search the 10830 sets of the dyadic windows
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=1))
+    windows = [(Fraction(g.m, 2**i), Fraction(2 * g.m, 2**i))
+               for i in range(1, num_scales(g.m))] + [(Fraction(81, 2), Fraction(407, 10))]
+    with pytest.raises(EnumerationBudgetError):
+        fr_bound(g, windows=windows, budget=10829)
+    assert fr_bound(g, windows=windows, budget=10830).total == fr_bound(g).total
 
 
 def test_local_search_profile_is_pinned():
@@ -514,9 +556,10 @@ def _spy_anneal(monkeypatch):
 
 
 def test_local_search_stops_at_the_exact_window_minimum(monkeypatch):
-    # Pool graph of seed 1 (n=20, c=3), as in criterion 10: every window but
-    # the largest fits the enumeration budget, and the annealer reaches each
-    # exact minimum, above the parity floor in all but the smallest window.
+    # Pool graph of seed 1 (n=20, c=3), as in criterion 10: every window fits
+    # the enumeration budget (the largest since the search prunes), and the
+    # annealer reaches each exact minimum, above the parity floor in all but
+    # the smallest window.
     # With a size cap of 1 the two largest windows hold no set, though their
     # parity floors admit one.
     g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=1))
