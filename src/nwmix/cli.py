@@ -42,12 +42,6 @@ EXIT_VALIDATION = 2
 EXIT_PARTIAL = 3
 
 
-def _config_from(args) -> ExperimentConfig:
-    cfg = (ExperimentConfig.from_file(args.config) if args.config
-           else ExperimentConfig())
-    return cfg.overridden(**{key: getattr(args, key, None) for key in CONFIG_KEYS})
-
-
 def _single_graph(cfg: ExperimentConfig, args):
     """One graph: from --in if given, else built from the config's one n.
     --in excludes the flags --n, --k and --c, which would go unread; a
@@ -72,8 +66,7 @@ def _emit(cfg: ExperimentConfig, payload: str) -> None:
         print(payload)
 
 
-def _cmd_generate(args) -> int:
-    cfg = _config_from(args)
+def _cmd_generate(cfg: ExperimentConfig, args) -> int:
     g = _single_graph(cfg, args)
     if cfg.out:
         write_graph(g, cfg.out)
@@ -82,15 +75,13 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_mix(args) -> int:
-    cfg = _config_from(args)
+def _cmd_mix(cfg: ExperimentConfig, args) -> int:
     _, res = mixing_run(cfg, _single_graph(cfg, args), rep=0)
     _emit(cfg, res.to_json())
     return EXIT_PARTIAL if res.censored else EXIT_OK
 
 
-def _cmd_conductance(args) -> int:
-    cfg = _config_from(args)
+def _cmd_conductance(cfg: ExperimentConfig, args) -> int:
     results = run_conductance(cfg, variant=args.variant)
     if not cfg.out:
         for n, bound in results:
@@ -98,14 +89,12 @@ def _cmd_conductance(args) -> int:
     return EXIT_OK
 
 
-def _cmd_fr_bound(args) -> int:
-    cfg = _config_from(args)
+def _cmd_fr_bound(cfg: ExperimentConfig, args) -> int:
     _emit(cfg, conductance_bound(cfg, _single_graph(cfg, args)).to_json())
     return EXIT_OK
 
 
-def _cmd_subtrees(args) -> int:
-    cfg = _config_from(args)
+def _cmd_subtrees(cfg: ExperimentConfig, args) -> int:
     report = run_subtree_verification(cfg, J=args.max_j)
     if args.table:
         c = cfg.c if cfg.c > 0 else Fraction(1)
@@ -116,16 +105,14 @@ def _cmd_subtrees(args) -> int:
     return EXIT_OK if not failed else 1
 
 
-def _cmd_constants(args) -> int:
-    cfg = _config_from(args)
+def _cmd_constants(cfg: ExperimentConfig, args) -> int:
     if cfg.c <= 0:
         raise ValueError("constants need c > 0")
     _emit(cfg, constants_for(cfg.c, cfg.k).to_json())
     return EXIT_OK
 
 
-def _cmd_scaling(args) -> int:
-    cfg = _config_from(args)
+def _cmd_scaling(cfg: ExperimentConfig, args) -> int:
     records, summaries = run_scaling(cfg)
     if not cfg.out:
         for n, reps, cens, med in summaries:
@@ -134,8 +121,7 @@ def _cmd_scaling(args) -> int:
     return EXIT_PARTIAL if any(r.censored for r in records) else EXIT_OK
 
 
-def _cmd_quiet_arc(args) -> int:
-    cfg = _config_from(args)
+def _cmd_quiet_arc(cfg: ExperimentConfig, args) -> int:
     rows = run_quiet_arc(cfg)
     if not cfg.out:
         for row in rows:
@@ -191,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = (ExperimentConfig.from_file(args.config) if args.config
+               else ExperimentConfig())
+        cfg = cfg.overridden(**{key: getattr(args, key, None) for key in CONFIG_KEYS})
+        return args.func(cfg, args)
     except BrokenPipeError:
         # the reader closed the pipe (``| head``): stop quietly, and send the
         # interpreter's final flush of stdout to devnull so it cannot fail again

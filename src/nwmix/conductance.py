@@ -335,6 +335,9 @@ class ScaleProfile:
 
 
 def num_scales(m: int) -> int:
+    """ceil(log2 m), and 1 for m = 1: the number of dyadic scales of m edges."""
+    if m < 1:
+        raise ValueError(f"num_scales needs m >= 1, got {m}")
     return max(1, math.ceil(math.log2(m)))
 
 
@@ -739,6 +742,8 @@ def fr_bound(
     """
     if not g.is_connected():
         raise ValueError("scale profile requires a connected graph")
+    if g.m == 0:
+        raise ValueError("the graph has no edges, so it has no scale profile")
     L = num_scales(g.m)
     xs = [Fraction(1, 2**i) for i in range(1, L + 1)]
     if windows is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,20 +51,6 @@ def binomial_lower_tail_bound(m: float, q: float, x: float) -> float:
     if not 0 < x < 1:
         raise ValueError("lower tail bound needs 0 < x < 1")
     return math.exp(-m * q * chernoff_phi(-x))
-
-
-def binomial_lower_tail_coarse(m: float, q: float, x: float) -> float:
-    """exp(-mq x^2 / 2), the coarse form of the lower tail bound."""
-    if not 0 < x < 1:
-        raise ValueError("lower tail bound needs 0 < x < 1")
-    return math.exp(-m * q * x * x / 2)
-
-
-def binomial_upper_tail_coarse(m: float, q: float, x: float) -> float:
-    """exp(-mq x^2 / (2(1+x))), the coarse form of the upper tail bound."""
-    if x <= 0:
-        raise ValueError("upper tail bound needs x > 0")
-    return math.exp(-m * q * x * x / (2 * (1 + x)))
 
 
 def _xk_equation(x: float, k: int) -> float:
@@ -112,11 +99,17 @@ def solve_beta(c, k: int = 1) -> float:
     c = float(c)
     if c <= 0:
         raise ValueError("beta is defined for c > 0")
+    return _halving_grid(1 / (3 * math.e), lambda beta: beta_conditions_hold(beta, c, k),
+                         "beta")
+
+
+def _halving_grid(top: float, holds, name: str) -> float:
+    """The largest top * 2^-t, 1 <= t < _GRID_LIMIT, at which `holds` is true."""
     for t in range(1, _GRID_LIMIT):
-        beta = 1 / (3 * math.e) / 2**t
-        if beta_conditions_hold(beta, c, k):
-            return beta
-    raise RuntimeError("no admissible beta found on the grid")
+        value = top / 2**t
+        if holds(value):
+            return value
+    raise RuntimeError(f"no admissible {name} found on the grid")
 
 
 def beta_conditions_hold(beta: float, c: float, k: int) -> bool:
@@ -134,9 +127,10 @@ def beta_conditions_hold(beta: float, c: float, k: int) -> bool:
 class GridValue:
     """base * 2^-t kept in exponent form.
 
-    The admissible delta can sit at t in the millions (its defining
-    inequality forces log(epsilon/delta) ~ 1/(epsilon R c), and epsilon is
-    itself tiny), far below float range, so the exponent stays symbolic.
+    The admissible delta can sit at t in the millions, and past 10^14 for
+    c below 1e-4 (its defining inequality forces log(epsilon/delta) ~
+    1/(epsilon R c), and epsilon is itself tiny), far below float range, so
+    the exponent stays symbolic.
     """
 
     base: Fraction
@@ -213,15 +207,30 @@ class ConstantSet:
         return json.dumps(payload)
 
 
-def delta_conditions_hold(delta, epsilon, c, k: int, R: int) -> bool:
+@lru_cache(maxsize=64)
+def _ln(q: Fraction, prec: int) -> Decimal:
+    """log q in decimal, to prec digits; a solve takes each log many times."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return (Decimal(q.numerator) / q.denominator).ln()
+
+
+def delta_conditions_hold(delta: GridValue, epsilon, c, k: int, R: int) -> bool:
     """epsilon c >= 2k delta and epsilon R c (log(epsilon/delta) - 1) >=
-    5 + log(4(c+2k)), evaluated in log space (delta may underflow floats)."""
-    log_d = _log_of(delta)
-    eps, c = float(epsilon), float(c)
-    if log_d > math.log(eps * c / (2 * k)):
-        return False
-    lhs = eps * R * c * (math.log(eps) - log_d - 1)
-    return lhs >= 5 + math.log(4 * (c + 2 * k))
+    5 + log(4(c+2k)), evaluated in log space (delta may underflow floats),
+    in decimal with 40 digits past those of delta's exponent t: at c =
+    1/8650, t is about 4e14, and a float's rounding of t log 2 is larger
+    than one grid step."""
+    epsilon, c = Fraction(epsilon), Fraction(c)
+    erc = epsilon * R * c
+    with localcontext() as ctx:
+        ctx.prec = p = len(str(delta.t)) + 40
+        # log(epsilon/delta) = log(epsilon/base) + t log 2
+        log_ratio = _ln(epsilon / delta.base, p) + delta.t * _ln(Fraction(2), p)
+        if log_ratio < _ln(2 * k / c, p):
+            return False
+        lhs = Decimal(erc.numerator) / erc.denominator * (log_ratio - 1)
+        return lhs >= 5 + _ln(4 * (c + 2 * k), p)
 
 
 def gamma_conditions_hold(gamma: float, beta: float, c, R: int) -> bool:
@@ -237,10 +246,11 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
     """Pin down R, epsilon, beta, delta, gamma, alpha for 0 < c <= x_k.
 
     delta is the largest (epsilon c / 2k) 2^-t meeting its two conditions;
-    the first admissible t is solved in closed form (it can be ~10^6, far
-    beyond any loop) and re-verified, along with t-1 failing.  gamma walks
-    down from 9 beta c / 20R by halving.  Every returned value is
-    substituted back into its defining inequalities before returning.
+    the first admissible t is solved in closed form, in decimal (it is
+    about 6e6 at c = 1 and 4e14 at c = 1/8650, far beyond any loop), and
+    re-verified, along with t-1 failing.  gamma walks down from 9 beta c /
+    20R by halving.  Every returned value is substituted back into its
+    defining inequalities before returning.
     """
     c = Fraction(c)
     if c <= 0:
@@ -259,11 +269,14 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
     beta = solve_beta(c, k)
 
     # condition 2 is linear in t on the grid delta = (eps c / 2k) 2^-t:
-    # eps R c (log(2k/c) + t log 2 - 1) >= 5 + log(4(c+2k))
-    erc = float(epsilon) * R * float(c)
-    need = (5 + math.log(4 * (float(c) + 2 * k))) / erc + 1 - math.log(
-        2 * k / float(c))
-    t0 = max(0, math.ceil(need / math.log(2)))
+    # eps R c (log(2k/c) + t log 2 - 1) >= 5 + log(4(c+2k)), solved in
+    # decimal with 40 digits past those of t, which is about 1/(eps R c)
+    erc = epsilon * R * c
+    with localcontext() as ctx:
+        ctx.prec = p = len(str(erc.denominator // erc.numerator)) + 40
+        need = ((5 + _ln(4 * (c + 2 * k), p)) * erc.denominator / erc.numerator
+                + 1 - _ln(2 * k / c, p))
+        t0 = max(0, int((need / _ln(Fraction(2), p)).to_integral_value(ROUND_CEILING)))
     base = epsilon * c / (2 * k)
     t = t0
     while not delta_conditions_hold(GridValue(base, t), epsilon, c, k, R):
@@ -274,15 +287,8 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
         raise VerificationError("delta not the largest admissible grid value")
     delta = GridValue(base, t)
 
-    gamma = None
-    gamma_top = 9 * beta * float(c) / (20 * R)
-    for s in range(1, _GRID_LIMIT):
-        cand = gamma_top / 2**s
-        if gamma_conditions_hold(cand, beta, c, R):
-            gamma = cand
-            break
-    if gamma is None:
-        raise RuntimeError("no admissible gamma found on the grid")
+    gamma = _halving_grid(9 * beta * float(c) / (20 * R),
+                          lambda g: gamma_conditions_hold(g, beta, c, R), "gamma")
 
     candidates = [gamma, epsilon, delta]
     alpha = min(candidates, key=_log_of)

@@ -72,12 +72,12 @@ class GraphSpec:
         for name in ("n", "k", "seed"):
             object.__setattr__(self, name, _integer(getattr(self, name), name,
                                                     GraphValidationError))
+        if self.k < 1:
+            raise GraphValidationError(f"k must be >= 1, got {self.k}")
         if self.n <= 2 * self.k:
             raise GraphValidationError(
                 f"need n > 2k for a 2k-regular ring, got n={self.n}, k={self.k}"
             )
-        if self.k < 1:
-            raise GraphValidationError(f"k must be >= 1, got {self.k}")
         c = Fraction(self.c)
         object.__setattr__(self, "c", c)
         if not 0 <= c <= self.n:
@@ -218,15 +218,10 @@ def _check_ring_containment(n: int, k: int, rows: np.ndarray, cols: np.ndarray):
 
 
 def build_ring(n: int, k: int) -> UndirectedGraph:
-    """The (n, k)-ring: edges between all pairs at cyclic distance <= k."""
-    n, k = _integer(n, "n", GraphValidationError), _integer(k, "k", GraphValidationError)
-    if k < 1:
-        raise GraphValidationError(f"k must be >= 1, got {k}")
-    if n <= 2 * k:
-        raise GraphValidationError(
-            f"need n > 2k for a 2k-regular ring, got n={n}, k={k}"
-        )
-    return UndirectedGraph.from_edges(n, _ring_edges(n, k), ring_k=k)
+    """The (n, k)-ring, edges between all pairs at cyclic distance <= k: the
+    c = 0 small world, so its GraphSpec checks n and k."""
+    spec = GraphSpec(n=n, k=k, c=0, seed=0)
+    return UndirectedGraph.from_edges(spec.n, _ring_edges(spec.n, spec.k), ring_k=spec.k)
 
 
 def _ring_edges(n: int, k: int) -> np.ndarray:

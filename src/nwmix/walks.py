@@ -51,7 +51,6 @@ from .rng import _integer, make_rng, thread_philox
 MIXING_THRESHOLD = 0.25
 DEFAULT_STEP_CAP = 10_000_000
 _MASS_TOL = 1e-12
-_TV_ROWS = 1024
 _STRIDE = 8  # steps between the mixing search's TV checkpoints
 _GUARD = 1e-9  # columns this close above the threshold at one are queued
 _KEEP = 1.25  # a checkpoint copies the columns with TV <= _KEEP * threshold
@@ -337,23 +336,12 @@ def _tv_columns(X, pi) -> np.ndarray:
     """TV distance of each column of X to pi, by the module's one rule:
     0.5 * sum_v |X[v, j] - pi[v]|, added over v in vertex order.
 
-    The rows of |X - pi| are summed in blocks of up to ``_TV_ROWS`` rows held
-    in one scratch buffer, whose row 0 carries in the column sums so far, so
-    the scratch stays in cache.  numpy adds the rows of two or more columns
-    in order, but one column pairwise, so one column is added by a running
-    sum.
+    numpy adds the rows of a C-ordered block of two or more columns in
+    order, but one column pairwise, so one column is added by a running sum.
     """
-    n, s = X.shape
-    buf = np.empty((min(n, _TV_ROWS) + 1, s))
-    buf[0] = 0.0
-    for a in range(0, n, _TV_ROWS):
-        b = min(a + _TV_ROWS, n)
-        blk = buf[1:b - a + 1]
-        np.subtract(X[a:b], pi[a:b], out=blk)
-        np.abs(blk, out=blk)
-        rows = buf[:b - a + 1]
-        buf[0] = rows.sum(axis=0) if s > 1 else rows.cumsum(axis=0)[-1]
-    return 0.5 * buf[0]
+    d = np.subtract(X, pi, order="C")
+    np.abs(d, out=d)
+    return 0.5 * (d.sum(axis=0) if d.shape[1] > 1 else d.cumsum(axis=0)[-1])
 
 
 # -- escape walks ---------------------------------------------------------------

@@ -129,6 +129,14 @@ def test_fr_bound_cycle(tmp_path):
     assert payload["sum_exact"] == "85" and payload["certified"] is True
 
 
+def test_fr_bound_on_a_graph_with_no_edges(tmp_path, capsys):
+    gpath = tmp_path / "lone.txt"
+    gpath.write_text("1 0\n")
+    assert main(["fr-bound", "--in", str(gpath)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "the graph has no edges" in err and "domain" not in err
+
+
 def test_fr_bound_budget_exhaustion(tmp_path, capsys):
     gpath = tmp_path / "k10.txt"
     write_graph(complete_graph(10), gpath)

@@ -116,6 +116,9 @@ def test_num_scales():
     assert num_scales(16) == 4
     assert num_scales(17) == 5
     assert num_scales(1) == 1
+    for m in (0, -3):
+        with pytest.raises(ValueError, match="num_scales needs m >= 1"):
+            num_scales(m)
 
 
 def test_fr_bound_entries_exact_on_cycle():
@@ -644,6 +647,14 @@ def test_fr_bound_rejects_size_cap_below_one():
         assert all(len(e.witness) == 1
                    for e in fr_bound(g, mode=mode, size_cap=1).profile.entries
                    if e.witness is not None)
+
+
+@pytest.mark.parametrize("mode", ["exact", "local-search"])
+def test_fr_bound_rejects_a_graph_with_no_edges(mode):
+    # one vertex and no edge: connected, but with no volume to split in scales
+    lone = UndirectedGraph.from_edges(1, np.empty((0, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="the graph has no edges"):
+        fr_bound(lone, mode=mode)
 
 
 def test_fr_bound_local_search_seed_must_be_an_integer():

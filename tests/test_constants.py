@@ -27,9 +27,7 @@ from nwmix.constants import (
     beta_conditions_hold,
     big_m,
     binomial_lower_tail_bound,
-    binomial_lower_tail_coarse,
     binomial_upper_tail_bound,
-    binomial_upper_tail_coarse,
     delta_conditions_hold,
     gamma_conditions_hold,
 )
@@ -59,11 +57,9 @@ def test_tail_bounds_dominate_exact_tails():
         thr = (1 + x) * m * q
         exact = float(stats.binom.sf(math.ceil(thr) - 1, m, q))
         assert binomial_upper_tail_bound(m, q, x) >= exact
-        assert binomial_upper_tail_coarse(m, q, x) >= binomial_upper_tail_bound(m, q, x)
         thr = (1 - x) * m * q
         exact = float(stats.binom.cdf(math.floor(thr), m, q))
         assert binomial_lower_tail_bound(m, q, x) >= exact
-        assert binomial_lower_tail_coarse(m, q, x) >= binomial_lower_tail_bound(m, q, x)
 
 
 def test_tail_bound_domains():
@@ -71,10 +67,6 @@ def test_tail_bound_domains():
         binomial_upper_tail_bound(10, 0.5, 0)
     with pytest.raises(ValueError):
         binomial_lower_tail_bound(10, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        binomial_lower_tail_coarse(10, 0.5, 0)
-    with pytest.raises(ValueError):
-        binomial_upper_tail_coarse(10, 0.5, -0.5)
 
 
 def test_solve_xk():
@@ -140,6 +132,27 @@ def test_small_c_constants_c1():
     assert cs.gamma < 9 * cs.beta / (20 * cs.R)
     # alpha = min(gamma, epsilon, delta) - here delta by an enormous margin
     assert cs.alpha is cs.delta
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 8650), Fraction(1, 18000), Fraction(1, 65536),
+                               Fraction(1, 10**8), Fraction(1, 10**20)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_delta_is_pinned_where_floats_cannot_resolve_its_grid(c, k):
+    # t runs from about 4e14 to 6e46 here, where a float cannot resolve one step
+    cs = constants_for(c, k)
+    assert cs.delta.t > 10**14
+    assert delta_conditions_hold(cs.delta, cs.epsilon, c, k, cs.R)
+    assert not delta_conditions_hold(
+        GridValue(cs.delta.base, cs.delta.t - 1), cs.epsilon, c, k, cs.R)
+
+
+def test_halving_grids_name_the_constant_they_miss():
+    # both grids are floats: gamma's falls out of range from about c = 1e-100,
+    # beta's from about c = 1e-150
+    with pytest.raises(RuntimeError, match="no admissible gamma found on the grid"):
+        constants_for(Fraction(1, 10**100), 1)
+    with pytest.raises(RuntimeError, match="no admissible beta found on the grid"):
+        solve_beta(Fraction(1, 10**150))
 
 
 def test_small_c_constants_c5():

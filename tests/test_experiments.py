@@ -18,6 +18,7 @@ from nwmix import (
     build_ring,
     connected_set_bound_check,
     constants_for,
+    derive_seed,
     quiet_arc,
     quiet_arc_threshold,
     run_conductance,
@@ -29,9 +30,11 @@ from nwmix.experiments import (
     CONFIG_KEYS,
     SCALING_HEADER,
     VERSION,
+    build_graph,
     scaling_starts,
     expected_volume_windows,
 )
+from nwmix.walks import _shared_offsets
 
 import oracles
 
@@ -269,6 +272,23 @@ def test_run_quiet_arc_with_shortcuts():
         if arc_len > 0:
             assert row[10] is not None and row[10] >= 1.0
             assert row[11] == 0  # escapes comfortably within the cap
+
+
+def test_run_quiet_arc_across_vertex_zero_matches_the_stepwise_oracle():
+    # this arc crosses vertex 0, so its vertices share no neighbor offsets
+    # and every escape trial runs the step-by-step walker
+    cfg = ExperimentConfig(n_values=(1024,), c=Fraction(1, 4), master_seed=61, reps=1)
+    (row,) = run_quiet_arc(cfg)
+    g = build_graph(cfg, 1024, 0)
+    arc = quiet_arc(g)
+    assert (row[5], row[6]) == (arc.start, arc.length) == (1010, 25)
+    assert _shared_offsets(g, np.asarray(arc.vertices(), dtype=np.int64)) is None
+    trials = [oracles.escape_time(g, arc.center, arc.vertices(),
+                                  derive_seed(61, 1024, 0, 200 + t), cap=cfg.step_cap)
+              for t in range(cfg.escape_trials)]
+    assert not any(censored for _, censored in trials)
+    assert row[10] == statistics.median(steps for steps, _ in trials) == 231.5
+    assert row[11] == 0
 
 
 def test_expected_volume_windows():

@@ -50,6 +50,9 @@ def test_ring_validation():
         build_ring(4, 2)  # n <= 2k
     with pytest.raises(GraphValidationError):
         build_ring(5, 0)
+    # k >= 1 is checked first, as GraphSpec checks it
+    with pytest.raises(GraphValidationError, match="k must be >= 1, got 0"):
+        build_ring(0, 0)
     with pytest.raises(GraphValidationError, match="n must be >= 0, got -1"):
         complete_graph(-1)
     assert build_ring(np.int64(8), np.int32(1)) == build_ring(8, 1)
@@ -67,6 +70,9 @@ def test_spec_validation():
         GraphSpec(n=10, k=1, c=11, seed=0)  # p > 1
     with pytest.raises(GraphValidationError, match="k must be >= 1, got 0"):
         GraphSpec(n=5, k=0, c=1, seed=0)
+    # k >= 1 comes first, so n = 0 fails on k, not on n > 2k
+    with pytest.raises(GraphValidationError, match="k must be >= 1, got 0"):
+        GraphSpec(n=0, k=0, c=0, seed=0)
 
 
 @pytest.mark.parametrize("bad", [
