@@ -4,8 +4,9 @@ For a connected set S, phi(S) = (edges leaving S) / (edges incident to S).
 The profile takes the minimum of phi over connected sets whose edge volume
 lands in [2^-i * m, 2^(1-i) * m], one window per dyadic scale i, and the
 Fountoulakis-Reed quantity sums phi^-2 across scales.  Small graphs are
-enumerated exactly; larger ones get an annealing search whose per-scale phi
-is only an upper bound on the truth (certified=False).
+enumerated exactly; larger ones get a local search that enumerates the
+windows its budget affords and anneals the rest, whose phi is only an upper
+bound on the truth (certified=False).
 """
 
 from fractions import Fraction

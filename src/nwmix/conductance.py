@@ -26,7 +26,7 @@ counts the sets visited.  Windows become integer volume bounds,
 ratios cut/volume are compared by integer cross-multiplication (ties go to
 the lexicographically smallest sorted witness), and only results become
 Fractions.  Past the enumeration budget, simulated annealing over the same
-masks gives certified=False upper bounds.  Its move loop tests window and
+masks gives uncertified upper bounds.  Its move loop tests window and
 size cap inline, and it checks a drop's connectivity by a search that stops
 once it has joined the dropped vertex's neighbours, remembered per run.
 The annealer reads raw Philox words from ``rng.philox_words`` and applies
@@ -35,20 +35,19 @@ numpy's draw rules inline, so its coins and picks are exactly those of a
 penalties for leaving the window or the size cap are tables by volume and
 by size, built once per window.
 
-Local search stops where no better set can exist.  A window's floor is a
-least cut/volume no connected set in it can beat.  Before annealing, the
-windows are enumerated one by one in ascending order of upper volume bound,
-each within a budget of restarts * iterations sets, and a window that fits
-takes its exact minimum as its floor; the first window past the budget ends
-the enumeration, which caps its cost at one spent budget.  Any
-other window takes the parity floor: a proper subset has cut at least 2k if
-the graph is tagged as holding the 2k-edge-connected (n, k)-ring (else at
-least 1), of the parity of its volume, since vol = 2 e(S) + cut; no window
-admits the whole vertex set.  A window that no set fits is not annealed,
-and a run, or a window's restarts, end once the best meets the floor.
-Bests are replaced only on a strictly smaller ratio, so every phi, witness
-and total is the one the full search gives; the exact minima only stop the
-search, and are not reported.
+Local search reports exact minima where it can afford them.  Before
+annealing, the windows are enumerated one by one in ascending order of
+upper volume bound, each within a budget of restarts * iterations sets.  A
+window that fits reports its exact minimum and witness, certified, as exact
+mode does; the first window past the budget ends the enumeration, which
+caps its cost at one spent budget.  A window that no set fits is exact too.
+Every other window is annealed, and a run, or a window's restarts, end once
+the best meets the window's floor, a least cut/volume no connected set in
+it can beat: a proper subset has cut at least 2k if the graph is tagged as
+holding the 2k-edge-connected (n, k)-ring (else at least 1), of the parity
+of its volume, since vol = 2 e(S) + cut; no window admits the whole vertex
+set.  Bests are replaced only on a strictly smaller ratio, so every
+annealed phi and witness is the one the full search gives.
 """
 
 from __future__ import annotations
@@ -520,7 +519,7 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
     ``iterations`` entries.
 
     The run returns as soon as its best meets ``floor``, a (cut, volume)
-    that no set in the window beats (see `_local_minima`): the best is
+    that no set in the window beats (`_window_floor`): the best is
     replaced only by a strictly smaller ratio, which no set in the window
     has, so the result is the one the full run would return.
     """
@@ -628,41 +627,42 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
 
 
 def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restarts):
-    """Per-window best annealing result over restarts.
+    """(bests, exact): per window, the least (cut, volume, S) found, or None,
+    and whether it is the window's exact minimum.
 
+    A window is exact when no set fits it (`_window_floor` is None) or when
+    `_exact_minima` enumerates it within restarts * iterations sets; it then
+    reports that minimum and its lexicographically smallest witness, as
+    exact mode does.  Windows are enumerated in ascending order of upper
+    bound and the first that overflows ends the enumeration.  The pruned
+    search of a later window may visit fewer sets, so it might have fit;
+    the break is a cost cap: besides the enumerations that fit, a call
+    spends at most one budget.  An annealing move costs several enumerated
+    sets (3 to 6 on a 64-vertex graph), so an enumeration that fits costs at
+    most about a third of the annealing it replaces.
+
+    Every other window takes the best annealing result over restarts.
     Restart r seeds its growth at vertex r mod n, so with restarts >= n
     every single-vertex set is tried, which matters for the smallest-volume
-    windows.  A window that no set fits is not annealed, and a window skips
-    its remaining restarts once its best meets the window's floor.  Bests
-    are replaced only on a strictly smaller ratio and each restart draws
-    from its own seed, so every result, witness included, is the one all
-    the restarts would give.
-
-    The floor is the window's exact minimum (`_exact_minima`) where an
-    enumeration of at most restarts * iterations sets finds it, else
-    `_window_floor`.  An annealing move costs several enumerated sets (3
-    to 6 on a 64-vertex graph), so an enumeration that fits costs at most
-    about a third of the annealing it can save.  Windows are enumerated in
-    ascending order of upper bound and the first that overflows ends the
-    enumeration.  The pruned search of a later window may visit fewer sets,
-    so it might have fit; the break is a cost cap: besides the enumerations
-    that fit, a call spends at most one budget.  A floor only stops the
-    search, so which windows get an exact floor never changes a result.
-    Windows with no parity floor are not enumerated: no set fits them.
+    windows.  A window skips its remaining restarts once its best meets its
+    parity floor.  Bests are replaced only on a strictly smaller ratio and
+    each restart draws from its own seed, so every result, witness
+    included, is the one all the restarts would give.
     """
     floors = [_window_floor(deg, ring_k, window) for window in windows]
+    results = [None] * len(windows)
+    exact = [floor is None for floor in floors]
     for w in sorted(range(len(windows)), key=lambda w: windows[w][1]):
-        if floors[w] is None:
+        if exact[w]:
             continue
         try:
-            exact, = _exact_minima(adj, deg, [windows[w]], size_cap, restarts * iterations)
+            results[w], = _exact_minima(adj, deg, [windows[w]], size_cap,
+                                        restarts * iterations)
         except EnumerationBudgetError:
             break  # at most one spent budget per call
-        floors[w] = None if exact is None else exact[:2]
-    results = []
+        exact[w] = True
     for w, (window, floor) in enumerate(zip(windows, floors)):
-        if floor is None:
-            results.append(None)
+        if exact[w]:
             continue
         penalties = _window_penalties(deg, window, size_cap)
         best = None
@@ -674,8 +674,8 @@ def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restart
                 best = got
                 if got[0] * floor[1] <= floor[0] * got[1]:
                     break
-        results.append(best)
-    return results
+        results[w] = best
+    return results, exact
 
 
 @dataclass
@@ -683,7 +683,9 @@ class FRBound:
     """Sum of Phi^-2 over dyadic scales, with its per-scale profile.
 
     In local-search mode every per-scale phi is an upper bound on the truth,
-    so the reported sum is a lower estimate of the true sum.
+    and exact where its entry is certified, so the reported sum is a lower
+    estimate of the true sum.  ``certified`` says the mode is exact, so that
+    every entry is.
     """
 
     total: Fraction
@@ -767,16 +769,16 @@ def fr_bound(
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     adj, deg = _adjacency_masks(g), g.degrees.tolist()
     if mode == "exact":
-        got = _exact_minima(adj, deg, windows, size_cap, budget)
+        got, exact = _exact_minima(adj, deg, windows, size_cap, budget), [True] * L
     elif mode == "local-search":
-        got = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed, iterations,
-                            restarts)
+        got, exact = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed,
+                                   iterations, restarts)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    certified = mode == "exact"
     profile = ScaleProfile(n=g.n, m=g.m, mode=mode)
     total = Fraction(0)
-    for i, (x, (lo, hi), b) in enumerate(zip(xs, windows, got), start=1):
+    for i, (x, (lo, hi), b, certified) in enumerate(zip(xs, windows, got, exact),
+                                                     start=1):
         phi, witness = ((math.inf, None) if b is None
                         else (Fraction(b[0], b[1]), _members(b[2])))
         if phi < math.inf:  # a proper subset of a connected graph has cut >= 1
@@ -785,4 +787,4 @@ def fr_bound(
             ScaleEntry(i=i, x=x, vol_lo=lo, vol_hi=hi, phi=phi,
                        witness=witness, certified=certified)
         )
-    return FRBound(total=total, profile=profile, certified=certified)
+    return FRBound(total=total, profile=profile, certified=mode == "exact")

@@ -30,6 +30,11 @@ class VerificationError(AssertionError):
     """An exact cross-check that must hold failed."""
 
 
+class _NoAdmissibleValue(ValueError):
+    """No value on a constant's grid meets its conditions: at this c the
+    grid leaves the range it is computed in."""
+
+
 def chernoff_phi(x: float) -> float:
     """phi(x) = (1+x) log(1+x) - x, the binomial large-deviation rate."""
     if x <= -1:
@@ -109,7 +114,7 @@ def _halving_grid(top: float, holds, name: str) -> float:
         value = top / 2**t
         if holds(value):
             return value
-    raise RuntimeError(f"no admissible {name} found on the grid")
+    raise _NoAdmissibleValue(f"no admissible {name} found on the grid")
 
 
 def beta_conditions_hold(beta: float, c: float, k: int) -> bool:
@@ -282,7 +287,7 @@ def solve_small_c_constants(c, k: int) -> ConstantSet:
     while not delta_conditions_hold(GridValue(base, t), epsilon, c, k, R):
         t += 1
         if t > t0 + 4:
-            raise RuntimeError("no admissible delta near the analytic index")
+            raise _NoAdmissibleValue("no admissible delta near the analytic index")
     if t > 0 and delta_conditions_hold(GridValue(base, t - 1), epsilon, c, k, R):
         raise VerificationError("delta not the largest admissible grid value")
     delta = GridValue(base, t)

@@ -408,8 +408,9 @@ def anneal_once(nbr, deg, start, window, size_cap, rng, iterations):
     return best
 
 def local_search_profile(g, seed, iterations, restarts, size_cap=None, windows=None):
-    """(total, per_scale) of local-search fr_bound: per window the best
-    annealing result over restarts, restart r of window w growing from
+    """(total, per_scale) of local-search fr_bound's annealer alone, as when
+    every budgeted enumeration overflows: per window the best annealing
+    result over restarts, restart r of window w growing from
     vertex r mod n on the Philox Generator keyed by derive_seed(seed, w, r).
     per_scale holds (phi, witness), or (None, None) where no set was found."""
     m = g.m

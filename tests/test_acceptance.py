@@ -42,6 +42,7 @@ from nwmix import (
     solve_xk,
     subset_moments,
 )
+from nwmix import conductance
 from nwmix.constants import (
     XK_RESIDUAL_TOL,
     _xk_equation,
@@ -179,20 +180,36 @@ def test_09_conductance_exactness():
             assert cut_stats(g, arc).phi == Fraction(1, ell)
 
 
-def test_10_heuristic_dominance():
-    agree = 0
+def test_10_heuristic_dominance(monkeypatch):
+    # Local search reports the exact minimum of each window it enumerates
+    # within its budget (all but [m/2, m] on most of these graphs); the
+    # annealer is measured on its own with every enumeration overflowing.
+    agree = annealer_agree = certified = 0
     scales = 0
+    exact_minima = conductance._exact_minima
     for s in range(50):
         g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=s))
         exact = fr_bound(g, mode="exact")
         local = fr_bound(g, mode="local-search", seed=derive_seed(1, s))
-        for le, ee in zip(local.profile.entries, exact.profile.entries):
+        with monkeypatch.context() as mp:
+            mp.setattr(conductance, "_exact_minima",
+                       lambda adj, deg, windows, size_cap, budget:
+                       exact_minima(adj, deg, windows, size_cap, 0))
+            annealed = fr_bound(g, mode="local-search", seed=derive_seed(1, s))
+        for le, ae, ee in zip(local.profile.entries, annealed.profile.entries,
+                              exact.profile.entries):
             scales += 1
             assert le.phi >= ee.phi, (s, le.i, le.phi, ee.phi)
-            if le.phi == ee.phi:
-                agree += 1
-    freq = agree / scales
-    EXTRA_NOTES[10] = f"equality {agree}/{scales} = {freq:.1%} (soft target 90%)"
+            assert ae.phi >= ee.phi, (s, ae.i, ae.phi, ee.phi)
+            if le.certified:
+                assert (le.phi, le.witness) == (ee.phi, ee.witness), (s, le.i)
+                certified += 1
+            agree += le.phi == ee.phi
+            annealer_agree += ae.phi == ee.phi
+    freq = annealer_agree / scales
+    EXTRA_NOTES[10] = (f"equality {agree}/{scales} ({certified} windows certified, "
+                       f"{scales - certified} annealed); annealer alone "
+                       f"{annealer_agree}/{scales} = {freq:.1%} (soft target 90%)")
 
 
 def test_11_constants():

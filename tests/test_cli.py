@@ -44,6 +44,13 @@ def test_validation_exit_codes(capsys):
         main(["no-such-command"])
 
 
+def test_constants_past_the_float_grid_exit_validation(capsys):
+    # at c = 10^-100 gamma's float grid runs out: one line, exit 2
+    assert main(["constants", "--c", "1/1" + "0" * 100]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error: no admissible gamma found on the grid\n"
+
+
 def test_mix_reads_graph_file(tmp_path, capsys):
     gpath = tmp_path / "c16.txt"
     write_graph(build_ring(16, 1), gpath)

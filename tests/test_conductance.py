@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -206,9 +207,11 @@ def test_local_search_upper_bounds_exact(seed):
     g = sample_small_world(GraphSpec(n=14, k=1, c=2, seed=seed))
     exact = fr_bound(g, mode="exact")
     local = fr_bound(g, mode="local-search", seed=5, restarts=16, iterations=300)
-    assert not local.certified and all(not e.certified for e in local.profile.entries)
+    assert not local.certified  # the profile-level flag means exact mode
     for le, ee in zip(local.profile.entries, exact.profile.entries):
         assert le.phi >= ee.phi  # heuristic never beats the true minimum
+        if le.certified:
+            assert (le.phi, le.witness) == (ee.phi, ee.witness)
         if le.witness is not None:
             assert cut_stats(g, le.witness).phi == le.phi
     assert local.total <= exact.total
@@ -331,19 +334,90 @@ def test_a_window_with_no_integer_volume_keeps_the_pruning():
     assert fr_bound(g, windows=windows, budget=10830).total == fr_bound(g).total
 
 
+@contextlib.contextmanager
+def _annealer_only():
+    """Every budgeted enumeration of local search overflows at once, so that
+    it anneals every window that some set may fit."""
+    exact_minima = conductance._exact_minima
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conductance, "_exact_minima",
+                   lambda adj, deg, windows, size_cap, budget:
+                   exact_minima(adj, deg, windows, size_cap, 0))
+        yield
+
+
+def _entry(phi, witness):
+    """An oracle's (phi, witness), None for an empty window, as an entry's."""
+    return (math.inf, None) if phi is None else (phi, witness)
+
+
+def _exact_on(g, window, size_cap=None):
+    """Exact mode's (phi, witness) on one window, given as every window."""
+    res = fr_bound(g, windows=[window] * num_scales(g.m), size_cap=size_cap)
+    return res.profile.entries[0].phi, res.profile.entries[0].witness
+
+
+def _check_local_rule(g, seed, iterations, restarts, size_cap=None, windows=None):
+    """Local search against the oracles.  A certified entry is its window's
+    exact minimum with the lexicographically smallest witness
+    (`oracles.window_minima`, or exact mode on that window alone past the
+    subset scan's n <= 20), any other the oracle annealer's result.  With
+    every enumeration overflowing, every entry is the oracle annealer's, bit
+    for bit, and only the windows with no parity floor are certified."""
+    kwargs = dict(mode="local-search", seed=seed, iterations=iterations,
+                  restarts=restarts, size_cap=size_cap, windows=windows)
+    res = fr_bound(g, **kwargs)
+    with _annealer_only():
+        annealed = fr_bound(g, **kwargs)
+    total, per_scale = oracles.local_search_profile(g, seed, iterations, restarts,
+                                                    size_cap=size_cap, windows=windows)
+    assert [(e.phi, e.witness) for e in annealed.profile.entries] == [
+        _entry(*got) for got in per_scale]
+    assert annealed.total == total
+    deg = g.degrees.tolist()
+    assert [e.certified for e in annealed.profile.entries] == [
+        conductance._window_floor(deg, g.ring_k, (e.vol_lo, e.vol_hi)) is None
+        for e in annealed.profile.entries]
+    entries = res.profile.entries
+    sure = [(e.vol_lo, e.vol_hi) for e in entries if e.certified]
+    if g.n <= 20:
+        exact = [_entry(*got) for got in oracles.window_minima(g, sure, size_cap)]
+    else:  # past the subset scan's reach
+        exact = [_exact_on(g, window, size_cap) for window in sure]
+    exact = iter(exact)
+    assert [(e.phi, e.witness) for e in entries] == [
+        next(exact) if e.certified else _entry(*got) for e, got in zip(entries, per_scale)]
+    assert res.total == sum(1 / e.phi**2 for e in entries if not e.empty)
+    assert not res.certified and not annealed.certified
+
+
 def test_local_search_profile_is_pinned():
-    # Pool graph of seed 0 (n=20, c=3), as in criterion 10; the profile was
-    # recorded from the earlier set-based annealer, so any change in the
-    # annealer's random draws or move rules shows here.
+    # Pool graph of seed 0 (n=20, c=3), as in criterion 10.  Every window fits
+    # the enumeration budget, so the profile is exact mode's, every entry
+    # certified.  With the enumeration overflowing, the profile is the
+    # annealer's, recorded from the earlier set-based annealer, so any change
+    # in its random draws or move rules shows here.
     g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
     res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
     assert [(e.phi, e.witness) for e in res.profile.entries] == [
-        (Fraction(4, 17), (6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17)),
-        (Fraction(3, 8), (4, 5, 6, 10, 11, 12)),
+        (Fraction(4, 17), (0, 1, 2, 3, 4, 5, 13, 18, 19)),
+        (Fraction(3, 8), (2, 3, 4, 12, 13)),
         (Fraction(3, 7), (10, 11, 12)),
         (Fraction(1, 2), (11, 12)),
         (Fraction(1), (4,)),
         (math.inf, None),
+    ]
+    assert all(e.certified for e in res.profile.entries)
+    assert res.total == Fraction(5129, 144)
+    with _annealer_only():
+        res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
+    assert [(e.phi, e.witness, e.certified) for e in res.profile.entries] == [
+        (Fraction(4, 17), (6, 7, 8, 9, 10, 11, 12, 14, 15, 16, 17), False),
+        (Fraction(3, 8), (4, 5, 6, 10, 11, 12), False),
+        (Fraction(3, 7), (10, 11, 12), False),
+        (Fraction(1, 2), (11, 12), False),
+        (Fraction(1), (4,), False),
+        (math.inf, None, True),  # [1, 1] lies below the least degree
     ]
     assert res.total == Fraction(5129, 144)
 
@@ -362,7 +436,8 @@ def test_local_search_profile_is_pinned():
 def test_local_search_matches_generator_oracle(n, k, c, graph_seed, seed, iterations,
                                                restarts, size_cap, data):
     # the annealer's raw Philox draws against the same annealer on numpy
-    # Generators: same profile, witnesses and total
+    # Generators (same profile, witnesses and total), and the enumerated
+    # windows against the subset scan
     g = sample_small_world(GraphSpec(n=max(n, 2 * k + 1), k=k, c=c, seed=graph_seed))
     windows = None
     if data is not None and data.draw(st.booleans(), label="custom windows"):
@@ -370,14 +445,7 @@ def test_local_search_matches_generator_oracle(n, k, c, graph_seed, seed, iterat
                              max_denominator=8)
         windows = [tuple(sorted(data.draw(st.tuples(bound, bound))))
                    for _ in range(num_scales(g.m))]
-    res = fr_bound(g, mode="local-search", seed=seed, iterations=iterations,
-                   restarts=restarts, size_cap=size_cap, windows=windows)
-    total, per_scale = oracles.local_search_profile(g, seed, iterations, restarts,
-                                                    size_cap=size_cap, windows=windows)
-    assert [(e.phi, e.witness) for e in res.profile.entries] == [
-        (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
-    ]
-    assert res.total == total
+    _check_local_rule(g, seed, iterations, restarts, size_cap, windows)
 
 
 def _untagged(g):
@@ -460,21 +528,19 @@ def test_drop_connectivity_matches_oracle(g):
 
 
 def test_local_search_skips_what_cannot_improve(monkeypatch):
-    # Pool graph of seed 0 (n=20, c=3), as in criterion 10: its last window
-    # is [1, 1], below the least degree, and some windows reach their floor.
+    # Pool graph of seed 0 (n=20, c=3), as in criterion 10: every window fits
+    # the enumeration budget, so nothing is annealed.  With the enumeration
+    # overflowing, its last window, [1, 1], below the least degree, is still
+    # not annealed, and some windows reach their parity floor.
     g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
-    calls = []
-    anneal = conductance._anneal_once
-
-    def counted(adj, deg, start, window, *args):
-        calls.append(window)
-        return anneal(adj, deg, start, window, *args)
-
-    monkeypatch.setattr(conductance, "_anneal_once", counted)
-    res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
+    calls = _spy_anneal(monkeypatch)
+    fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
+    assert not calls
+    with _annealer_only():
+        res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
     last = res.profile.entries[-1]
     assert (math.ceil(last.vol_lo), math.floor(last.vol_hi)) == (1, 1)
-    assert last.empty and (last.vol_lo, last.vol_hi) not in calls
+    assert last.empty and (last.vol_lo, last.vol_hi) not in [w for w, _, _ in calls]
     assert 0 < len(calls) < len(res.profile.entries) * 32
 
 
@@ -495,15 +561,7 @@ def test_local_search_stopping_keeps_the_oracle_profile(case):
         windows = [(Fraction(g.m, 2**i), Fraction(2 * g.m)) for i in range(1, L + 1)]
     if case.startswith("untagged"):
         g = _untagged(g)
-    seed = derive_seed(3, 7)
-    res = fr_bound(g, mode="local-search", seed=seed, iterations=iterations,
-                   restarts=restarts, size_cap=size_cap, windows=windows)
-    total, per_scale = oracles.local_search_profile(g, seed, iterations, restarts,
-                                                    size_cap=size_cap, windows=windows)
-    assert [(e.phi, e.witness) for e in res.profile.entries] == [
-        (math.inf, None) if phi is None else (phi, witness) for phi, witness in per_scale
-    ]
-    assert res.total == total
+    _check_local_rule(g, derive_seed(3, 7), iterations, restarts, size_cap, windows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -517,10 +575,11 @@ def test_local_search_stopping_keeps_the_oracle_profile(case):
        data=st.data())
 @example(n=12, k=1, c=Fraction(2), graph_seed=0, untagged=False, seed=0, iterations=150,
          restarts=6, size_cap=None, data=None)
-def test_exact_floors_keep_every_local_search_result(n, k, c, graph_seed, untagged, seed,
-                                                     iterations, restarts, size_cap, data):
-    # the same call with every enumeration overflowing at once, so that every
-    # window keeps its parity floor
+def test_exact_windows_keep_every_annealed_result(n, k, c, graph_seed, untagged, seed,
+                                                 iterations, restarts, size_cap, data):
+    # the same call with every enumeration overflowing at once: the windows
+    # that local search anneals get the same results, bit for bit, and those
+    # it enumerates get exact mode's
     g = sample_small_world(GraphSpec(n=max(n, 2 * k + 1), k=k, c=c, seed=graph_seed))
     if untagged:
         g = _untagged(g)
@@ -533,15 +592,12 @@ def test_exact_floors_keep_every_local_search_result(n, k, c, graph_seed, untagg
     kwargs = dict(mode="local-search", seed=seed, iterations=iterations,
                   restarts=restarts, size_cap=size_cap, windows=windows)
     res = fr_bound(g, **kwargs)
-    exact_minima = conductance._exact_minima
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(conductance, "_exact_minima",
-                   lambda adj, deg, windows, size_cap, budget:
-                   exact_minima(adj, deg, windows, size_cap, 0))
+    with _annealer_only():
         ref = fr_bound(g, **kwargs)
-    assert [(e.phi, e.witness) for e in res.profile.entries] == [
-        (e.phi, e.witness) for e in ref.profile.entries]
-    assert res.total == ref.total
+    exact = fr_bound(g, size_cap=size_cap, windows=windows)
+    for e, x, a in zip(res.profile.entries, exact.profile.entries, ref.profile.entries):
+        want = x if e.certified else a
+        assert (e.phi, e.witness) == (want.phi, want.witness), e.i
 
 
 def _spy_anneal(monkeypatch):
@@ -558,42 +614,27 @@ def _spy_anneal(monkeypatch):
     return calls
 
 
-def test_local_search_stops_at_the_exact_window_minimum(monkeypatch):
+def test_local_search_reports_the_exact_window_minimum(monkeypatch):
     # Pool graph of seed 1 (n=20, c=3), as in criterion 10: every window fits
-    # the enumeration budget (the largest since the search prunes), and the
-    # annealer reaches each exact minimum, above the parity floor in all but
-    # the smallest window.
+    # the enumeration budget (the largest since the search prunes), so local
+    # search reports exact mode's profile, witnesses included, with every
+    # entry certified, and anneals nothing.
     # With a size cap of 1 the two largest windows hold no set, though their
-    # parity floors admit one.
+    # parity floors admit one: their enumeration certifies them empty.
     g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=1))
     calls = _spy_anneal(monkeypatch)
     deg = g.degrees.tolist()
     for size_cap in (None, 1):
-        calls.clear()
         exact = fr_bound(g, size_cap=size_cap)
         res = fr_bound(g, mode="local-search", seed=derive_seed(1, 1), size_cap=size_cap)
+        assert [(e.phi, e.witness) for e in res.profile.entries] == [
+            (e.phi, e.witness) for e in exact.profile.entries]
         assert res.total == exact.total
-        stopped = unfit = 0
-        for e, least in zip(res.profile.entries, exact.profile.entries):
-            window = (e.vol_lo, e.vol_hi)
-            runs = [(floor, got) for w, floor, got in calls if w == window]
-            parity = conductance._window_floor(deg, g.ring_k, window)
-            if least.empty:
-                assert e.empty and not runs
-                unfit += parity is not None
-                continue
-            reached = [r for r, (_, got) in enumerate(runs)
-                       if got is not None and Fraction(got[0], got[1]) == least.phi]
-            floor = Fraction(*runs[0][0])
-            if floor == least.phi:
-                assert reached[0] == len(runs) - 1, window
-                stopped += Fraction(*parity) < least.phi
-            else:  # past the budget: the parity floor, which no run meets
-                assert floor == Fraction(*parity) < least.phi
-                assert window == (exact.profile.entries[0].vol_lo, g.m)
-                assert len(runs) == 32 and reached[0] < 31
-        assert stopped > 0
+        assert all(e.certified for e in res.profile.entries)
+        unfit = sum(e.empty and conductance._window_floor(
+            deg, g.ring_k, (e.vol_lo, e.vol_hi)) is not None for e in res.profile.entries)
         assert unfit == (0 if size_cap is None else 2)
+    assert not calls
 
 
 def test_exact_floors_are_tried_in_ascending_order(monkeypatch):
@@ -626,6 +667,70 @@ def test_exact_floors_are_tried_in_ascending_order(monkeypatch):
     deg = g.degrees.tolist()
     assert calls and all(floor == conductance._window_floor(deg, g.ring_k, window)
                          for window, floor, _ in calls)
+
+
+def test_certified_windows_are_the_enumerated_prefix(monkeypatch):
+    # n=40, c=2, as above: the windows that enumerate in ascending order of
+    # upper bound before the first overflow are certified with exact mode's
+    # minimum, and so is [0.52, 1.03], which no set fits; only the others are
+    # annealed
+    g = sample_small_world(GraphSpec(n=40, k=1, c=2, seed=0))
+    done = []
+    exact_minima = conductance._exact_minima
+
+    def spied(adj, deg, windows, size_cap, budget):
+        got = exact_minima(adj, deg, windows, size_cap, budget)
+        done.append(windows[0])  # not reached on an overflow
+        return got
+
+    monkeypatch.setattr(conductance, "_exact_minima", spied)
+    calls = _spy_anneal(monkeypatch)
+    res = fr_bound(g, mode="local-search", seed=0)
+    deg = g.degrees.tolist()
+    entries = res.profile.entries
+    windows = [(e.vol_lo, e.vol_hi) for e in entries]
+    unfit = [conductance._window_floor(deg, g.ring_k, w) is None for w in windows]
+    ascending = sorted((w for w, no in zip(windows, unfit) if not no), key=lambda w: w[1])
+    assert 0 < len(done) < len(ascending) and done == ascending[:len(done)]
+    assert any(unfit)
+    assert [e.certified for e in entries] == [w in done or no
+                                              for w, no in zip(windows, unfit)]
+    assert {w for w, _, _ in calls} == {w for w, e in zip(windows, entries)
+                                        if not e.certified}
+    monkeypatch.undo()
+    for w, e in zip(windows, entries):
+        if e.certified:
+            assert (e.phi, e.witness) == _exact_on(g, w)
+
+
+def test_a_profile_of_certified_windows_is_not_certified():
+    # the profile-level flag means exact mode, even when every window of a
+    # local search is exact (pool graph of seed 0, n=20, c=3)
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
+    res = fr_bound(g, mode="local-search", seed=derive_seed(1, 0))
+    assert all(e.certified for e in res.profile.entries)
+    assert res.certified is False
+    payload = json.loads(res.to_json())
+    assert payload["certified"] is False
+    assert all(scale["certified"] is True for scale in payload["scales"])
+
+
+def test_local_search_reports_exact_minima_the_annealer_misses():
+    # The benchmark's n=64, c=1/2 conductance graph of seed 7919: 32 restarts
+    # on [9.5, 19] and on [19, 38] reached 1/7 and 5/37 only, while their
+    # enumerations fit the budget and find 1/9 and 1/11
+    cfg = ExperimentConfig(n_values=(64,), k=1, c=Fraction(1, 2),
+                           master_seed=derive_seed(7919, 9), mode="auto")
+    (_, res), = run_conductance(cfg)
+    entries = res.profile.entries
+    assert [(e.phi, e.certified) for e in entries[1:3]] == [
+        (Fraction(1, 11), True), (Fraction(1, 9), True)]
+    assert not entries[0].certified and all(e.certified for e in entries[1:])
+    assert res.total == Fraction(1253, 4)
+    g = sample_small_world(GraphSpec(n=64, k=1, c=Fraction(1, 2),
+                                     seed=derive_seed(cfg.master_seed, 64, 0)))
+    for e in entries[1:3]:
+        assert (e.phi, e.witness) == _exact_on(g, (e.vol_lo, e.vol_hi))
 
 
 def test_local_search_rejects_bad_parameters():

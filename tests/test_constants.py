@@ -149,9 +149,10 @@ def test_delta_is_pinned_where_floats_cannot_resolve_its_grid(c, k):
 def test_halving_grids_name_the_constant_they_miss():
     # both grids are floats: gamma's falls out of range from about c = 1e-100,
     # beta's from about c = 1e-150
-    with pytest.raises(RuntimeError, match="no admissible gamma found on the grid"):
+    # a ValueError, so that the CLI reports it in one line
+    with pytest.raises(ValueError, match="no admissible gamma found on the grid"):
         constants_for(Fraction(1, 10**100), 1)
-    with pytest.raises(RuntimeError, match="no admissible beta found on the grid"):
+    with pytest.raises(ValueError, match="no admissible beta found on the grid"):
         solve_beta(Fraction(1, 10**150))
 
 
