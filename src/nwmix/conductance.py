@@ -16,38 +16,40 @@ take about n^2/8 bytes).  ``_connected_masks`` enumerates each connected set
 once by Wernicke's ESU canonical extension, carrying volume and cut along
 and pushing no frame that could yield nothing; ``connected_sets``,
 ``connected_set_counts`` (one count per size from one pass) and the exact
-window minima are visitors over it.  The exact minima prune it by branch and
-bound: a set's edges to vertices that none of its extensions can add stay
-in every extension's cut, so once they exceed what each window's best so
-far allows, the set is not expanded.  Sets that tie a best are still
-visited, so the minima and their witnesses are those of the full
-enumeration; the listing and counting visitors prune nothing.  A budget
-counts the sets visited.  Windows become integer volume bounds,
-ratios cut/volume are compared by integer cross-multiplication (ties go to
-the lexicographically smallest sorted witness), and only results become
-Fractions.  Past the enumeration budget, simulated annealing over the same
-masks gives uncertified upper bounds.  Its move loop tests window and
-size cap inline, and it checks a drop's connectivity by a search that stops
-once it has joined the dropped vertex's neighbours, remembered per run.
+window minimum are visitors over it.  The exact minimum is searched one
+window at a time and prunes by branch and bound: a set's edges to vertices
+that none of its extensions can add stay in every extension's cut, so once
+they exceed the one number the window's best so far allows, the set is not
+expanded.  Sets that tie the best are still visited, so the minimum and its
+witness are those of the full enumeration; the listing and counting
+visitors prune nothing.  A budget counts the sets visited, per window in
+``fr_bound``.  Windows become integer volume bounds, ratios cut/volume are
+compared by integer cross-multiplication (ties go to the lexicographically
+smallest sorted witness), and only results become Fractions.  Past the
+enumeration budget, simulated annealing over the same masks gives
+uncertified upper bounds.  Its move loop tests window and size cap inline,
+and it checks a drop's connectivity by a search that stops once it has
+joined the dropped vertex's neighbours, remembered per run.
 The annealer reads raw Philox words from ``rng.philox_words`` and applies
 numpy's draw rules inline, so its coins and picks are exactly those of a
 ``Generator`` on the same key, bit for bit, without a call per draw; its
 penalties for leaving the window or the size cap are tables by volume and
 by size, built once per window.
 
-Local search reports exact minima where it can afford them.  Before
-annealing, the windows are enumerated one by one in ascending order of
-upper volume bound, each within a budget of restarts * iterations sets.  A
-window that fits reports its exact minimum and witness, certified, as exact
-mode does; the first window past the budget ends the enumeration, which
-caps its cost at one spent budget.  A window that no set fits is exact too.
-Every other window is annealed, and a run, or a window's restarts, end once
-the best meets the window's floor, a least cut/volume no connected set in
-it can beat: a proper subset has cut at least 2k if the graph is tagged as
-holding the 2k-edge-connected (n, k)-ring (else at least 1), of the parity
-of its volume, since vol = 2 e(S) + cut; no window admits the whole vertex
-set.  Bests are replaced only on a strictly smaller ratio, so every
-annealed phi and witness is the one the full search gives.
+Both modes take the windows one by one in ascending order of upper volume
+bound.  A window that no set fits is exact and empty.  Every other window
+is enumerated alone, within ``budget`` sets in exact mode, which raises
+EnumerationBudgetError past it, and within restarts * iterations sets in
+local search, where a window that fits reports its exact minimum and
+witness, certified, and the first window past the budget ends the
+enumeration, which caps its cost at one spent budget.  Local search anneals
+the windows left, and a run, or a window's restarts, end once the best
+meets the window's floor, a least cut/volume no connected set in it can
+beat: a proper subset has cut at least 2k if the graph is tagged as holding
+the 2k-edge-connected (n, k)-ring (else at least 1), of the parity of its
+volume, since vol = 2 e(S) + cut; no window admits the whole vertex set.
+Bests are replaced only on a strictly smaller ratio, so every annealed phi
+and witness is the one the full search gives.
 """
 
 from __future__ import annotations
@@ -162,13 +164,6 @@ def _lex_less(a: int, b: int) -> bool:
     return not a & above if b & low else bool(b & above)
 
 
-def _better(a, b) -> bool:
-    """Whether (cut, volume, S) a has the smaller cut/volume, ties going to
-    the lexicographically smaller set."""
-    lhs, rhs = a[0] * b[1], b[0] * a[1]
-    return lhs < rhs or (lhs == rhs and _lex_less(a[2], b[2]))
-
-
 # -- connected set enumeration ---------------------------------------------------
 
 
@@ -195,24 +190,24 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None,
     be popped and yield nothing, so skipping them leaves the sets, their
     order and the budget count as they are.
 
-    ``prune``, if given, is a list by volume that the consumer may lower
-    between yields.  The lost edges of a set S are its edges to vertices that
-    none of its extensions can add: those in its exclusion mask but neither
-    in S nor in its remaining extension, ranked below the root or taken by
-    an earlier sibling.  Every extension of S keeps them in its cut.  S
-    carries its open edges, those to its remaining extension, and its lost
-    edges are its cut less these; S of volume v takes no more children
-    while its lost edges exceed prune[v], read each time S is entered or
+    ``prune``, if given, is a one-element list whose value the consumer may
+    lower between yields.  The lost edges of a set S are its edges to
+    vertices that none of its extensions can add: those in its exclusion
+    mask but neither in S nor in its remaining extension, ranked below the
+    root or taken by an earlier sibling.  Every extension of S keeps them in
+    its cut.  S carries its open edges, those to its remaining extension,
+    and its lost edges are its cut less these; S takes no more children
+    while its lost edges exceed prune[0], read each time S is entered or
     resumed.  Each child that S pops, visited or skipped for volume, takes
     its links to S out of S's open edges, and a child starts with S's open
-    edges plus its own links to its extension.  Without a table nothing is
+    edges plus its own links to its extension.  Without ``prune`` nothing is
     pruned, and the sets, their order and the budget count are those of the
     full enumeration.
     """
     left = budget
     room = max_volume - min(deg)  # the most volume a set with children has
     if prune is None:
-        prune = [sum(deg)] * (max(room, 0) + 1)  # no set has more lost edges
+        prune = [sum(deg)]  # no set has more lost edges
     # (row, degree) of vertex w at index w + 1, the bit length of its bit
     rows = [(0, 0), *zip(adj, deg)]
     roots = range(len(adj)) if containing is None else (containing,)
@@ -235,7 +230,7 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None,
         S, excl, vol, cut, open_, size = bit, adj[root] | banned, d, d, ext.bit_count(), 2
         stack = []
         while True:
-            least = cut - prune[vol]  # the fewest open edges that keep S going
+            least = cut - prune[0]  # the fewest open edges that keep S going
             while ext and open_ >= least:
                 low = ext & -ext
                 ext ^= low
@@ -260,7 +255,7 @@ def _connected_masks(adj, deg, max_size, max_volume, budget, containing=None,
                         S, ext, excl, vol, cut, open_, size = (
                             child, ext2, excl | ext2, vol2, cut2,
                             open_ + (row & ext2).bit_count(), size + 1)
-                        least = cut - prune[vol]
+                        least = cut - prune[0]
             if not stack:
                 break
             S, ext, excl, vol, cut, open_, size = stack.pop()
@@ -340,80 +335,33 @@ def num_scales(m: int) -> int:
     return max(1, math.ceil(math.log2(m)))
 
 
-def _lost_caps(caps, bounds, best):
-    """Fill ``caps``, by volume v, with the most lost edges (see
-    `_connected_masks`) a set of volume v may have while an extension of it
-    could still tie or beat the best (c, b) so far of some window [lo, hi]
-    in ``bounds`` with hi > v.
+def _exact_minima(adj, deg, window, size_cap, budget):
+    """The minimum (cut, volume, S) over connected proper subsets with volume
+    in the window and at most size_cap vertices, ties going to the
+    lexicographically smallest S, or None, by one pruned enumeration.
 
-    An extension T in that window has volume at most hi and cut at least the
-    set's lost edges; it ties or beats (c, b) only if cut(T) * b <= c *
-    vol(T), so only if lost <= c * hi // b.  The cap is the largest of
-    these, or len(caps), above every lost count, while one of those windows
-    has no best yet.  A window with no integer volume, lo > hi, holds no set
-    and takes no part.
+    The window must admit some volume between the least degree and 2m - 1
+    (`_window_floor` is not None).  Once a best (c, b) is known, an
+    extension T in the window has volume at most hi and cut at least the
+    lost edges (see `_connected_masks`) of the set it grows from; it ties or
+    beats the best only if cut(T) * b <= c * vol(T), so only if lost <= c *
+    hi // b, the prune.  A set past it has only extensions of a strictly
+    larger ratio, so neither the minimum nor its lexicographically smallest
+    witness is skipped.
     """
-    never = len(caps)  # above every volume, so above every lost count
-    cap, end = -1, len(caps)
-    for w in sorted(range(len(bounds)), key=lambda w: bounds[w][1], reverse=True):
-        lo, hi = bounds[w]
-        if lo > hi:
-            continue
-        start = min(max(hi, 0), end)
-        caps[start:end] = [cap] * (end - start)
-        end = start
-        b = best[w]
-        cap = never if b is None else max(cap, b[0] * hi // b[1])
-    caps[:end] = [cap] * end
-
-
-def _exact_minima(adj, deg, windows, size_cap, budget):
-    """Per window, the minimum (cut, volume, S) over connected proper
-    subsets with volume in the window, or None, by one enumeration.
-
-    The enumeration keeps, per volume, the least cut and its lexicographically
-    smallest set; each window then takes the least ratio over its volumes.
-    Along the way each window keeps its best ratio so far, and the
-    enumeration prunes by them (`_lost_caps`): it stops extending a set whose
-    lost edges already exceed what every window it could still reach allows.
-    Such a set's extensions all have a strictly larger ratio than their
-    window's best, so no window's minimum, nor its lexicographically smallest
-    witness, is skipped.
-    """
-    bounds = [(math.ceil(lo), math.floor(hi)) for lo, hi in windows]
-    top = max(hi for _, hi in bounds)
-    min_deg = min(deg)
-    max_size = len(adj) - 1 if min_deg == 0 else min(len(adj) - 1, top // min_deg)
+    lo, hi = math.ceil(window[0]), math.floor(window[1])
+    max_size = min(len(adj) - 1, hi // min(deg))
     if size_cap is not None:
         max_size = min(max_size, size_cap)
-    total = sum(deg)  # no cut or volume exceeds it
-    cuts, sets = [total + 1] * (total + 1), [0] * (total + 1)
-    so_far = [None] * len(bounds)  # each window's least (cut, volume) so far
-    caps = [0] * (max(top, 0) + 1)
-    _lost_caps(caps, bounds, so_far)
-    for S, _, vol, cut in _connected_masks(adj, deg, max_size, top, budget, prune=caps):
-        least = cuts[vol]
-        if cut < least:
-            cuts[vol], sets[vol] = cut, S
-            lower = False
-            for w, (lo, hi) in enumerate(bounds):
-                b = so_far[w]
-                if lo <= vol <= hi and (b is None or cut * b[1] < b[0] * vol):
-                    so_far[w], lower = (cut, vol), True
-            if lower:
-                _lost_caps(caps, bounds, so_far)
-        elif cut == least and _lex_less(S, sets[vol]):
-            sets[vol] = S
-    best = []
-    for lo, hi in bounds:
-        cur = None
-        for vol in range(max(lo, 0), min(hi, total) + 1):
-            if cuts[vol] <= total:
-                cand = (cuts[vol], vol, sets[vol])
-                if cur is None or _better(cand, cur):
-                    cur = cand
-        best.append(cur)
-    return best
+    prune = [sum(deg)]  # above every lost count while there is no best
+    c, b, witness = 1, 0, 0  # the best (cut, volume, S) so far; 1/0 loses to any set
+    for S, _, vol, cut in _connected_masks(adj, deg, max_size, hi, budget, prune=prune):
+        if lo <= vol <= hi:
+            lhs, rhs = cut * b, c * vol
+            if lhs < rhs or lhs == rhs and _lex_less(S, witness):
+                c, b, witness = cut, vol, S
+                prune[0] = cut * hi // vol
+    return (c, b, witness) if witness else None
 
 
 def _drop_neighbors(adj, nbr: int, w: int, S: int) -> int:
@@ -626,56 +574,28 @@ def _anneal_once(adj, deg, start, window, size_cap, words, iterations, floor, pe
     return best
 
 
-def _local_minima(adj, deg, ring_k, windows, size_cap, seed, iterations, restarts):
-    """(bests, exact): per window, the least (cut, volume, S) found, or None,
-    and whether it is the window's exact minimum.
+def _local_minimum(adj, deg, w, window, floor, size_cap, seed, iterations, restarts):
+    """The best annealing result, (cut, volume, S) or None, over restarts on
+    window number w, whose parity floor is ``floor``.
 
-    A window is exact when no set fits it (`_window_floor` is None) or when
-    `_exact_minima` enumerates it within restarts * iterations sets; it then
-    reports that minimum and its lexicographically smallest witness, as
-    exact mode does.  Windows are enumerated in ascending order of upper
-    bound and the first that overflows ends the enumeration.  The pruned
-    search of a later window may visit fewer sets, so it might have fit;
-    the break is a cost cap: besides the enumerations that fit, a call
-    spends at most one budget.  An annealing move costs several enumerated
-    sets (3 to 6 on a 64-vertex graph), so an enumeration that fits costs at
-    most about a third of the annealing it replaces.
-
-    Every other window takes the best annealing result over restarts.
     Restart r seeds its growth at vertex r mod n, so with restarts >= n
     every single-vertex set is tried, which matters for the smallest-volume
-    windows.  A window skips its remaining restarts once its best meets its
-    parity floor.  Bests are replaced only on a strictly smaller ratio and
-    each restart draws from its own seed, so every result, witness
-    included, is the one all the restarts would give.
+    windows.  The window skips its remaining restarts once its best meets
+    its floor.  Bests are replaced only on a strictly smaller ratio and each
+    restart draws from its own seed, so the result, witness included, is the
+    one all the restarts would give.
     """
-    floors = [_window_floor(deg, ring_k, window) for window in windows]
-    results = [None] * len(windows)
-    exact = [floor is None for floor in floors]
-    for w in sorted(range(len(windows)), key=lambda w: windows[w][1]):
-        if exact[w]:
-            continue
-        try:
-            results[w], = _exact_minima(adj, deg, [windows[w]], size_cap,
-                                        restarts * iterations)
-        except EnumerationBudgetError:
-            break  # at most one spent budget per call
-        exact[w] = True
-    for w, (window, floor) in enumerate(zip(windows, floors)):
-        if exact[w]:
-            continue
-        penalties = _window_penalties(deg, window, size_cap)
-        best = None
-        for r in range(restarts):
-            words = philox_words(derive_seed(seed, w, r))
-            got = _anneal_once(adj, deg, r % len(adj), window, size_cap, words,
-                               iterations, floor, penalties)
-            if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
-                best = got
-                if got[0] * floor[1] <= floor[0] * got[1]:
-                    break
-        results[w] = best
-    return results, exact
+    penalties = _window_penalties(deg, window, size_cap)
+    best = None
+    for r in range(restarts):
+        words = philox_words(derive_seed(seed, w, r))
+        got = _anneal_once(adj, deg, r % len(adj), window, size_cap, words,
+                           iterations, floor, penalties)
+        if got is not None and (best is None or got[0] * best[1] < best[0] * got[1]):
+            best = got
+            if got[0] * floor[1] <= floor[0] * got[1]:
+                break
+    return best
 
 
 @dataclass
@@ -741,6 +661,20 @@ def fr_bound(
     exactly; a window's lower bound must not exceed its upper bound.  Other
     bounds raise ValueError.
     ``size_cap``, if given, bounds the witness size and must be >= 1.
+
+    Both modes take the windows in ascending order of upper bound.  A window
+    that no set fits (`_window_floor` is None) is exact and empty; every
+    other window is enumerated alone by `_exact_minima`, which prunes a set
+    once its lost edges exceed the one number its window's best so far
+    allows.  In exact mode ``budget`` bounds each window's enumeration, and
+    the first window past it raises EnumerationBudgetError.  Local search
+    gives each window restarts * iterations sets, certifies the windows that
+    fit, and stops enumerating at the first that does not: a later window
+    may visit fewer sets and might have fit, but the break caps a call's
+    cost, besides the enumerations that fit, at one spent budget.  An
+    annealing move costs several enumerated sets (3 to 6 on a 64-vertex
+    graph), so an enumeration that fits costs at most about a third of the
+    annealing it replaces.  The windows left are annealed (`_local_minimum`).
     """
     if not g.is_connected():
         raise ValueError("scale profile requires a connected graph")
@@ -767,14 +701,26 @@ def fr_bound(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if _integer(iterations, "iterations") < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    adj, deg = _adjacency_masks(g), g.degrees.tolist()
-    if mode == "exact":
-        got, exact = _exact_minima(adj, deg, windows, size_cap, budget), [True] * L
-    elif mode == "local-search":
-        got, exact = _local_minima(adj, deg, g.ring_k, windows, size_cap, seed,
-                                   iterations, restarts)
-    else:
+    if mode not in ("exact", "local-search"):
         raise ValueError(f"unknown mode {mode!r}")
+    adj, deg = _adjacency_masks(g), g.degrees.tolist()
+    floors = [_window_floor(deg, g.ring_k, window) for window in windows]
+    got, exact = [None] * L, [floor is None for floor in floors]
+    per_window = budget if mode == "exact" else restarts * iterations
+    for w in sorted(range(L), key=lambda w: windows[w][1]):
+        if exact[w]:
+            continue
+        try:
+            got[w] = _exact_minima(adj, deg, windows[w], size_cap, per_window)
+        except EnumerationBudgetError:
+            if mode == "exact":
+                raise
+            break  # at most one spent budget per call
+        exact[w] = True
+    for w, (window, floor) in enumerate(zip(windows, floors)):
+        if not exact[w]:
+            got[w] = _local_minimum(adj, deg, w, window, floor, size_cap, seed,
+                                    iterations, restarts)
     profile = ScaleProfile(n=g.n, m=g.m, mode=mode)
     total = Fraction(0)
     for i, (x, (lo, hi), b, certified) in enumerate(zip(xs, windows, got, exact),

@@ -54,6 +54,10 @@ class OffspringLaw:
 
     def __post_init__(self):
         k = self.kind
+        counts = {"binomial": ("n",), "binomial_plus": ("n", "extra"),
+                  "deterministic": ("d",)}.get(k, ())
+        for name in counts:  # a float count is an error, never truncated
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if k == "poisson":
             if self.c is None or self.c < 0:
                 raise ValueError("poisson law needs mean c >= 0")
@@ -61,15 +65,16 @@ class OffspringLaw:
             self._check_binomial()
         elif k == "binomial_plus":
             self._check_binomial()
-            if self.extra is None or self.extra < 0:
+            if self.extra < 0:
                 raise ValueError("binomial_plus needs extra >= 0")
         elif k == "deterministic":
-            if self.d is None or self.d < 0:
+            if self.d < 0:
                 raise ValueError("deterministic law needs d >= 0")
         elif k == "explicit":
-            w = self.weights
-            if not w:
+            if not self.weights:
                 raise ValueError("explicit law needs at least one atom")
+            w = tuple((_integer(v, "explicit law atom"), wt) for v, wt in self.weights)
+            object.__setattr__(self, "weights", w)
             if any(v < 0 or wt < 0 for v, wt in w):
                 raise ValueError("explicit law atoms must be nonnegative")
             if sum(wt for _, wt in w) != 1:
@@ -80,7 +85,7 @@ class OffspringLaw:
             raise ValueError(f"unknown offspring law kind {k!r}")
 
     def _check_binomial(self):
-        if self.n is None or self.n < 0:
+        if self.n < 0:
             raise ValueError("binomial law needs n >= 0 trials")
         if self.p is None or not 0 <= self.p <= 1:
             raise ValueError("binomial law needs p in [0, 1]")
@@ -119,7 +124,7 @@ def deterministic_law(d: int) -> OffspringLaw:
 def explicit_law(weights) -> OffspringLaw:
     return OffspringLaw(
         kind="explicit",
-        weights=tuple((int(v), Fraction(w)) for v, w in weights),
+        weights=tuple((v, Fraction(w)) for v, w in weights),
     )
 
 

@@ -126,6 +126,8 @@ def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
     set, summed as `_tv_columns` sums a column."""
     mu = np.asarray(mu, dtype=np.float64)
     nu = np.asarray(nu, dtype=np.float64)
+    if mu.ndim != 1 or nu.ndim != 1:
+        raise WalkError("distribution must be a 1-d array")
     if mu.shape != nu.shape:
         raise WalkError(f"length mismatch: {mu.shape} vs {nu.shape}")
     return float(_tv_columns(mu.reshape(-1, 1), nu.reshape(-1, 1))[0])

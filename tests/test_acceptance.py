@@ -193,8 +193,8 @@ def test_10_heuristic_dominance(monkeypatch):
         local = fr_bound(g, mode="local-search", seed=derive_seed(1, s))
         with monkeypatch.context() as mp:
             mp.setattr(conductance, "_exact_minima",
-                       lambda adj, deg, windows, size_cap, budget:
-                       exact_minima(adj, deg, windows, size_cap, 0))
+                       lambda adj, deg, window, size_cap, budget:
+                       exact_minima(adj, deg, window, size_cap, 0))
             annealed = fr_bound(g, mode="local-search", seed=derive_seed(1, s))
         for le, ae, ee in zip(local.profile.entries, annealed.profile.entries,
                               exact.profile.entries):

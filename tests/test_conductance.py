@@ -334,6 +334,18 @@ def test_a_window_with_no_integer_volume_keeps_the_pruning():
     assert fr_bound(g, windows=windows, budget=10830).total == fr_bound(g).total
 
 
+def test_exact_budget_bounds_each_window():
+    # Seed-0 pool graph with the expected-volume windows: the largest window
+    # visits 6705 sets, while one enumeration of all windows together needed
+    # 9693, so the budget counts each window's enumeration on its own
+    g = sample_small_world(GraphSpec(n=20, k=1, c=3, seed=0))
+    windows = expected_volume_windows(20, 3, 1, num_scales(g.m))
+    with pytest.raises(EnumerationBudgetError):
+        fr_bound(g, windows=windows, budget=6704)
+    res = fr_bound(g, windows=windows, budget=6705)
+    assert res.profile.entries == fr_bound(g, windows=windows).profile.entries
+
+
 @contextlib.contextmanager
 def _annealer_only():
     """Every budgeted enumeration of local search overflows at once, so that
@@ -341,8 +353,8 @@ def _annealer_only():
     exact_minima = conductance._exact_minima
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(conductance, "_exact_minima",
-                   lambda adj, deg, windows, size_cap, budget:
-                   exact_minima(adj, deg, windows, size_cap, 0))
+                   lambda adj, deg, window, size_cap, budget:
+                   exact_minima(adj, deg, window, size_cap, 0))
         yield
 
 
@@ -644,15 +656,14 @@ def test_exact_floors_are_tried_in_ascending_order(monkeypatch):
     tried = []
     exact_minima = conductance._exact_minima
 
-    def spied(adj, deg, windows, size_cap, budget):
-        tried.append([windows, budget, "overflow"])
-        tried[-1][2] = got = exact_minima(adj, deg, windows, size_cap, budget)
+    def spied(adj, deg, window, size_cap, budget):
+        tried.append([window, budget, "overflow"])
+        tried[-1][2] = got = exact_minima(adj, deg, window, size_cap, budget)
         return got
 
     monkeypatch.setattr(conductance, "_exact_minima", spied)
     res = fr_bound(g, mode="local-search", seed=0)
-    assert all(len(windows) == 1 for windows, _, _ in tried)
-    uppers = [windows[0][1] for windows, _, _ in tried]
+    uppers = [window[1] for window, _, _ in tried]
     assert uppers == sorted(uppers)
     assert all(budget == 32 * 400 for _, budget, _ in tried)
     outcomes = [got for _, _, got in tried]
@@ -678,9 +689,9 @@ def test_certified_windows_are_the_enumerated_prefix(monkeypatch):
     done = []
     exact_minima = conductance._exact_minima
 
-    def spied(adj, deg, windows, size_cap, budget):
-        got = exact_minima(adj, deg, windows, size_cap, budget)
-        done.append(windows[0])  # not reached on an overflow
+    def spied(adj, deg, window, size_cap, budget):
+        got = exact_minima(adj, deg, window, size_cap, budget)
+        done.append(window)  # not reached on an overflow
         return got
 
     monkeypatch.setattr(conductance, "_exact_minima", spied)

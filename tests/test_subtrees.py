@@ -56,6 +56,19 @@ def test_law_validation():
         explicit_law([])
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: explicit_law([(1.5, 1)]), "explicit law atom"),
+    (lambda: binomial_law(10.0, Fraction(1, 2)), "n"),
+    (lambda: binomial_plus_law(10, Fraction(1, 2), 2.5), "extra"),
+    (lambda: deterministic_law(2.5), "d"),
+], ids=["explicit-atom", "binomial-n", "binomial-plus-extra", "deterministic-d"])
+def test_law_counts_must_be_integers(make, field):
+    # a float count is refused when the law is built, naming its field, and
+    # never truncated (1.5 used to become the atom 1)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        make()
+
+
 def test_law_means():
     # q_1 = E[B]: the mean is the first factorial moment, for every kind
     cases = [

@@ -113,6 +113,10 @@ def test_tv_distance_values():
     assert tv_distance([0.5, 0.5], [0.75, 0.25]) == 0.25
     with pytest.raises(WalkError, match="mismatch"):
         tv_distance([1.0], [0.5, 0.5])
+    # only 1-d distributions: these were flattened, to 0.5 and 0.125
+    for mu, nu in ((np.eye(2) / 2, np.full((2, 2), 0.25)), (0.5, 0.25)):
+        with pytest.raises(WalkError, match="1-d"):
+            tv_distance(mu, nu)
 
 
 @pytest.mark.parametrize(
